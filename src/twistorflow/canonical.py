@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeff import Coeff, ONE_at, jet_symbol
+from .coeff import ONE, Coeff, jet_symbol
 from .connections import levi_civita, ricci_matrix
-from .forms import Basis, FormMatrix, OneForm, TwoForm, curvature
+from .forms import Basis, FormMatrix, OneForm, TwoForm, curvature, specialize
 from .liealg import build_sp_basis, make_rules, structure_constants
 
 __all__ = [
@@ -80,36 +80,53 @@ def _sp_structure(n: int):
     return structure_constants(build_sp_basis(n))
 
 
-def _s_ratio_coeff(s_ratio: Fraction | None, lam2) -> Coeff | None:
+def _s_ratio_coeff(s_ratio: Fraction | None) -> Coeff | None:
     if s_ratio is None:
-        return Coeff.symbol(S_RATIO, lam2=lam2)
+        return Coeff.symbol(S_RATIO)
     if s_ratio == 1:
         return None
-    return Coeff.rational(s_ratio, lam2=lam2)
+    return Coeff.rational(s_ratio)
+
+
+def _at(x, p: MetricParams):
+    """A symbolic form or form matrix, specialized at p's numeric lambda^2."""
+    return x if p.lambda2 is None else specialize(x, p.lambda2)
+
+
+def _ricci_diag(ric: list[list[Coeff]]) -> RicciDiag:
+    """Fiber and base coefficients of a Ricci matrix over (fiber 2, base 4n)
+    slots, checking that each block is a multiple of the identity."""
+    dim = len(ric)
+    off_ok = all(ric[i][j].is_zero() for i in range(dim) for j in range(dim) if i != j)
+    fiber = ric[0][0]
+    base = ric[2][2]
+    if ric[1][1] != fiber:
+        raise ValueError("Ricci fiber block is not a multiple of the identity")
+    if any(ric[k][k] != base for k in range(2, dim)):
+        raise ValueError("Ricci base block is not a multiple of the identity")
+    return RicciDiag(fiber, base, off_ok)
 
 
 def canonical_setup(p: MetricParams):
-    """Basis, derivative rules, coframe and orthonormal frame for g^can."""
+    """Basis, derivative rules, coframe and orthonormal frame for g^can,
+    symbolic in lambda."""
     n = p.n
     basis = Basis(n)
-    lam2 = p.lambda2
-    rules = make_rules(_sp_structure(n), basis, lam2=lam2,
-                       s_ratio=_s_ratio_coeff(p.s_ratio, lam2))
-    lam = Coeff.lam_power(1, lam2=lam2)
-    lam_inv = Coeff.lam_power(-1, lam2=lam2)
-    one = ONE_at(lam2)
+    rules = make_rules(_sp_structure(n), basis, s_ratio=_s_ratio_coeff(p.s_ratio))
+    lam = Coeff.lam_power(1)
+    lam_inv = Coeff.lam_power(-1)
     coframe = [OneForm.basis(basis.a(1), lam), OneForm.basis(basis.a(3), lam)]
-    coframe += [OneForm.basis(basis.x(i, a), one)
+    coframe += [OneForm.basis(basis.x(i, a), ONE)
                 for i in range(4) for a in range(1, n + 1)]
     frames = [{basis.a(1): lam_inv}, {basis.a(3): lam_inv}]
-    frames += [{basis.x(i, a): one} for i in range(4) for a in range(1, n + 1)]
+    frames += [{basis.x(i, a): ONE} for i in range(4) for a in range(1, n + 1)]
     block_map = {"fiber": [0, 1], "base": list(range(2, 4 * n + 2))}
     return basis, rules, coframe, frames, block_map
 
 
 def connection_canonical(p: MetricParams) -> FormMatrix:
     basis, rules, coframe, frames, block_map = canonical_setup(p)
-    return levi_civita(coframe, rules, block_map=block_map)
+    return _at(levi_civita(coframe, rules, block_map=block_map), p)
 
 
 def connection_canonical_transcribed(p: MetricParams) -> FormMatrix:
@@ -121,17 +138,15 @@ def connection_canonical_transcribed(p: MetricParams) -> FormMatrix:
     """
     n = p.n
     basis = Basis(n)
-    lam2 = p.lambda2
-    lam = Coeff.lam_power(1, lam2=lam2)
-    one = ONE_at(lam2)
-    lm1 = Coeff.lam_power(2, lam2=lam2) - one  # lambda^2 - 1
+    lam = Coeff.lam_power(1)
+    lm1 = Coeff.lam_power(2) - ONE  # lambda^2 - 1
 
     def alpha(i: int, c: Coeff) -> OneForm:
         return OneForm.basis(basis.a(i), c)
 
     def gamma_entry(m: int, a: int, b: int, gsign: int, acorr: Coeff | None) -> OneForm:
         idx, sign = basis.g(m, a, b)
-        f = OneForm({}) if idx < 0 else OneForm.basis(idx, one.scale(sign * gsign))
+        f = OneForm({}) if idx < 0 else OneForm.basis(idx, ONE.scale(sign * gsign))
         if acorr is not None and a == b and not acorr.is_zero():
             f = f + alpha(m, acorr)
         return f
@@ -142,8 +157,8 @@ def connection_canonical_transcribed(p: MetricParams) -> FormMatrix:
     def xi(i, a):
         return 2 + i * n + (a - 1)
 
-    M.entries[0][1] = alpha(2, one.scale(-2))
-    M.entries[1][0] = alpha(2, one.scale(2))
+    M.entries[0][1] = alpha(2, ONE.scale(-2))
+    M.entries[1][0] = alpha(2, ONE.scale(2))
     # fiber rows against base columns: (X index, sign) of -lambda^t X^i blocks
     fiber_base = {
         (0, 0): (1, -1), (0, 1): (0, 1), (0, 2): (3, 1), (0, 3): (2, -1),
@@ -159,21 +174,21 @@ def connection_canonical_transcribed(p: MetricParams) -> FormMatrix:
                 M.entries[xi(bi, a)][xi(bi, b)] = gamma_entry(0, a, b, 1, None)
     # upper base blocks: (gamma index, gamma sign, alpha correction Coeff)
     pattern = {
-        (0, 1): (1, -1, lm1), (0, 2): (2, -1, -one), (0, 3): (3, -1, lm1),
-        (1, 2): (3, -1, -lm1), (1, 3): (2, 1, -one), (2, 3): (1, -1, -lm1),
+        (0, 1): (1, -1, lm1), (0, 2): (2, -1, -ONE), (0, 3): (3, -1, lm1),
+        (1, 2): (3, -1, -lm1), (1, 3): (2, 1, -ONE), (2, 3): (1, -1, -lm1),
     }
     for (bi, bj), (m, gsign, acorr) in pattern.items():
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 M.entries[xi(bi, a)][xi(bj, b)] = gamma_entry(m, a, b, gsign, acorr)
                 M.entries[xi(bj, b)][xi(bi, a)] = gamma_entry(m, b, a, -gsign, -acorr)
-    return M
+    return _at(M, p)
 
 
 def curvature_canonical(p: MetricParams) -> FormMatrix:
     basis, rules, coframe, frames, block_map = canonical_setup(p)
     gamma = levi_civita(coframe, rules, block_map=block_map)
-    return curvature(gamma, rules)
+    return _at(curvature(gamma, rules), p)
 
 
 def ricci_canonical(p: MetricParams) -> RicciDiag:
@@ -185,14 +200,10 @@ def ricci_canonical(p: MetricParams) -> RicciDiag:
             for (i, j) in e.coeffs:
                 if basis.labels[i][0] == "G" or basis.labels[j][0] == "G":
                     raise ValueError("canonical curvature entry involves a Gamma~ form")
-    ric = ricci_matrix(om, frames, rules.lam2)
-    dim = 4 * p.n + 2
-    off_ok = all(ric[i][j].is_zero() for i in range(dim) for j in range(dim) if i != j)
-    fiber = ric[0][0]
-    base = ric[2][2]
-    assert ric[1][1] == fiber
-    assert all(ric[k][k] == base for k in range(2, dim))
-    return RicciDiag(fiber, base, off_ok)
+    ric = ricci_matrix(om, frames)
+    if p.lambda2 is not None:
+        ric = [[c.specialize(p.lambda2) for c in row] for row in ric]
+    return _ricci_diag(ric)
 
 
 def einstein_solve_canonical(n: int) -> set[Fraction]:
@@ -223,9 +234,8 @@ def kahler_criterion(p: MetricParams) -> bool:
     """
     if p.lambda2 is None:
         raise ValueError("kahler criterion needs a numeric lambda^2")
-    from .gaussc import complex_connection, hol_block_skew_hermitian, mixing_blocks_zero
-    gamma = connection_canonical(p)
-    cmat = complex_connection(gamma, p.n, p.lambda2)
+    from .gaussc import complex_transform, hol_block_skew_hermitian, mixing_blocks_zero
+    cmat = complex_transform(connection_canonical(p), p.n)
     if not mixing_blocks_zero(cmat, p.n):
         return False
     if not hol_block_skew_hermitian(cmat, p.n):
@@ -240,24 +250,23 @@ def contact_check(n: int, s_ratio: Fraction | None = None) -> dict:
     """
     from .forms import exterior_derivative
     basis = Basis(n)
-    sig = _s_ratio_coeff(s_ratio, None)
+    sig = _s_ratio_coeff(s_ratio)
     rules = make_rules(_sp_structure(n), basis, s_ratio=sig)
-    one = ONE_at(None)
-    sigc = sig if sig is not None else one
-    a1 = OneForm.basis(basis.a(1), one)
-    a3 = OneForm.basis(basis.a(3), one)
+    sigc = sig if sig is not None else ONE
+    a1 = OneForm.basis(basis.a(1), ONE)
+    a3 = OneForm.basis(basis.a(3), ONE)
     d_re = exterior_derivative(a1, rules)
     d_im = exterior_derivative(a3, rules)
 
     def txx(i: int, j: int) -> TwoForm:
-        return TwoForm.build([(basis.x(i, a), basis.x(j, a), one)
+        return TwoForm.build([(basis.x(i, a), basis.x(j, a), ONE)
                               for a in range(1, n + 1)])
 
     from .forms import wedge
-    a2 = OneForm.basis(basis.a(2), one)
+    a2 = OneForm.basis(basis.a(2), ONE)
     # -2i a2 ^ (a1 + i a3) = 2 a2^a3 + i(-2 a2^a1)
-    fiber_re = wedge(a2, a3).scale(one.scale(2))
-    fiber_im = wedge(a2, a1).scale(one.scale(-2))
+    fiber_re = wedge(a2, a3).scale(ONE.scale(2))
+    fiber_im = wedge(a2, a1).scale(ONE.scale(-2))
     # tZ^2^Z^1 - tZ^1^Z^2 = 2(tX^1^X^0 - tX^3^X^2) + 2i(tX^3^X^0 + tX^1^X^2)
     base_re = (txx(1, 0) - txx(3, 2)).scale(sigc.scale(2))
     base_im = (txx(3, 0) + txx(1, 2)).scale(sigc.scale(2))

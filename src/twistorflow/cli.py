@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -22,16 +23,24 @@ from .zmetric import einstein_solve_z, ricci_z
 
 
 def _parse_rational(text: str):
-    """Exact p/q strings stay exact; decimals fall back to float with a warning."""
+    """Exact p/q strings stay exact; decimals fall back to float with a warning.
+
+    Raises ValueError on a zero denominator or a non-finite decimal.
+    """
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den)), True
     try:
         return Fraction(int(text)), True
     except ValueError:
+        x = float(text)
+        if not math.isfinite(x):
+            raise ValueError(f"{text!r} is not a finite number")
         sys.stderr.write(f"warning: decimal input {text!r}; symbolic checks run numerically\n")
-        return float(text), False
+        return x, False
 
 
 def _fmt_value(x) -> str:
@@ -61,7 +70,12 @@ def cmd_verify(args) -> int:
     if not (2 <= args.n <= 4):
         sys.stderr.write("verify supports n in 2..4 (the paper assumes n > 1)\n")
         return 2
-    tamper = tuple(int(x) for x in args.tamper.split(",")) if args.tamper else None
+    tamper = None
+    if args.tamper:
+        tamper = tuple(int(x) for x in args.tamper.split(","))
+        dim = (args.n + 1) * (2 * args.n + 3)
+        if len(tamper) != 3 or not all(0 <= x < dim for x in tamper):
+            raise ValueError(f"--tamper needs three basis indices i,j,k in 0..{dim - 1}")
     report = run_checks(args.n, tamper=tamper)
     if args.format == "json":
         print(json.dumps(report, indent=2))
@@ -249,6 +263,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as ex:
         sys.stderr.write(f"invalid input: {ex}\n")
+        return 2
+    except OSError as ex:
+        sys.stderr.write(f"cannot write output: {ex}\n")
         return 2
 
 

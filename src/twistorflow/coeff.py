@@ -18,7 +18,6 @@ __all__ = [
     "jet_symbol",
     "jet_grade",
     "jet_cutoff",
-    "current_cutoff",
     "ZERO",
     "ONE",
     "LAM",
@@ -87,10 +86,6 @@ def jet_cutoff(grade: int):
         _CUTOFF = old
 
 
-def current_cutoff() -> int:
-    return _CUTOFF
-
-
 def _monomial_grade(mono: tuple[int, ...]) -> int:
     g = 0
     for sid in mono:
@@ -102,64 +97,34 @@ class Coeff:
     """Element of Q[lambda, lambda^-1] (x) jet algebra.
 
     terms maps (lambda exponent, sorted jet-id tuple) -> Fraction.
-    lam2 optionally identifies lambda^2 with a fixed rational, reducing
-    exponents to {0, 1}; None keeps lambda fully symbolic.
     """
 
-    __slots__ = ("terms", "lam2")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[int, tuple[int, ...]], Fraction] | None = None,
-                 lam2: Fraction | None = None):
+    def __init__(self, terms: dict[tuple[int, tuple[int, ...]], Fraction] | None = None):
         self.terms = terms or {}
-        self.lam2 = lam2
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def rational(x, lam2: Fraction | None = None) -> "Coeff":
+    def rational(x) -> "Coeff":
         x = Fraction(x)
         if x == 0:
-            return Coeff({}, lam2)
-        return Coeff({(0, ()): x}, lam2)
+            return Coeff()
+        return Coeff({(0, ()): x})
 
     @staticmethod
-    def lam_power(k: int, coeff=1, lam2: Fraction | None = None) -> "Coeff":
-        c = Coeff({(k, ()): Fraction(coeff)}, lam2)
-        return c._normal() if lam2 is not None else c
+    def lam_power(k: int, coeff=1) -> "Coeff":
+        return Coeff({(k, ()): Fraction(coeff)})
 
     @staticmethod
-    def symbol(sym: JetSymbol, coeff=1, lam2: Fraction | None = None) -> "Coeff":
-        return Coeff({(0, (sym.sid,)): Fraction(coeff)}, lam2)
-
-    # -- helpers ------------------------------------------------------
-    def _normal(self) -> "Coeff":
-        if self.lam2 is None:
-            return self
-        out: dict = {}
-        mu = self.lam2
-        for (k, mono), v in self.terms.items():
-            q, r = divmod(k, 2)
-            vv = v * mu ** q
-            key = (r, mono)
-            nv = out.get(key, Fraction(0)) + vv
-            if nv:
-                out[key] = nv
-            elif key in out:
-                del out[key]
-        return Coeff(out, self.lam2)
-
-    def _compat(self, other: "Coeff") -> None:
-        if self.lam2 != other.lam2:
-            raise ValueError("mixing Coeffs with different lambda^2 specializations")
+    def symbol(sym: JetSymbol, coeff=1) -> "Coeff":
+        return Coeff({(0, (sym.sid,)): Fraction(coeff)})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def copy(self) -> "Coeff":
-        return Coeff(dict(self.terms), self.lam2)
-
     # -- ring operations ----------------------------------------------
     def __add__(self, other: "Coeff") -> "Coeff":
-        self._compat(other)
         out = dict(self.terms)
         for key, v in other.terms.items():
             nv = out.get(key, Fraction(0)) + v
@@ -167,16 +132,15 @@ class Coeff:
                 out[key] = nv
             elif key in out:
                 del out[key]
-        return Coeff(out, self.lam2)
+        return Coeff(out)
 
     def __neg__(self) -> "Coeff":
-        return Coeff({k: -v for k, v in self.terms.items()}, self.lam2)
+        return Coeff({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "Coeff") -> "Coeff":
         return self + (-other)
 
     def __mul__(self, other: "Coeff") -> "Coeff":
-        self._compat(other)
         cutoff = _CUTOFF
         out: dict = {}
         for (k1, m1), v1 in self.terms.items():
@@ -195,27 +159,25 @@ class Coeff:
                     out[key] = nv
                 elif key in out:
                     del out[key]
-        c = Coeff(out, self.lam2)
-        return c._normal() if self.lam2 is not None else c
+        return Coeff(out)
 
     def scale(self, x) -> "Coeff":
         x = Fraction(x)
         if x == 0:
-            return Coeff({}, self.lam2)
-        return Coeff({k: v * x for k, v in self.terms.items()}, self.lam2)
+            return Coeff()
+        return Coeff({k: v * x for k, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coeff):
             return NotImplemented
-        return self.lam2 == other.lam2 and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.lam2, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     # -- structure queries ---------------------------------------------
     def grade_part(self, grade: int) -> "Coeff":
-        return Coeff({k: v for k, v in self.terms.items() if _monomial_grade(k[1]) == grade},
-                     self.lam2)
+        return Coeff({k: v for k, v in self.terms.items() if _monomial_grade(k[1]) == grade})
 
     def max_grade(self) -> int:
         return max((_monomial_grade(m) for (_, m) in self.terms), default=0)
@@ -255,19 +217,32 @@ class Coeff:
         if len(unit_terms) != 1:
             raise ValueError("inverse requires a single jet-free Laurent monomial unit part")
         (k0, _), v0 = next(iter(unit_terms.items()))
-        inv_unit = Coeff({(-k0, ()): 1 / v0}, self.lam2)
-        if self.lam2 is not None:
-            inv_unit = inv_unit._normal()
-        rest = (self - Coeff(({(k0, ()): v0}), self.lam2)) * inv_unit
+        inv_unit = Coeff({(-k0, ()): 1 / v0})
+        rest = (self - Coeff({(k0, ()): v0})) * inv_unit
         # Neumann series; nilpotency bounds the iteration by the cutoff
-        result = ONE_at(self.lam2)
-        power = ONE_at(self.lam2)
+        result = ONE
+        power = ONE
         for _ in range(_CUTOFF):
             power = power * rest
             if power.is_zero():
                 break
             result = result + (power if _ % 2 == 1 else -power)
         return inv_unit * result
+
+    def specialize(self, mu) -> "Coeff":
+        """Image under lambda^k -> mu^(k // 2) lambda^(k % 2).
+
+        The ring map onto Q[lambda]/(lambda^2 - mu) (x) jets that fixes a
+        numeric lambda^2 = mu.  lambda is a constant, so the map commutes with
+        d: computing symbolically and specializing the result is exact.
+        """
+        mu = Fraction(mu)
+        out: dict = {}
+        for (k, mono), v in self.terms.items():
+            q, r = divmod(k, 2)
+            key = (r, mono)
+            out[key] = out.get(key, 0) + v * mu ** q
+        return Coeff({key: v for key, v in out.items() if v})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -287,10 +262,3 @@ ZERO = Coeff()
 ONE = Coeff.rational(1)
 LAM = Coeff.lam_power(1)
 
-
-def ONE_at(lam2: Fraction | None) -> Coeff:
-    return Coeff({(0, ()): Fraction(1)}, lam2)
-
-
-def ZERO_at(lam2: Fraction | None) -> Coeff:
-    return Coeff({}, lam2)

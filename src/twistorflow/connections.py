@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import Coeff, ZERO_at
+from .coeff import ONE, ZERO, Coeff
 from .forms import (DerivativeRules, FormMatrix, OneForm, TwoForm, eval_pair,
                     exterior_derivative, wedge)
 
@@ -26,8 +26,7 @@ class NonMetricStructure(ValueError):
     """The forced (extra-form) part of the connection is not skew."""
 
 
-def coframe_expansion(coframe: list[OneForm], ambient_dim: int,
-                      lam2: Fraction | None):
+def coframe_expansion(coframe: list[OneForm], ambient_dim: int):
     """Expansion of covered ambient basis forms over the coframe.
 
     Returns (expans, extras): expans maps ambient index -> {coframe slot:
@@ -78,7 +77,6 @@ def coframe_expansion(coframe: list[OneForm], ambient_dim: int,
         if not changed:
             break
     # exactness: recomposing the expansion must give back the basis form
-    one = None
     for lead, (K, u, rest) in covered.items():
         combo: dict[int, Coeff] = {}
         for slot, sc in expans[lead].items():
@@ -90,16 +88,13 @@ def coframe_expansion(coframe: list[OneForm], ambient_dim: int,
                     combo.pop(idx, None)
                 else:
                     combo[idx] = nv
-        if one is None:
-            from .coeff import ONE_at
-            one = ONE_at(lam2)
-        if combo != {lead: one}:
+        if combo != {lead: ONE}:
             raise ValueError("coframe expansion failed to converge")
     extras = set(range(ambient_dim)) - set(covered)
     return expans, extras
 
 
-def _decompose(two: TwoForm, expans, extras, m: int, lam2):
+def _decompose(two: TwoForm, expans, extras):
     """Split a 2-form into coframe-quadratic, extra^coframe and extra^extra parts."""
     C: dict[tuple[int, int], Coeff] = {}
     M: dict[tuple[int, int], Coeff] = {}
@@ -150,14 +145,14 @@ def _decompose(two: TwoForm, expans, extras, m: int, lam2):
 
 
 def levi_civita(coframe: list[OneForm], rules: DerivativeRules,
-                check: bool = True, block_map=None) -> FormMatrix:
+                block_map=None) -> FormMatrix:
+    """Solve the first structure equation; the solution is checked to be skew
+    and to satisfy the equation exactly."""
     m = len(coframe)
-    lam2 = rules.lam2
-    ambient_dim = rules.basis.dim()
-    expans, extras = coframe_expansion(coframe, ambient_dim, lam2)
+    expans, extras = coframe_expansion(coframe, rules.basis.dim())
 
     dths = [exterior_derivative(th, rules) for th in coframe]
-    decomposed = [_decompose(dt, expans, extras, m, lam2) for dt in dths]
+    decomposed = [_decompose(dt, expans, extras) for dt in dths]
     for K, (_, _, E) in enumerate(decomposed):
         if E:
             raise ValueError(f"d theta^{K} has an extra^extra component: {E}")
@@ -166,11 +161,11 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules,
     forced: list[list[dict[int, Coeff]]] = [[{} for _ in range(m)] for _ in range(m)]
     for K, (_, MK, _) in enumerate(decomposed):
         for (e, L), c in MK.items():
-            forced[K][L][e] = forced[K][L].get(e, ZERO_at(lam2)) - c
+            forced[K][L][e] = forced[K][L].get(e, ZERO) - c
     for K in range(m):
         for L in range(m):
             for e, c in forced[K][L].items():
-                other = forced[L][K].get(e, ZERO_at(lam2))
+                other = forced[L][K].get(e, ZERO)
                 if not (c + other).is_zero():
                     raise NonMetricStructure(
                         f"forced part not skew at rows {K},{L}, extra {e}")
@@ -179,12 +174,11 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules,
     def Cget(K, L, M_):
         CK = decomposed[K][0]
         if L == M_:
-            return ZERO_at(lam2)
+            return ZERO
         if L < M_:
             d = CK.get((L, M_))
-            return -d if d is not None else ZERO_at(lam2)
-        d = CK.get((M_, L))
-        return d if d is not None else ZERO_at(lam2)
+            return -d if d is not None else ZERO
+        return CK.get((M_, L), ZERO)
 
     half = Fraction(1, 2)
     gamma_cof: list[list[dict[int, Coeff]]] = [[{} for _ in range(m)] for _ in range(m)]
@@ -215,21 +209,19 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules,
         entries.append(row)
     gamma = FormMatrix(m, entries, block_map or {})
 
-    if check:
-        if not gamma.is_skew():
-            raise NonMetricStructure("derived connection is not skew")
-        for K in range(m):
-            resid = dths[K]
-            for L in range(m):
-                if not gamma.entries[K][L].is_zero():
-                    resid = resid + wedge(gamma.entries[K][L], coframe[L])
-            if not resid.is_zero():
-                raise ValueError(f"first structure equation fails at row {K}: {resid.coeffs}")
+    if not gamma.is_skew():
+        raise NonMetricStructure("derived connection is not skew")
+    for K in range(m):
+        resid = dths[K]
+        for L in range(m):
+            if not gamma.entries[K][L].is_zero():
+                resid = resid + wedge(gamma.entries[K][L], coframe[L])
+        if not resid.is_zero():
+            raise ValueError(f"first structure equation fails at row {K}: {resid.coeffs}")
     return gamma
 
 
-def ricci_matrix(curv: FormMatrix, frames: list,
-                 lam2: Fraction | None = None) -> list[list[Coeff]]:
+def ricci_matrix(curv: FormMatrix, frames: list) -> list[list[Coeff]]:
     """Ric(e_i, e_j) = sum_k Omega^j_k(e_i, e_k) over an orthonormal frame."""
     m = curv.dim
     out = []
@@ -243,6 +235,6 @@ def ricci_matrix(curv: FormMatrix, frames: list,
                     continue
                 t = eval_pair(w, frames[i], frames[k])
                 total = t if total is None else total + t
-            row.append(total if total is not None else ZERO_at(lam2))
+            row.append(total if total is not None else ZERO)
         out.append(row)
     return out

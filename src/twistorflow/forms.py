@@ -9,15 +9,13 @@ from structure constants; jet symbols carry their own first-order rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .coeff import Coeff, JetSymbol, ZERO_at, jet_grade
+from .coeff import ONE, ZERO, Coeff, JetSymbol, jet_grade, symbol_name
 
 __all__ = [
     "Basis",
     "OneForm",
     "TwoForm",
-    "DualVector",
     "FormMatrix",
     "DerivativeRules",
     "MissingRule",
@@ -27,6 +25,7 @@ __all__ = [
     "mat_wedge",
     "eval_pair",
     "eval_one",
+    "specialize",
 ]
 
 
@@ -92,7 +91,7 @@ class OneForm:
     coeffs: dict[int, Coeff] = field(default_factory=dict)
 
     @staticmethod
-    def build(items, lam2=None) -> "OneForm":
+    def build(items) -> "OneForm":
         out: dict[int, Coeff] = {}
         for idx, c in items:
             if idx < 0 or c.is_zero():
@@ -235,10 +234,6 @@ class TwoForm:
         return self.coeffs == other.coeffs
 
 
-# a dual (frame) vector: finitely supported basis-index -> Coeff pairing
-DualVector = dict
-
-
 def wedge(a: OneForm, b: OneForm) -> TwoForm:
     items = []
     for i, ci in a.coeffs.items():
@@ -249,7 +244,7 @@ def wedge(a: OneForm, b: OneForm) -> TwoForm:
     return TwoForm.build(items)
 
 
-def eval_one(a: OneForm, u: DualVector) -> Coeff:
+def eval_one(a: OneForm, u: dict) -> Coeff:
     total = None
     for i, c in a.coeffs.items():
         uv = u.get(i)
@@ -257,12 +252,11 @@ def eval_one(a: OneForm, u: DualVector) -> Coeff:
             continue
         t = c * uv
         total = t if total is None else total + t
-    if total is None:
-        return ZERO_at(next(iter(a.coeffs.values())).lam2 if a.coeffs else None)
-    return total
+    return ZERO if total is None else total
 
 
-def eval_pair(w: TwoForm, u: DualVector, v: DualVector) -> Coeff:
+def eval_pair(w: TwoForm, u: dict, v: dict) -> Coeff:
+    """w(u, v) for dual vectors given as basis-index -> Coeff pairings."""
     total = None
     for (i, j), c in w.coeffs.items():
         ui, uj = u.get(i), u.get(j)
@@ -273,13 +267,7 @@ def eval_pair(w: TwoForm, u: DualVector, v: DualVector) -> Coeff:
         if uj is not None and vi is not None:
             t = c * uj * vi
             total = -t if total is None else total - t
-    if total is None:
-        lam2 = None
-        for c in w.coeffs.values():
-            lam2 = c.lam2
-            break
-        return ZERO_at(lam2)
-    return total
+    return ZERO if total is None else total
 
 
 @dataclass
@@ -289,13 +277,12 @@ class DerivativeRules:
     basis: Basis
     d_basis: list[TwoForm]
     jet_rules: dict[int, OneForm] = field(default_factory=dict)
-    lam2: Fraction | None = None
 
     def with_jets(self, rules: dict[JetSymbol, OneForm]) -> "DerivativeRules":
         jr = dict(self.jet_rules)
         for sym, rule in rules.items():
             jr[sym.sid] = rule
-        return DerivativeRules(self.basis, self.d_basis, jr, self.lam2)
+        return DerivativeRules(self.basis, self.d_basis, jr)
 
     def d_coeff(self, c: Coeff) -> OneForm:
         """d of a scalar: Leibniz over grade-1 jet factors (grade-0 are constants)."""
@@ -306,10 +293,9 @@ class DerivativeRules:
                     continue
                 rule = self.jet_rules.get(sid)
                 if rule is None:
-                    from .coeff import symbol_name
                     raise MissingRule(symbol_name(sid))
                 rest = mono[:pos] + mono[pos + 1:]
-                factor = Coeff({(k, rest): v}, c.lam2)
+                factor = Coeff({(k, rest): v})
                 total = total + rule.scale(factor)
         return total
 
@@ -319,15 +305,11 @@ def exterior_derivative(a: OneForm, rules: DerivativeRules) -> TwoForm:
     for idx, c in a.coeffs.items():
         dc = rules.d_coeff(c)
         if not dc.is_zero():
-            total = total + wedge(dc, OneForm.basis(idx, _one_like(c)))
+            total = total + wedge(dc, OneForm.basis(idx, ONE))
         db = rules.d_basis[idx]
         if not db.is_zero():
             total = total + db.scale(c)
     return total
-
-
-def _one_like(c: Coeff) -> Coeff:
-    return Coeff({(0, ()): Fraction(1)}, c.lam2)
 
 
 def d2_residual(idx: int, rules: DerivativeRules) -> dict[tuple[int, int, int], Coeff]:
@@ -444,3 +426,17 @@ def mat_wedge(A: FormMatrix, B: FormMatrix) -> FormMatrix:
 def curvature(gamma: FormMatrix, rules: DerivativeRules) -> FormMatrix:
     """Second structure equation: d Gamma + Gamma ^ Gamma."""
     return gamma.d(rules) + mat_wedge(gamma, gamma)
+
+
+def specialize(x, mu):
+    """Coefficient-wise Coeff.specialize of a OneForm, TwoForm or FormMatrix."""
+    if isinstance(x, FormMatrix):
+        return FormMatrix(x.dim, [[_specialize_form(e, mu) for e in row] for row in x.entries],
+                          x.block_map)
+    return _specialize_form(x, mu)
+
+
+def _specialize_form(f, mu):
+    if isinstance(f, OneForm):
+        return OneForm.build((i, c.specialize(mu)) for i, c in f.coeffs.items())
+    return TwoForm.build((i, j, c.specialize(mu)) for (i, j), c in f.coeffs.items())

@@ -6,11 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import Coeff, ONE_at
+from .coeff import ONE, Coeff
 from .forms import FormMatrix, OneForm
 
-__all__ = ["CForm", "complex_transform", "complex_connection", "mixing_blocks_zero",
-           "hol_block_skew_hermitian", "hol_trace"]
+__all__ = ["CForm", "complex_transform", "mixing_blocks_zero", "hol_block_skew_hermitian",
+           "hol_trace"]
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def _cmat_entry(zero):
     return CForm(zero, zero)
 
 
-def complex_transform(gamma: FormMatrix, n: int, lam2) -> list[list[CForm]]:
+def complex_transform(gamma: FormMatrix, n: int) -> list[list[CForm]]:
     """Transform a real (4n+2) form matrix to the basis
     (lambda zeta^0, Z^1_a, Z^2_a, conjugates), zeta^0 = alpha_1 + i alpha_3,
     Z^1 = X^0 + i X^2, Z^2 = X^1 + i X^3.
@@ -46,8 +46,6 @@ def complex_transform(gamma: FormMatrix, n: int, lam2) -> list[list[CForm]]:
     U has one +-1/+-i per slot, so U M U^{-1} is assembled sparsely; entries
     may be one- or two-forms (both support add and scale).
     """
-    one = ONE_at(lam2)
-    half = one.scale(Fraction(1, 2))
     dim = 4 * n + 2
     m = 2 * n + 1
 
@@ -98,12 +96,9 @@ def complex_transform(gamma: FormMatrix, n: int, lam2) -> list[list[CForm]]:
                 for (q, cre, cim) in cols[s]:
                     re = pre * cre - pim * cim
                     im = pre * cim + pim * cre
-                    add = CForm(entry, zero).scale(one.scale(re), one.scale(im))
+                    add = CForm(entry, zero).scale(ONE.scale(re), ONE.scale(im))
                     out[p][q] = out[p][q] + add
     return out
-
-
-complex_connection = complex_transform
 
 
 def mixing_blocks_zero(cmat: list[list[CForm]], n: int) -> bool:

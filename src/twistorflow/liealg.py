@@ -331,7 +331,7 @@ def jacobi_residual(sc: StructureConstants):
     return None
 
 
-def make_rules(sc: StructureConstants, basis: Basis, lam2: Fraction | None = None,
+def make_rules(sc: StructureConstants, basis: Basis,
                s_ratio: Coeff | None = None) -> DerivativeRules:
     """Maurer-Cartan differentials d e^k = -1/2 c^k_{ij} e^i ^ e^j.
 
@@ -354,14 +354,14 @@ def make_rules(sc: StructureConstants, basis: Basis, lam2: Fraction | None = Non
         target_scaled = basis.labels[k][0] in ("A", "G")
         coeffs = {}
         for (i, j), v in d_basis[k].items():
-            c = Coeff({(0, ()): v}, lam2)
+            c = Coeff({(0, ()): v})
             if (target_scaled and s_ratio is not None
                     and nx0 <= i < nx1 and nx0 <= j < nx1):
                 c = c * s_ratio
             if not c.is_zero():
                 coeffs[(i, j)] = c
         out.append(TwoForm(coeffs))
-    return DerivativeRules(basis, out, {}, lam2)
+    return DerivativeRules(basis, out)
 
 
 def _tx_wedge_x(basis: Basis, i: int, j: int) -> TwoForm:

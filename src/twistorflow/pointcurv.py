@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import Coeff, ONE_at, ZERO_at, jet_symbol
+from .coeff import ONE, ZERO, Coeff, jet_symbol
 from .connections import coframe_expansion, levi_civita, ricci_matrix
 from .forms import DerivativeRules, FormMatrix, OneForm, TwoForm, curvature, eval_pair
 
@@ -50,7 +50,7 @@ class PointGeometry:
     extras_expansion: dict[int, OneForm]
 
     def ricci(self) -> list[list[Coeff]]:
-        return ricci_matrix(self.omega, self.frames, self.rules.lam2)
+        return ricci_matrix(self.omega, self.frames)
 
 
 def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRules,
@@ -62,17 +62,15 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
     enter as grade-0 symbols and must cancel from physical outputs).
     """
     m = len(ambient_coframe)
-    lam2 = ambient_rules.lam2
-    one = ONE_at(lam2)
     ambient_basis = ambient_rules.basis
-    expans, extras = coframe_expansion(ambient_coframe, ambient_basis.dim(), lam2)
+    expans, extras = coframe_expansion(ambient_coframe, ambient_basis.dim())
     dth_amb = [None] * m
     from .forms import exterior_derivative
     for K in range(m):
         dth_amb[K] = exterior_derivative(ambient_coframe[K], ambient_rules)
 
     def val(e: int, K: int) -> Coeff:
-        return value_frames[K].get(e, ZERO_at(lam2))
+        return value_frames[K].get(e, ZERO)
 
     fjets = {e: [jet_symbol(f"F[{_label_str(ambient_basis.labels[e])}|{K}]", 1)
                  for K in range(m)] for e in extras}
@@ -81,7 +79,7 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
     for e in extras:
         items = []
         for K in range(m):
-            c = val(e, K) + Coeff.symbol(fjets[e][K], lam2=lam2)
+            c = val(e, K) + Coeff.symbol(fjets[e][K])
             items.append((K, c))
         extras_expansion[e] = OneForm.build(items)
 
@@ -128,7 +126,7 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
         for L in range(m):
             for M in range(m):
                 if L == M:
-                    W[L][M] = ZERO_at(lam2)
+                    W[L][M] = ZERO
                     continue
                 t = eval_pair(de, value_frames[L], value_frames[M])
                 for K in range(m):
@@ -142,7 +140,7 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
             items = []
             for M in range(m):
                 kk, mm = (K, M) if K <= M else (M, K)
-                sym = Coeff.symbol(jet_symbol(f"SYM[{lab}|{kk},{mm}]", 0), lam2=lam2)
+                sym = Coeff.symbol(jet_symbol(f"SYM[{lab}|{kk},{mm}]", 0))
                 d_km = sym + W[M][K].scale(half)
                 items.append((M, d_km))
             slot_jet_rules[fjets[e][K].sid] = OneForm.build(items)
@@ -152,10 +150,10 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
         slot_jet_rules[sid] = conv1(rule)
 
     slot_basis = SlotBasis(m)
-    slot_rules = DerivativeRules(slot_basis, d_slot, slot_jet_rules, lam2)
-    slot_coframe = [OneForm.basis(K, one) for K in range(m)]
+    slot_rules = DerivativeRules(slot_basis, d_slot, slot_jet_rules)
+    slot_coframe = [OneForm.basis(K, ONE) for K in range(m)]
     gamma = levi_civita(slot_coframe, slot_rules, block_map=block_map)
     omega = curvature(gamma, slot_rules)
-    frames = [{K: one} for K in range(m)]
+    frames = [{K: ONE} for K in range(m)]
     return PointGeometry(slot_basis, slot_rules, slot_coframe, frames, gamma, omega,
                          extras_expansion)

@@ -3,9 +3,7 @@ machine-readable report and the documented list of display divergences."""
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .coeff import Coeff
@@ -266,8 +264,6 @@ def run_checks(n: int, tamper=None, checks=None) -> list[dict]:
     if n < 2:
         raise ValueError("paper setting requires n > 1")
     names = checks or CHECK_NAMES
-    workers = os.environ.get("TFLOW_THREADS")
-    max_workers = max(1, int(workers)) if workers else min(4, len(names))
 
     def run_one(name: str) -> dict:
         fn = _CHECKS[name]
@@ -280,10 +276,7 @@ def run_checks(n: int, tamper=None, checks=None) -> list[dict]:
         except Exception as ex:  # verification failures are reported, not raised
             return {"check": name, "status": "fail", "detail": f"{type(ex).__name__}: {ex}"}
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = {name: fut for name, fut in
-                   ((name, pool.submit(run_one, name)) for name in names)}
-        report = [results[name].result() for name in sorted(names)]
+    report = [run_one(name) for name in sorted(names)]
     for div in KNOWN_DIVERGENCES:
         report.append({"check": f"divergence:{div['id']}", "status": "note",
                        "detail": div["detail"]})

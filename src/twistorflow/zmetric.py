@@ -13,12 +13,13 @@ Ricci values are asserted to be independent of every one of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .canonical import MetricParams, RicciDiag, _sp_structure
-from .coeff import Coeff, ONE_at, jet_symbol
-from .forms import (Basis, FormMatrix, OneForm, TwoForm, exterior_derivative, wedge)
+from .canonical import MetricParams, RicciDiag, _ricci_diag, _sp_structure
+from .coeff import ONE, Coeff, jet_symbol
+from .forms import (Basis, FormMatrix, OneForm, TwoForm, exterior_derivative, specialize,
+                    wedge)
 from .liealg import make_rules
 
 __all__ = [
@@ -67,17 +68,11 @@ def _u_sym(k: int, grade: int = 0):
     return jet_symbol(f"U1[{k}]", 1)
 
 
-def _val(name: str, a: int, b: int, c, lam2=None) -> Coeff:
-    return Coeff.symbol(jet_symbol(f"{name}[{a},{b}|{c}]", 0), lam2=lam2)
+def _val(name: str, a: int, b: int, c) -> Coeff:
+    return Coeff.symbol(jet_symbol(f"{name}[{a},{b}|{c}]", 0))
 
 
-# rotation of the I, K extension along the fiber: nabla xi_1 gains
-# -2 alpha_3 xi_2 + 2 alpha_2 xi_3 and cyclic analogues
-_ROT = {1: ((-2, 3, 2), (2, 2, 3)), 2: ((2, 3, 1), (-2, 1, 3)), 3: ((-2, 2, 1), (2, 1, 2))}
-
-
-def jet_rules_z(n: int, basis: Basis, lam2: Fraction | None = None,
-                ambiguity: str = "none", rotation: bool = False) -> dict:
+def jet_rules_z(n: int, basis: Basis, ambiguity: str = "none") -> dict:
     """d of the frame pairings alpha_i(xi_{j,a}), from the derivation formulas.
 
     Exact modulo grade-2 terms.  ambiguity controls the alpha_1/alpha_3
@@ -87,7 +82,6 @@ def jet_rules_z(n: int, basis: Basis, lam2: Fraction | None = None,
     unknowns U(k), which changes the metric germ itself and is kept only as
     a diagnostic counterexample.
     """
-    one = ONE_at(lam2)
     rules = {}
     ucount = 0
     fiber_idx = (basis.a(1), basis.a(3))
@@ -99,33 +93,26 @@ def jet_rules_z(n: int, basis: Basis, lam2: Fraction | None = None,
             for a in range(1, n + 1):
                 items = []
                 xidx, xsign = table[j]
-                items.append((basis.x(xidx, a), one.scale(xsign)))
-                items.append((basis.a(2),
-                              Coeff.symbol(_a_jet(other, j, a), a2sign, lam2)))
-                if rotation and j in _ROT:
-                    for coef, am, target in _ROT[j]:
-                        items.append((basis.a(am),
-                                      Coeff.symbol(_a_jet(i, target, a), coef, lam2)))
+                items.append((basis.x(xidx, a), ONE.scale(xsign)))
+                items.append((basis.a(2), Coeff.symbol(_a_jet(other, j, a), a2sign)))
                 for m in range(4):
                     s, q = _IJ[j][m]
                     for b in range(1, n + 1):
                         gidx, gsign = basis.g(m, b, a)
                         if gidx >= 0:
-                            items.append((gidx,
-                                          Coeff.symbol(_a_jet(i, q, b), s * gsign, lam2)))
+                            items.append((gidx, Coeff.symbol(_a_jet(i, q, b), s * gsign)))
                     if m >= 1:
-                        items.append((basis.a(m),
-                                      Coeff.symbol(_a_jet(i, q, a), s, lam2)))
+                        items.append((basis.a(m), Coeff.symbol(_a_jet(i, q, a), s)))
                 if ambiguity == "stripped":
                     items = [(idx, c) for (idx, c) in items if idx not in fiber_idx]
                 elif ambiguity == "grade0":
-                    items.append((basis.a(1), Coeff.symbol(_u_sym(ucount, 0), 1, lam2)))
-                    items.append((basis.a(3), Coeff.symbol(_u_sym(ucount + 1, 0), 1, lam2)))
+                    items.append((basis.a(1), Coeff.symbol(_u_sym(ucount, 0))))
+                    items.append((basis.a(3), Coeff.symbol(_u_sym(ucount + 1, 0))))
                     ucount += 2
                 elif ambiguity == "grade1":
                     u1, u2 = _u_sym(ucount, 1), _u_sym(ucount + 1, 1)
-                    items.append((basis.a(1), Coeff.symbol(u1, 1, lam2)))
-                    items.append((basis.a(3), Coeff.symbol(u2, 1, lam2)))
+                    items.append((basis.a(1), Coeff.symbol(u1)))
+                    items.append((basis.a(3), Coeff.symbol(u2)))
                     rules[u1] = OneForm({})
                     rules[u2] = OneForm({})
                     ucount += 2
@@ -133,13 +120,12 @@ def jet_rules_z(n: int, basis: Basis, lam2: Fraction | None = None,
     return rules
 
 
-def hat_alpha(i: int, n: int, basis: Basis, lam2: Fraction | None = None) -> OneForm:
+def hat_alpha(i: int, n: int, basis: Basis) -> OneForm:
     """ahat_i = alpha_i - sum_j alpha_i(xi_j) X^j with grade-1 jet coefficients."""
-    one = ONE_at(lam2)
-    items = [(basis.a(i), one)]
+    items = [(basis.a(i), ONE)]
     for j in range(4):
         for a in range(1, n + 1):
-            items.append((basis.x(j, a), Coeff.symbol(_a_jet(i, j, a), -1, lam2)))
+            items.append((basis.x(j, a), Coeff.symbol(_a_jet(i, j, a), -1)))
     return OneForm.build(items)
 
 
@@ -150,7 +136,6 @@ class ZFrame:
     n: int
     hat_alpha1: OneForm
     hat_alpha3: OneForm
-    gamma_decomp: dict
     abcd: dict
 
     @staticmethod
@@ -169,17 +154,12 @@ class ZFrame:
                 abcd[("b", i, a)] = combo(i, a, Q_SYM, S_SYM)
                 abcd[("c", i, a)] = combo(i, a, R_SYM, P_SYM)
                 abcd[("d", i, a)] = combo(i, a, S_SYM, Q_SYM)
-        gamma_decomp = {
-            "Gamma0": ("P", "X1", "Q", "X3"),
-            "Gamma2": ("R", "X1", "S", "X3"),
-        }
-        return ZFrame(n, hat_alpha(1, n, basis), hat_alpha(3, n, basis),
-                      gamma_decomp, abcd)
+        return ZFrame(n, hat_alpha(1, n, basis), hat_alpha(3, n, basis), abcd)
 
 
-def z_setup(p: MetricParams, ambiguity: str = "none", rotation: bool = False,
-            free_gamma_fiber: bool = False):
-    """Basis, rules (Maurer-Cartan + jets), Z-coframe and frame value table.
+def z_setup(p: MetricParams, ambiguity: str = "none", free_gamma_fiber: bool = False):
+    """Basis, rules (Maurer-Cartan + jets), Z-coframe and frame value table,
+    symbolic in lambda.
 
     The fiber lift of the section is sp(n)-parallel (only the sp(1) part
     rotates along the twistor line), so the Gamma~ blocks pair to zero with
@@ -188,25 +168,21 @@ def z_setup(p: MetricParams, ambiguity: str = "none", rotation: bool = False,
     """
     n = p.n
     basis = Basis(n)
-    lam2 = p.lambda2
-    rules = make_rules(_sp_structure(n), basis, lam2=lam2)
-    rules = rules.with_jets(jet_rules_z(n, basis, lam2, ambiguity, rotation))
-    lam = Coeff.lam_power(1, lam2=lam2)
-    lam_inv = Coeff.lam_power(-1, lam2=lam2)
-    one = ONE_at(lam2)
-    ah1 = hat_alpha(1, n, basis, lam2)
-    ah3 = hat_alpha(3, n, basis, lam2)
-    coframe = [ah1.scale(lam), ah3.scale(lam)]
-    coframe += [OneForm.basis(basis.x(i, a), one)
+    rules = make_rules(_sp_structure(n), basis)
+    rules = rules.with_jets(jet_rules_z(n, basis, ambiguity))
+    lam = Coeff.lam_power(1)
+    lam_inv = Coeff.lam_power(-1)
+    coframe = [hat_alpha(1, n, basis).scale(lam), hat_alpha(3, n, basis).scale(lam)]
+    coframe += [OneForm.basis(basis.x(i, a), ONE)
                 for i in range(4) for a in range(1, n + 1)]
 
     def gamma_values(vec: dict, scale: Coeff, g0name, g2name, tag) -> None:
         for a in range(1, n + 1):
             for b in range(a + 1, n + 1):
-                vec[basis.index[("G", 0, a, b)]] = _val(g0name, a, b, tag, lam2) * scale
+                vec[basis.index[("G", 0, a, b)]] = _val(g0name, a, b, tag) * scale
         for a in range(1, n + 1):
             for b in range(a, n + 1):
-                vec[basis.index[("G", 2, a, b)]] = _val(g2name, a, b, tag, lam2) * scale
+                vec[basis.index[("G", 2, a, b)]] = _val(g2name, a, b, tag) * scale
 
     frames = []
     f = {basis.a(1): lam_inv}
@@ -219,13 +195,13 @@ def z_setup(p: MetricParams, ambiguity: str = "none", rotation: bool = False,
     frames.append(f)
     for j in range(4):
         for a in range(1, n + 1):
-            f = {basis.x(j, a): one,
-                 basis.a(1): Coeff.symbol(_a_jet(1, j, a), lam2=lam2),
-                 basis.a(3): Coeff.symbol(_a_jet(3, j, a), lam2=lam2)}
+            f = {basis.x(j, a): ONE,
+                 basis.a(1): Coeff.symbol(_a_jet(1, j, a)),
+                 basis.a(3): Coeff.symbol(_a_jet(3, j, a))}
             if j == 1:
-                gamma_values(f, one, "P", "R", a)
+                gamma_values(f, ONE, "P", "R", a)
             elif j == 3:
-                gamma_values(f, one, "Q", "S", a)
+                gamma_values(f, ONE, "Q", "S", a)
             frames.append(f)
     block_map = {"fiber": [0, 1], "base": list(range(2, 4 * n + 2))}
     return basis, rules, coframe, frames, block_map
@@ -245,14 +221,13 @@ def hat_alpha_derivatives(n: int) -> dict:
     basis = Basis(n)
     rules = make_rules(_sp_structure(n), basis)
     rules = rules.with_jets(jet_rules_z(n, basis, ambiguity="none"))
-    one = ONE_at(None)
     ah1 = hat_alpha(1, n, basis)
     ah3 = hat_alpha(3, n, basis)
-    a2 = OneForm.basis(basis.a(2), one)
+    a2 = OneForm.basis(basis.a(2), ONE)
     d1 = exterior_derivative(ah1, rules)
     d3 = exterior_derivative(ah3, rules)
-    clean1 = wedge(a2, ah3).scale(one.scale(2))
-    clean3 = wedge(a2, ah1).scale(one.scale(-2))
+    clean1 = wedge(a2, ah3).scale(ONE.scale(2))
+    clean3 = wedge(a2, ah1).scale(ONE.scale(-2))
 
     def displayed_gamma_terms(i: int) -> TwoForm:
         # -a_i(xi_0) Gamma_0^X^0 - a_i(xi_2) Gamma_2^X^0
@@ -305,13 +280,19 @@ def hat_alpha_derivatives(n: int) -> dict:
     }
 
 
-def z_geometry(p: MetricParams, ambiguity: str = "none", rotation: bool = False,
-               free_gamma_fiber: bool = False):
-    """Connection and curvature of the Z-metric in coframe coordinates."""
+def z_geometry(p: MetricParams, ambiguity: str = "none", free_gamma_fiber: bool = False):
+    """Connection and curvature of the Z-metric in coframe coordinates.
+
+    gamma and omega are specialized at a numeric p.lambda2; the coframe-level
+    data (rules, extras_expansion) stay symbolic in lambda.
+    """
     from .pointcurv import point_geometry
-    basis, rules, coframe, frames, block_map = z_setup(p, ambiguity, rotation,
-                                                       free_gamma_fiber)
-    return point_geometry(coframe, rules, frames, block_map=block_map)
+    basis, rules, coframe, frames, block_map = z_setup(p, ambiguity, free_gamma_fiber)
+    geo = point_geometry(coframe, rules, frames, block_map=block_map)
+    if p.lambda2 is None:
+        return geo
+    return replace(geo, gamma=specialize(geo.gamma, p.lambda2),
+                   omega=specialize(geo.omega, p.lambda2))
 
 
 def connection_z(p: MetricParams, ambiguity: str = "none") -> FormMatrix:
@@ -333,19 +314,16 @@ def ricci_z(p: MetricParams, ambiguity: str = "none") -> RicciDiag:
     be exactly free of every formal unknown: the p,q,r,s values, the
     expansion unknowns and, when enabled, the ambiguity terms.
     """
-    geo = z_geometry(p, ambiguity)
-    ric = geo.ricci()
+    # contract the symbolic curvature, then specialize only the Ricci matrix
+    ric = z_geometry(replace(p, lambda2=None), ambiguity).ricci()
     dim = 4 * p.n + 2
     grade0 = [[ric[i][j].grade_part(0) for j in range(dim)] for i in range(dim)]
+    if p.lambda2 is not None:
+        grade0 = [[c.specialize(p.lambda2) for c in row] for row in grade0]
     for i in range(dim):
         for j in range(dim):
             _assert_unknown_free(grade0[i][j], f"Ric[{i}][{j}]")
-    off_ok = all(grade0[i][j].is_zero() for i in range(dim) for j in range(dim) if i != j)
-    fiber = grade0[0][0]
-    base = grade0[2][2]
-    assert grade0[1][1] == fiber
-    assert all(grade0[k][k] == base for k in range(2, dim))
-    return RicciDiag(fiber, base, off_ok)
+    return _ricci_diag(grade0)
 
 
 def einstein_solve_z(n: int) -> Fraction:

@@ -47,7 +47,7 @@ def test_connection_entry_examples():
     e = G1.entries[2][3]  # X^0_1 row, X^1_1 column: -Gamma_1(1,1), no alpha part
     assert b.a(1) not in e.coeffs
     e02 = G1.entries[2][6]  # X^0_1 row, X^2_1 column keeps its -alpha_2 part
-    assert e02.coeffs[b.a(2)] == Coeff.rational(-1, lam2=Fraction(1))
+    assert e02.coeffs[b.a(2)] == Coeff.rational(-1)
 
 
 def test_first_structure_equation_residual():
@@ -240,13 +240,13 @@ def test_complex_curvature_at_kahler_point():
     n = 2
     mu = Fraction(1)
     om = curvature_canonical(MetricParams(n, lambda2=mu))
-    cmat = complex_transform(om, n, mu)
+    cmat = complex_transform(om, n)
     assert mixing_blocks_zero(cmat, n)
     assert hol_block_skew_hermitian(cmat, n)
     tr = hol_trace(cmat, n)
     assert tr.re.is_zero()
     b = Basis(n)
-    one = Coeff.rational(1, lam2=mu)
+    one = Coeff.rational(1)
     items = [(b.a(1), b.a(3), one.scale(-4 * (n + 1)))]
     for a in range(1, n + 1):
         items.append((b.x(0, a), b.x(2, a), one.scale(-4 * (n + 1))))
@@ -254,7 +254,7 @@ def test_complex_curvature_at_kahler_point():
     assert tr.im == TwoForm.build(items)
     # away from the Kahler point the curvature mixes types
     om2 = curvature_canonical(MetricParams(n, lambda2=Fraction(2)))
-    assert not mixing_blocks_zero(complex_transform(om2, n, Fraction(2)), n)
+    assert not mixing_blocks_zero(complex_transform(om2, n), n)
 
 
 def test_complex_structure_equation_matrix_at_lambda_one():
@@ -267,11 +267,11 @@ def test_complex_structure_equation_matrix_at_lambda_one():
     from twistorflow.gaussc import complex_transform
     n = 2
     mu = Fraction(1)
-    cmat = complex_transform(connection_canonical(MetricParams(n, lambda2=mu)), n, mu)
+    cmat = complex_transform(connection_canonical(MetricParams(n, lambda2=mu)), n)
     b = Basis(n)
-    one = Coeff.rational(1, lam2=mu)
+    one = Coeff.rational(1)
 
-    lam = Coeff.lam_power(1, lam2=mu)
+    lam = Coeff.lam_power(1)
 
     def f(idx, c=1):
         return OneForm.basis(idx, one.scale(c))

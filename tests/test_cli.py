@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from twistorflow.cli import main
 
 
@@ -78,6 +80,27 @@ def test_domain_errors_exit_2():
     assert code == 2
     code, _ = run_cli(["verify", "--n", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "ricci --family z --n 2 --lambda2 1/0",
+    "ricci --family z --n 2 --lambda2 inf",
+    "ricci --family canonical --n 2 --lambda2 1e400",
+    "flow --family z --n 2 --lambda2 1/2 --rho0 1e400",
+    "flow --family z --n 2 --lambda2 1/2 --out {missing}",
+    "entropy --n 2 --lambda2 1/2 --out {missing}",
+    "flow --family z --n 2 --lambda2 1/2 --dt 1e-300",
+    "verify --n 2 --tamper 1,2",
+    "verify --n 2 --tamper 1,2,3,4",
+    "verify --n 2 --tamper 0,1,21",
+])
+def test_bad_input_exits_2_without_traceback(argv, tmp_path):
+    missing = tmp_path / "no-such-dir" / "out.csv"
+    proc = subprocess.run([sys.executable, "-m", "twistorflow.cli"]
+                          + argv.format(missing=missing).split(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_fast_subset_and_tamper():

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistorflow.coeff import Coeff, ONE, ZERO, jet_cutoff, jet_symbol
+from twistorflow.forms import Basis, DerivativeRules, OneForm, specialize
 
 
 A = jet_symbol("tA", 1)
@@ -69,14 +71,52 @@ def test_grade_parts_and_symbols():
     assert rational(7).is_jet_free()
 
 
-def test_lambda2_specialization():
-    mu = Fraction(1, 3)
-    lam = Coeff.lam_power(1, lam2=mu)
-    sq = lam * lam
-    assert sq == Coeff.rational(mu, lam2=mu)
-    assert Coeff.lam_power(-1, lam2=mu) * lam == Coeff.rational(1, lam2=mu)
-    with pytest.raises(ValueError):
-        lam * Coeff.lam_power(1)
+# a Coeff built through the ring operations, so it respects the jet cutoff
+_terms = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                            st.lists(st.sampled_from([A, B, P]), max_size=2)),
+                  max_size=4)
+
+
+def _build(terms):
+    total = ZERO
+    for k, c, syms in terms:
+        t = Coeff.lam_power(k, c)
+        for sym in syms:
+            t = t * Coeff.symbol(sym)
+        total = total + t
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(_terms, _terms, st.fractions(Fraction(1, 9), 9, max_denominator=9),
+       st.integers(-3, 3), st.integers(1, 5), st.fractions(max_denominator=5),
+       st.sampled_from([2, 3]))
+def test_specialize_is_a_ring_map(tx, ty, mu, k, u0, q, cutoff):
+    # specialize maps onto Q[lambda]/(lambda^2 - mu) (x) jets, so a product
+    # on that side is reduced again before comparing
+    def sp(c):
+        return c.specialize(mu)
+
+    with jet_cutoff(cutoff):
+        x, y = _build(tx), _build(ty)
+        assert Coeff.lam_power(2).specialize(mu) == Coeff.rational(mu)
+        assert Coeff.lam_power(-1).specialize(mu) == Coeff.lam_power(1, 1 / mu)
+        assert sp(x + y) == sp(x) + sp(y)
+        assert sp(x * y) == sp(sp(x) * sp(y))
+        assert sp(-x) == -sp(x)
+        assert sp(x.scale(q)) == sp(x).scale(q)
+        # units: a Laurent monomial times (1 + nilpotent)
+        nil = _build([(kk, c, [A] + s) for kk, c, s in tx])
+        unit = Coeff.lam_power(k, u0) * (ONE + nil)
+        assert sp(unit.inverse()) == sp(sp(unit).inverse())
+        assert sp(sp(unit) * sp(unit.inverse())) == ONE
+        # lambda is a constant, so specialize commutes with d
+        rules = DerivativeRules(Basis(2), []).with_jets({
+            A: OneForm.build([(0, Coeff.lam_power(-1, 2) + Coeff.symbol(B)),
+                              (3, Coeff.lam_power(3))]),
+            B: OneForm.build([(1, Coeff.lam_power(1)), (4, Coeff.symbol(P, -1))]),
+        })
+        assert specialize(rules.d_coeff(sp(x)), mu) == specialize(rules.d_coeff(x), mu)
 
 
 def test_inverse():

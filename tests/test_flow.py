@@ -222,11 +222,12 @@ def test_serialization_schemas():
 def test_trajectory_events_and_drift_tolerance():
     init = FlowState(0.0, 1.0, 0.5, Z, 2)
     T = classify(init)["time"]
-    traj = integrate(init, 1e-4, 0.9 * T, drift_tol=1e-9)
+    traj = integrate(init, 1e-4, 0.9 * T)
     assert traj.events["mode"] == "extinction"
     assert traj.events["time"] == T
     assert not traj.events["stopped_at_floor"]
-    assert traj.events["drift_within_tolerance"]
+    # invariant drift within 1e-9 per unit time
+    assert traj.max_invariant_drift() <= 1e-9 * (traj.samples[-1].t - traj.samples[0].t)
     full = integrate(init, 1e-5, 2 * T)
     assert full.events["stopped_at_floor"]
 

@@ -57,7 +57,7 @@ def test_hat_alpha_derivatives_report():
 
 def test_negative_control_dropping_leibniz_term():
     # dropping the alpha_1(xi_0) dX^0 Leibniz term breaks the derivation
-    from twistorflow.coeff import ONE_at, jet_symbol
+    from twistorflow.coeff import ONE
     from twistorflow.forms import OneForm, exterior_derivative, wedge
     from twistorflow.liealg import make_rules
     from twistorflow.canonical import _sp_structure
@@ -66,13 +66,12 @@ def test_negative_control_dropping_leibniz_term():
     b = Basis(n)
     rules = make_rules(_sp_structure(n), b)
     rules = rules.with_jets(jet_rules_z(n, b, ambiguity="none"))
-    one = ONE_at(None)
     ah1 = hat_alpha(1, n, b)
     broken = OneForm({i: c for i, c in ah1.coeffs.items() if i != b.x(0, 1)})
     d_broken = exterior_derivative(broken, rules)
     ah3 = hat_alpha(3, n, b)
-    a2 = OneForm.basis(b.a(2), one)
-    clean = wedge(a2, ah3).scale(one.scale(2))
+    a2 = OneForm.basis(b.a(2), ONE)
+    clean = wedge(a2, ah3).scale(ONE.scale(2))
     assert d_broken.grade_part(0) != clean.grade_part(0)
 
 
