@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeff import ONE, Coeff, jet_symbol
+from .coeff import ONE, Coeff, active_cutoff, jet_symbol
 from .connections import levi_civita, ricci_matrix
 from .forms import Basis, FormMatrix, OneForm, TwoForm, curvature, specialize
 from .liealg import build_sp_basis, make_rules, structure_constants
@@ -124,9 +124,22 @@ def canonical_setup(p: MetricParams):
     return basis, rules, coframe, frames, block_map
 
 
+@lru_cache(maxsize=None)
+def _solve_canonical(n: int, s_ratio: Fraction | None, cutoff: int):
+    """(basis, rules, frames, Levi-Civita connection) of g^can, symbolic in
+    lambda.  cutoff is the active jet cutoff, part of the key only.  The
+    result is shared by every caller and must not be mutated."""
+    basis, rules, coframe, frames, block_map = canonical_setup(MetricParams(n, s_ratio=s_ratio))
+    return basis, rules, frames, levi_civita(coframe, rules, block_map=block_map)
+
+
+def _solved(p: MetricParams):
+    return _solve_canonical(p.n, p.s_ratio, active_cutoff())
+
+
 def connection_canonical(p: MetricParams) -> FormMatrix:
-    basis, rules, coframe, frames, block_map = canonical_setup(p)
-    return _at(levi_civita(coframe, rules, block_map=block_map), p)
+    basis, rules, frames, gamma = _solved(p)
+    return _at(gamma, p)
 
 
 def connection_canonical_transcribed(p: MetricParams) -> FormMatrix:
@@ -186,14 +199,12 @@ def connection_canonical_transcribed(p: MetricParams) -> FormMatrix:
 
 
 def curvature_canonical(p: MetricParams) -> FormMatrix:
-    basis, rules, coframe, frames, block_map = canonical_setup(p)
-    gamma = levi_civita(coframe, rules, block_map=block_map)
+    basis, rules, frames, gamma = _solved(p)
     return _at(curvature(gamma, rules), p)
 
 
 def ricci_canonical(p: MetricParams) -> RicciDiag:
-    basis, rules, coframe, frames, block_map = canonical_setup(p)
-    gamma = levi_civita(coframe, rules, block_map=block_map)
+    basis, rules, frames, gamma = _solved(p)
     om = curvature(gamma, rules)
     for row in om.entries:
         for e in row:

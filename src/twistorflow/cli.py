@@ -8,6 +8,7 @@ Exit codes: 0 all checks pass / command succeeded, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -57,9 +58,10 @@ def _emit(payload, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, default=_fmt_value, sort_keys=True))
     elif fmt == "csv":
-        keys = list(payload)
-        print(",".join(keys))
-        print(",".join(_fmt_value(payload[k]) for k in keys))
+        row = [v if isinstance(v, str) else _fmt_value(v) for v in payload.values()]
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(payload)
+        writer.writerow(row)
     else:
         width = max(len(k) for k in payload)
         for k, v in payload.items():

@@ -8,7 +8,6 @@ product of jet symbols whose total grade reaches the active cutoff
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -18,6 +17,7 @@ __all__ = [
     "jet_symbol",
     "jet_grade",
     "jet_cutoff",
+    "active_cutoff",
     "ZERO",
     "ONE",
     "LAM",
@@ -27,7 +27,6 @@ __all__ = [
 _SYM_IDS: dict[str, int] = {}
 _SYM_NAMES: list[str] = []
 _SYM_GRADES: list[int] = []
-_SYM_LOCK = threading.Lock()
 
 _CUTOFF = 2
 
@@ -52,18 +51,16 @@ def jet_symbol(name: str, grade: int) -> JetSymbol:
     Grade-1 symbols are nilpotent jets; grade-0 symbols are formal
     unknowns treated as constants by differentiation.
     """
-    with _SYM_LOCK:
-        if name in _SYM_IDS:
-            sid = _SYM_IDS[name]
-            if _SYM_GRADES[sid] != grade:
-                raise ValueError(
-                    f"symbol {name} already registered with grade {_SYM_GRADES[sid]}")
-            return JetSymbol(name, sid, grade)
-        sid = len(_SYM_NAMES)
-        _SYM_IDS[name] = sid
-        _SYM_NAMES.append(name)
-        _SYM_GRADES.append(grade)
+    if name in _SYM_IDS:
+        sid = _SYM_IDS[name]
+        if _SYM_GRADES[sid] != grade:
+            raise ValueError(f"symbol {name} already registered with grade {_SYM_GRADES[sid]}")
         return JetSymbol(name, sid, grade)
+    sid = len(_SYM_NAMES)
+    _SYM_IDS[name] = sid
+    _SYM_NAMES.append(name)
+    _SYM_GRADES.append(grade)
+    return JetSymbol(name, sid, grade)
 
 
 def jet_grade(sid: int) -> int:
@@ -84,6 +81,11 @@ def jet_cutoff(grade: int):
         yield
     finally:
         _CUTOFF = old
+
+
+def active_cutoff() -> int:
+    """The truncation grade in force; part of the key of every symbolic memo."""
+    return _CUTOFF
 
 
 def _monomial_grade(mono: tuple[int, ...]) -> int:

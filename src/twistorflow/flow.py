@@ -134,8 +134,9 @@ def invariant(state: FlowState):
 
 # integration stops once rho mu or rho falls to this fraction of its initial value
 FLOOR_RATIO = 1e-12
-# largest step count one integrate call accepts (every sample is kept); the
-# flows in the tests and the benchmark take at most about 31k steps
+# largest step count one integrate call, and largest sample count one
+# entropy_series call, accepts (every sample is kept); the flows in the tests
+# and the benchmark take at most about 31k steps
 MAX_STEPS = 10 ** 6
 
 
@@ -231,7 +232,8 @@ def entropy_series(initial: FlowState, samples: int) -> list[EntropyRecord]:
 
     u is spatially constant (1 over the coframe-normalized volume
     rho^(2n+1) mu), f comes from u = (4 pi tau)^-(2n+1) e^-f, and
-    w = tau Scal + f - (4n+2); w is nondecreasing in t.
+    w = tau Scal + f - (4n+2); w is nondecreasing in t.  A request for more
+    than MAX_STEPS samples is rejected.
     """
     if initial.family != Z:
         raise ValueError("entropy diagnostics apply to the Z family")
@@ -240,6 +242,8 @@ def entropy_series(initial: FlowState, samples: int) -> list[EntropyRecord]:
         raise ValueError("requires mu0 > 1/(n+2), the extinction regime")
     if samples < 2:
         raise ValueError("need at least two samples")
+    if samples > MAX_STEPS:
+        raise ValueError(f"{samples} samples exceed the {MAX_STEPS} sample budget")
     T = initial.rho / (8 * (n + 2))
     tau_min, tau_max = T / 100.0, 10.0 * T
     out = []

@@ -424,8 +424,36 @@ def mat_wedge(A: FormMatrix, B: FormMatrix) -> FormMatrix:
 
 
 def curvature(gamma: FormMatrix, rules: DerivativeRules) -> FormMatrix:
-    """Second structure equation: d Gamma + Gamma ^ Gamma."""
-    return gamma.d(rules) + mat_wedge(gamma, gamma)
+    """Curvature at the base point: the grade-0 part of d Gamma + Gamma ^ Gamma.
+
+    Every rule coefficient has grade >= 0, so d lowers the jet grade by at
+    most one and a product never lowers it.  The grade-0 part of d(c e) is
+    therefore d(c_1) ^ e + c_0 de under the rules truncated to grade 0, where
+    c_g is the grade-g part of c, and that of Gamma ^ Gamma is
+    Gamma_0 ^ Gamma_0.  Gamma is skew, so Omega is too: only the entries
+    i < j are computed, and the rest are mirrored.  Without jets (the
+    canonical family) this is the whole curvature.
+    """
+    m = gamma.dim
+    rules0 = DerivativeRules(rules.basis, [w.grade_part(0) for w in rules.d_basis],
+                             {sid: r.grade_part(0) for sid, r in rules.jet_rules.items()})
+    g0 = [[e.grade_part(0) for e in row] for row in gamma.entries]
+    out = FormMatrix.zero(m, two=True, block_map=gamma.block_map)
+    for i in range(m):
+        for j in range(i + 1, m):
+            acc = TwoForm({})
+            for idx, c in gamma.entries[i][j].coeffs.items():
+                dc = rules0.d_coeff(c.grade_part(1))
+                if not dc.is_zero():
+                    acc = acc + wedge(dc, OneForm.basis(idx, ONE))
+            for idx, c in g0[i][j].coeffs.items():
+                acc = acc + rules0.d_basis[idx].scale(c)
+            for k in range(m):
+                if not (g0[i][k].is_zero() or g0[k][j].is_zero()):
+                    acc = acc + wedge(g0[i][k], g0[k][j])
+            out.entries[i][j] = acc
+            out.entries[j][i] = -acc
+    return out
 
 
 def specialize(x, mu):

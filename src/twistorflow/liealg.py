@@ -4,6 +4,7 @@ Maurer-Cartan block equations, and the quaternion projective space curvature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -245,31 +246,27 @@ def exact_rank(mats: list[np.ndarray]) -> int:
 
 
 class _Expander:
-    """Exact expansion of matrices in a fixed integer basis via the Gram matrix."""
+    """Exact expansion of matrices in a fixed integer basis via the Gram matrix.
+
+    den * G^-1 is an integer matrix, so an expansion is two int64 products:
+    num = (den G^-1)(B t) gives the components num / den, and the target lies
+    in the span exactly when num B = den t.  Basis entries are small integers,
+    far inside the int64 range for every algebra built here.
+    """
 
     def __init__(self, mats: list[np.ndarray]):
-        self.mats = mats
-        self.flat = np.stack([m.reshape(-1) for m in mats])
-        gram = self.flat @ self.flat.T
-        self.gram_inv = _fraction_inverse(gram)
+        self.flat = np.stack([m.reshape(-1) for m in mats]).astype(np.int64)
+        gram_inv = _fraction_inverse(self.flat @ self.flat.T)
+        self.den = math.lcm(*(x.denominator for row in gram_inv for x in row))
+        self.inv_num = np.array([[int(x * self.den) for x in row] for row in gram_inv],
+                                dtype=np.int64)
 
     def expand(self, target: np.ndarray) -> list[Fraction]:
-        rhs = self.flat @ target.reshape(-1)
-        comps = []
-        for row in self.gram_inv:
-            s = Fraction(0)
-            for gij, b in zip(row, rhs):
-                if b:
-                    s += gij * int(b)
-            comps.append(s)
-        recon = np.zeros(self.flat.shape[1], dtype=object)
-        for x, m in zip(comps, self.mats):
-            if x:
-                recon = recon + np.vectorize(lambda e: x * int(e), otypes=[object])(m.reshape(-1))
-        for r, t in zip(recon, target.reshape(-1)):
-            if r != int(t):
-                raise NotClosed("bracket leaves the span of the basis")
-        return comps
+        t = target.reshape(-1).astype(np.int64)
+        num = self.inv_num @ (self.flat @ t)
+        if not np.array_equal(num @ self.flat, self.den * t):
+            raise NotClosed("bracket leaves the span of the basis")
+        return [Fraction(int(x), self.den) for x in num]
 
 
 def _fraction_inverse(M: np.ndarray) -> list[list[Fraction]]:

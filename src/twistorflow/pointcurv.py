@@ -39,7 +39,13 @@ def _label_str(label: tuple) -> str:
 
 @dataclass
 class PointGeometry:
-    """Coframe-coordinate model of a metric germ at the base point."""
+    """Coframe-coordinate model of a metric germ at the base point.
+
+    omega is the curvature at the point (the grade-0 part of the second
+    structure equation), not the full curvature germ.  A PointGeometry
+    returned by zmetric.z_geometry is a cached object shared by every
+    caller and must not be mutated.
+    """
 
     slot_basis: SlotBasis
     rules: DerivativeRules

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .canonical import MetricParams, RicciDiag, _ricci_diag, _sp_structure
-from .coeff import ONE, Coeff, jet_symbol
+from .coeff import ONE, Coeff, active_cutoff, jet_symbol
 from .forms import (Basis, FormMatrix, OneForm, TwoForm, exterior_derivative, specialize,
                     wedge)
 from .liealg import make_rules
@@ -280,15 +281,27 @@ def hat_alpha_derivatives(n: int) -> dict:
     }
 
 
+@lru_cache(maxsize=None)
+def _z_point_geometry(n: int, ambiguity: str, free_gamma_fiber: bool, cutoff: int):
+    """The symbolic Z point geometry; cutoff is the active jet cutoff, part of
+    the key only."""
+    from .pointcurv import point_geometry
+    basis, rules, coframe, frames, block_map = z_setup(MetricParams(n), ambiguity,
+                                                       free_gamma_fiber)
+    return point_geometry(coframe, rules, frames, block_map=block_map)
+
+
 def z_geometry(p: MetricParams, ambiguity: str = "none", free_gamma_fiber: bool = False):
     """Connection and curvature of the Z-metric in coframe coordinates.
 
-    gamma and omega are specialized at a numeric p.lambda2; the coframe-level
-    data (rules, extras_expansion) stay symbolic in lambda.
+    omega is the curvature at the base point (its grade-0 part), which is
+    all the Ricci contraction reads.  The symbolic geometry is built once per
+    (n, ambiguity, free_gamma_fiber, active jet cutoff) and shared by every
+    caller, so callers must not mutate it.  gamma and omega are specialized
+    at a numeric p.lambda2; the coframe-level data (rules, extras_expansion)
+    stay symbolic in lambda.
     """
-    from .pointcurv import point_geometry
-    basis, rules, coframe, frames, block_map = z_setup(p, ambiguity, free_gamma_fiber)
-    geo = point_geometry(coframe, rules, frames, block_map=block_map)
+    geo = _z_point_geometry(p.n, ambiguity, free_gamma_fiber, active_cutoff())
     if p.lambda2 is None:
         return geo
     return replace(geo, gamma=specialize(geo.gamma, p.lambda2),
@@ -310,20 +323,19 @@ def _assert_unknown_free(c: Coeff, where: str) -> None:
 def ricci_z(p: MetricParams, ambiguity: str = "none") -> RicciDiag:
     """Ricci of the Z-metric by second structure equation plus contraction.
 
-    The value at the base point (the jet-free part of the contraction) must
-    be exactly free of every formal unknown: the p,q,r,s values, the
-    expansion unknowns and, when enabled, the ambiguity terms.
+    The value at the base point (the contraction of the grade-0 curvature
+    over the jet-free slot frames) must be exactly free of every formal
+    unknown: the p,q,r,s values, the expansion unknowns and, when enabled,
+    the ambiguity terms.
     """
     # contract the symbolic curvature, then specialize only the Ricci matrix
     ric = z_geometry(replace(p, lambda2=None), ambiguity).ricci()
-    dim = 4 * p.n + 2
-    grade0 = [[ric[i][j].grade_part(0) for j in range(dim)] for i in range(dim)]
     if p.lambda2 is not None:
-        grade0 = [[c.specialize(p.lambda2) for c in row] for row in grade0]
-    for i in range(dim):
-        for j in range(dim):
-            _assert_unknown_free(grade0[i][j], f"Ric[{i}][{j}]")
-    return _ricci_diag(grade0)
+        ric = [[c.specialize(p.lambda2) for c in row] for row in ric]
+    for i, row in enumerate(ric):
+        for j, c in enumerate(row):
+            _assert_unknown_free(c, f"Ric[{i}][{j}]")
+    return _ricci_diag(ric)
 
 
 def einstein_solve_z(n: int) -> Fraction:

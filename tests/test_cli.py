@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -37,6 +38,21 @@ def test_ricci_command_exact():
     code, out = run_cli(["ricci", "--family", "canonical", "--n", "2",
                          "--lambda2", "1/3", "--format", "json"])
     assert json.loads(out)["fiber"] == "44/3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ricci", "--family", "z", "--n", "2", "--lambda2", "1/5"],
+    ["ricci", "--family", "canonical", "--n", "2", "--lambda2", "1/3"],
+    ["einstein", "--family", "z", "--n", "2"],
+    ["einstein", "--family", "canonical", "--n", "2"],
+])
+def test_csv_row_matches_json(argv):
+    code, out = run_cli(argv + ["--format", "csv"])
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    code, out = run_cli(argv + ["--format", "json"])
+    want = {k: v if isinstance(v, str) else json.dumps(v) for k, v in json.loads(out).items()}
+    assert rows == [want]
 
 
 def test_curvature_command():
@@ -93,6 +109,7 @@ def test_domain_errors_exit_2():
     "verify --n 2 --tamper 1,2",
     "verify --n 2 --tamper 1,2,3,4",
     "verify --n 2 --tamper 0,1,21",
+    "entropy --n 2 --rho0 1 --lambda2 1/2 --samples 10000001",
 ])
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     missing = tmp_path / "no-such-dir" / "out.csv"
@@ -160,3 +177,16 @@ def test_flow_canonical_summary_monotone(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert summary["mu_monotone"] == "decreasing"
     assert summary["mu_end"] < 1.01
+
+
+@pytest.mark.parametrize("argv", [
+    "ricci --family z --n 2 --lambda2 1/4 --format json",
+    "verify --n 2 --format json",
+])
+def test_optimized_interpreter_gives_the_same_output(argv):
+    # python -O strips assert statements; no reported value may rest on one
+    runs = [subprocess.run([sys.executable, *flags, "-m", "twistorflow.cli"] + argv.split(),
+                           capture_output=True, text=True, timeout=120)
+            for flags in ([], ["-O"])]
+    assert runs[0].returncode == 0
+    assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)

@@ -7,9 +7,15 @@ reproduce the same Ricci tensor with every unknown cancelling.
 
 from fractions import Fraction
 
-from twistorflow.canonical import MetricParams, canonical_setup, ricci_canonical
+import pytest
+
+from twistorflow.canonical import (MetricParams, canonical_setup, curvature_canonical,
+                                   ricci_canonical)
 from twistorflow.coeff import Coeff, jet_symbol
+from twistorflow.connections import levi_civita
+from twistorflow.forms import curvature, mat_wedge
 from twistorflow.pointcurv import point_geometry
+from twistorflow.zmetric import z_geometry
 
 
 def test_point_geometry_reproduces_canonical_ricci():
@@ -49,3 +55,28 @@ def test_point_geometry_structure_equation_is_checked():
     geo = point_geometry(coframe, rules, frames, block_map=bm)
     assert geo.gamma.is_skew()
     assert geo.omega.dim == 10
+
+
+def _full_curvature_grade0(gamma, rules):
+    """The unpruned second structure equation, cut to grade 0 entry by entry."""
+    full = gamma.d(rules) + mat_wedge(gamma, gamma)
+    return [[e.grade_part(0) for e in row] for row in full.entries]
+
+
+@pytest.mark.parametrize("ambiguity, free_gamma_fiber",
+                         [("none", False), ("grade1", False), ("none", True)])
+def test_curvature_matches_full_structure_equation_z(ambiguity, free_gamma_fiber):
+    geo = z_geometry(MetricParams(2), ambiguity, free_gamma_fiber=free_gamma_fiber)
+    want = _full_curvature_grade0(geo.gamma, geo.rules)
+    assert curvature(geo.gamma, geo.rules).entries == want
+    assert geo.omega.entries == want
+
+
+@pytest.mark.parametrize("s_ratio", [Fraction(1), None])
+def test_curvature_matches_full_structure_equation_canonical(s_ratio):
+    p = MetricParams(2, s_ratio=s_ratio)
+    basis, rules, coframe, frames, bm = canonical_setup(p)
+    gamma = levi_civita(coframe, rules, block_map=bm)
+    want = _full_curvature_grade0(gamma, rules)
+    assert curvature(gamma, rules).entries == want
+    assert curvature_canonical(p).entries == want

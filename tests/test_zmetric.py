@@ -194,3 +194,33 @@ def test_ricci_map_z():
 
 def test_integrability_witness():
     assert integrability_witness(2)
+
+
+def test_geometry_memo_is_keyed_on_the_jet_cutoff():
+    geo2 = z_geometry(MetricParams(2))
+    assert z_geometry(MetricParams(2)) is geo2
+    with jet_cutoff(3):
+        geo3 = z_geometry(MetricParams(2))
+        assert geo3 is not geo2
+        assert z_geometry(MetricParams(2)) is geo3
+        assert any(c.max_grade() == 2 for row in geo3.gamma.entries
+                   for e in row for c in e.coeffs.values())
+    assert z_geometry(MetricParams(2)) is geo2
+
+
+def test_verify_builds_each_z_geometry_once(monkeypatch):
+    from twistorflow import canonical, zmetric
+    from twistorflow.verify import run_checks
+    zmetric._z_point_geometry.cache_clear()
+    canonical._solve_canonical.cache_clear()
+    calls = []
+    real = zmetric.z_setup
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zmetric, "z_setup", counted)
+    rep = run_checks(2)
+    assert all(r["status"] != "fail" for r in rep)
+    assert calls == [("none", False), ("grade1", False)]
