@@ -15,7 +15,7 @@ from functools import lru_cache
 from .coeff import ONE, Coeff, active_cutoff, jet_symbol
 from .connections import levi_civita, ricci_matrix
 from .forms import Basis, FormMatrix, OneForm, TwoForm, curvature, specialize
-from .liealg import build_sp_basis, make_rules, structure_constants
+from .liealg import _sp_structure, make_rules
 
 __all__ = [
     "MetricParams",
@@ -73,11 +73,6 @@ class RicciDiag:
 
     def base_at(self, mu) -> Fraction:
         return self.base.eval_lambda2(mu)
-
-
-@lru_cache(maxsize=None)
-def _sp_structure(n: int):
-    return structure_constants(build_sp_basis(n))
 
 
 def _s_ratio_coeff(s_ratio: Fraction | None) -> Coeff | None:

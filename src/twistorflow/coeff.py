@@ -4,6 +4,13 @@ A Coeff is a rational Laurent polynomial in the scaling symbol lambda,
 tensored with nilpotent jet symbols and formal grade-0 unknowns.  Any
 product of jet symbols whose total grade reaches the active cutoff
 (default 2) is truncated to zero.
+
+Every stored coefficient is a nonzero rational in one canonical form: an
+int when it is integral, a Fraction otherwise, never a float.  Most
+coefficients are small integers, and int arithmetic is far cheaper than
+Fraction arithmetic.  An int and the equal Fraction compare and hash equal,
+so the form never changes an equality.  Values leaving the ring through
+lam_poly and eval_lambda2 are Fractions.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from fractions import Fraction
 
 __all__ = [
     "Coeff",
+    "ring_value",
     "JetSymbol",
     "jet_symbol",
     "jet_grade",
@@ -95,32 +103,48 @@ def _monomial_grade(mono: tuple[int, ...]) -> int:
     return g
 
 
+def ring_value(x) -> int | Fraction:
+    """x in the ring's stored form: an int when integral, else a Fraction."""
+    if x.__class__ is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _canonical(terms: dict) -> dict:
+    """Turn integral Fraction values into ints, in place."""
+    for key, v in terms.items():
+        if v.__class__ is not int and v.denominator == 1:
+            terms[key] = v.numerator
+    return terms
+
+
 class Coeff:
     """Element of Q[lambda, lambda^-1] (x) jet algebra.
 
-    terms maps (lambda exponent, sorted jet-id tuple) -> Fraction.
+    terms maps (lambda exponent, sorted jet-id tuple) -> nonzero value, an
+    int when integral and a Fraction otherwise (see ring_value).
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[int, tuple[int, ...]], Fraction] | None = None):
+    def __init__(self, terms: dict[tuple[int, tuple[int, ...]], int | Fraction] | None = None):
         self.terms = terms or {}
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def rational(x) -> "Coeff":
-        x = Fraction(x)
-        if x == 0:
-            return Coeff()
-        return Coeff({(0, ()): x})
+        return Coeff.lam_power(0, x)
 
     @staticmethod
     def lam_power(k: int, coeff=1) -> "Coeff":
-        return Coeff({(k, ()): Fraction(coeff)})
+        coeff = ring_value(coeff)
+        return Coeff({(k, ()): coeff} if coeff else None)
 
     @staticmethod
     def symbol(sym: JetSymbol, coeff=1) -> "Coeff":
-        return Coeff({(0, (sym.sid,)): Fraction(coeff)})
+        coeff = ring_value(coeff)
+        return Coeff({(0, (sym.sid,)): coeff} if coeff else None)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -129,11 +153,17 @@ class Coeff:
     def __add__(self, other: "Coeff") -> "Coeff":
         out = dict(self.terms)
         for key, v in other.terms.items():
-            nv = out.get(key, Fraction(0)) + v
-            if nv:
-                out[key] = nv
-            elif key in out:
-                del out[key]
+            old = out.get(key)
+            if old is not None:
+                v += old
+                if v.__class__ is not int and v.denominator == 1:
+                    v = v.numerator
+                if not v:
+                    del out[key]
+                    continue
+            elif not v:
+                continue
+            out[key] = v
         return Coeff(out)
 
     def __neg__(self) -> "Coeff":
@@ -156,18 +186,23 @@ class Coeff:
                 else:
                     mono = m2
                 key = (k1 + k2, mono)
-                nv = out.get(key, Fraction(0)) + v1 * v2
-                if nv:
-                    out[key] = nv
-                elif key in out:
-                    del out[key]
-        return Coeff(out)
+                v = v1 * v2
+                old = out.get(key)
+                if old is not None:
+                    v += old
+                    if not v:
+                        del out[key]
+                        continue
+                elif not v:
+                    continue
+                out[key] = v
+        return Coeff(_canonical(out))
 
     def scale(self, x) -> "Coeff":
-        x = Fraction(x)
-        if x == 0:
+        x = ring_value(x)
+        if not x:
             return Coeff()
-        return Coeff({k: v * x for k, v in self.terms.items()})
+        return Coeff(_canonical({k: v * x for k, v in self.terms.items()}))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coeff):
@@ -219,7 +254,7 @@ class Coeff:
         if len(unit_terms) != 1:
             raise ValueError("inverse requires a single jet-free Laurent monomial unit part")
         (k0, _), v0 = next(iter(unit_terms.items()))
-        inv_unit = Coeff({(-k0, ()): 1 / v0})
+        inv_unit = Coeff.lam_power(-k0, Fraction(1) / v0)
         rest = (self - Coeff({(k0, ()): v0})) * inv_unit
         # Neumann series; nilpotency bounds the iteration by the cutoff
         result = ONE
@@ -244,7 +279,7 @@ class Coeff:
             q, r = divmod(k, 2)
             key = (r, mono)
             out[key] = out.get(key, 0) + v * mu ** q
-        return Coeff({key: v for key, v in out.items() if v})
+        return Coeff(_canonical({key: v for key, v in out.items() if v}))
 
     def __repr__(self) -> str:
         if not self.terms:

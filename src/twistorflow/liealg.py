@@ -7,10 +7,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .coeff import Coeff
+from .coeff import Coeff, ring_value
 from .forms import (Basis, DerivativeRules, DimensionMismatch, FormMatrix, OneForm,
                     TwoForm, eval_pair, exterior_derivative, mat_wedge, wedge)
 
@@ -63,12 +64,13 @@ class LieAlgebraSpec:
 
 @dataclass
 class StructureConstants:
-    """Bracket table c^k_{ij} (i < j keys), exact rationals."""
+    """Bracket table c^k_{ij} (i < j keys), exact rationals in the ring's
+    stored form (an int when integral, else a Fraction)."""
 
     dim: int
-    c: dict[tuple[int, int], dict[int, Fraction]] = field(default_factory=dict)
+    c: dict[tuple[int, int], dict[int, int | Fraction]] = field(default_factory=dict)
 
-    def get(self, i: int, j: int) -> dict[int, Fraction]:
+    def get(self, i: int, j: int) -> dict[int, int | Fraction]:
         if i == j:
             return {}
         if i < j:
@@ -80,7 +82,7 @@ class StructureConstants:
         if i > j:
             i, j, delta = j, i, -delta
         row = out.setdefault((i, j), {})
-        row[k] = row.get(k, Fraction(0)) + Fraction(delta)
+        row[k] = ring_value(row.get(k, 0) + Fraction(delta))
         if row[k] == 0:
             del row[k]
         return StructureConstants(self.dim, out)
@@ -261,12 +263,13 @@ class _Expander:
         self.inv_num = np.array([[int(x * self.den) for x in row] for row in gram_inv],
                                 dtype=np.int64)
 
-    def expand(self, target: np.ndarray) -> list[Fraction]:
+    def expand(self, target: np.ndarray) -> list[int | Fraction]:
         t = target.reshape(-1).astype(np.int64)
         num = self.inv_num @ (self.flat @ t)
         if not np.array_equal(num @ self.flat, self.den * t):
             raise NotClosed("bracket leaves the span of the basis")
-        return [Fraction(int(x), self.den) for x in num]
+        den = self.den
+        return [x // den if x % den == 0 else Fraction(x, den) for x in num.tolist()]
 
 
 def _fraction_inverse(M: np.ndarray) -> list[list[Fraction]]:
@@ -288,7 +291,7 @@ def _fraction_inverse(M: np.ndarray) -> list[list[Fraction]]:
 def structure_constants(L: LieAlgebraSpec, check_jacobi: bool = True) -> StructureConstants:
     d = L.dim()
     exp = _Expander(L.basis)
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, int | Fraction]] = {}
     for i in range(d):
         for j in range(i + 1, d):
             comps = exp.expand(bracket(L.basis[i], L.basis[j]))
@@ -303,6 +306,13 @@ def structure_constants(L: LieAlgebraSpec, check_jacobi: bool = True) -> Structu
     return sc
 
 
+@lru_cache(maxsize=None)
+def _sp_structure(n: int) -> StructureConstants:
+    """The Jacobi-checked structure constants of sp(n+1), built once per
+    process and shared by every caller: read them, never mutate them."""
+    return structure_constants(build_sp_basis(n))
+
+
 def jacobi_residual(sc: StructureConstants):
     """First violated triple of the Jacobi identity, or None when exact."""
     d = sc.dim
@@ -314,11 +324,12 @@ def jacobi_residual(sc: StructureConstants):
         for j in range(i + 1, d):
             cij = sc.get(i, j)
             for k in range(j + 1, d):
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int | Fraction] = {}
                 for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
                     for m, v in sc.get(a, b).items():
                         for l, w in sc.get(m, cc).items():
-                            nv = acc.get(l, Fraction(0)) + v * w
+                            nv = acc.get(l)
+                            nv = v * w if nv is None else nv + v * w
                             if nv:
                                 acc[l] = nv
                             else:
@@ -341,9 +352,7 @@ def make_rules(sc: StructureConstants, basis: Basis,
     d_basis = [dict() for _ in range(dim)]
     for (i, j), row in sc.c.items():
         for k, v in row.items():
-            prev = d_basis[k].get((i, j), Fraction(0))
-            d_basis[k] = d_basis[k]
-            d_basis[k][(i, j)] = prev - v
+            d_basis[k][(i, j)] = -v
     out = []
     nx0 = 3
     nx1 = 3 + 4 * n
@@ -384,8 +393,7 @@ def verify_block_equations(n: int, tamper: tuple[int, int, int] | None = None) -
     """
     if not (2 <= n <= 4):
         raise ValueError("block verification supported for n in 2..4")
-    L = build_sp_basis(n)
-    sc = structure_constants(L)
+    sc = _sp_structure(n)
     if tamper is not None:
         sc = sc.tampered(*tamper)
     basis = Basis(n)
@@ -620,9 +628,7 @@ def hpn_curvature(n: int, route: str = "both") -> CurvatureTensor:
     if route in ("closed_form", "both"):
         comps = blocks_to_components(_hpn_blocks_closed_form(basis))
     if route in ("maurer_cartan", "both"):
-        L = build_sp_basis(n)
-        sc = structure_constants(L)
-        blocks, om = _hpn_blocks_maurer_cartan(basis, sc)
+        blocks, om = _hpn_blocks_maurer_cartan(basis, _sp_structure(n))
         for row in om.entries:
             for e in row:
                 for (i, j) in e.coeffs:

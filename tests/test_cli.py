@@ -63,6 +63,29 @@ def test_curvature_command():
     assert payload["scalar"] == "128"
 
 
+# exact stdout, so that a float leaking out of the ring (9.333333333333334 for
+# 28/3) fails here; the values are the closed forms 4/mu and 4n+8 (Z) and
+# 4/mu + 4n mu and 4n+8-4mu (canonical) at mu = 3/7
+@pytest.mark.parametrize("argv, stdout", [
+    ("ricci --family z --n 3 --lambda2 3/7 --format json",
+     '{"base": "20", "einstein": false, "family": "z", "fiber": "28/3", "lambda2": "3/7", '
+     '"n": 3, "off_diagonal_zero": true}\n'),
+    ("ricci --family canonical --n 2 --lambda2 3/7 --format table",
+     "family             canonical\n"
+     "n                  2\n"
+     "lambda2            3/7\n"
+     "fiber              268/21\n"
+     "base               100/7\n"
+     "einstein           false\n"
+     "off_diagonal_zero  true\n"),
+    ("curvature --n 2 --sectional --format json",
+     '{"n": 2, "ricci_diagonal": "16", "scalar": "128", "sectional_max": "4", '
+     '"sectional_min": "1"}\n'),
+])
+def test_golden_stdout(argv, stdout):
+    assert run_cli(argv.split()) == (0, stdout)
+
+
 def test_flow_command_files(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -60,6 +60,8 @@ def test_jet_nilpotency():
     with jet_cutoff(3):
         assert not (a * b).is_zero()
         assert (a * b * a).is_zero()
+    # the cutoff in force decides, whichever cutoff was used first
+    assert (a * b).is_zero()
 
 
 def test_grade_parts_and_symbols():
@@ -117,6 +119,45 @@ def test_specialize_is_a_ring_map(tx, ty, mu, k, u0, q, cutoff):
             B: OneForm.build([(1, Coeff.lam_power(1)), (4, Coeff.symbol(P, -1))]),
         })
         assert specialize(rules.d_coeff(sp(x)), mu) == specialize(rules.d_coeff(x), mu)
+
+
+def _in_value_form(c):
+    return all((v.__class__ is int and v != 0)
+               or (v.__class__ is Fraction and v.denominator != 1)
+               for v in c.terms.values())
+
+
+_nonzero = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=6)).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_terms, _terms, st.integers(-3, 3), _nonzero, _nonzero,
+       st.fractions(Fraction(1, 9), 9, max_denominator=9), st.sampled_from([2, 3]))
+def test_values_are_ints_or_proper_fractions(tx, ty, k, u0, q, mu, cutoff):
+    # a stored value is a nonzero int when integral and a Fraction otherwise,
+    # never a float; q and 1/q make integral products of Fractions
+    with jet_cutoff(cutoff):
+        x, y = _build(tx), _build(ty)
+        xq, yq = x.scale(q), y.scale(Fraction(1) / q)
+        nil = _build([(kk, c, [A] + syms) for kk, c, syms in tx])
+        # leading coefficients other than +-1 are where 1 / v0 gives a float
+        unit = Coeff.lam_power(k, u0) * (ONE + nil)
+        inv = unit.inverse()
+        assert unit * inv == ONE
+        results = [x + y, x - y, x * y, -x, xq, yq, xq * yq, xq + yq, xq - x.scale(q - 1),
+                   unit, inv, Coeff.rational(q), Coeff.lam_power(k, q), Coeff.symbol(A, q)]
+        results += [c.specialize(mu) for c in results]
+        for c in results:
+            assert _in_value_form(c)
+        # an int-valued Coeff equals, and hashes like, its Fraction-valued twin
+        for c in (x, xq):
+            twin = Coeff({key: Fraction(v) for key, v in c.terms.items()})
+            assert twin == c and hash(twin) == hash(c)
+    # values leave the ring as Fractions
+    flat = _build([(2 * kk, c, []) for kk, c, _ in tx]).scale(q)
+    assert all(type(v) is Fraction for v in flat.lam_poly().values())
+    assert type(flat.eval_lambda2(mu)) is Fraction
+    assert type(Coeff.lam_power(2, 3).eval_lambda2(2)) is Fraction
 
 
 def test_inverse():

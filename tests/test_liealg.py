@@ -154,3 +154,20 @@ def test_hpn_routes_agree_and_are_checked():
     a = hpn_curvature(2, route="closed_form")
     b = hpn_curvature(2, route="maurer_cartan")
     assert a.components == b.components
+
+
+def test_verify_builds_the_structure_constants_once(monkeypatch):
+    from twistorflow import liealg
+    from twistorflow.verify import run_checks
+    liealg._sp_structure.cache_clear()
+    calls = []
+    real = liealg.structure_constants
+
+    def counted(L, *args, **kwargs):
+        calls.append(L.name)
+        return real(L, *args, **kwargs)
+
+    monkeypatch.setattr(liealg, "structure_constants", counted)
+    rep = run_checks(2)
+    assert all(r["status"] != "fail" for r in rep)
+    assert calls == ["sp(3)"]
