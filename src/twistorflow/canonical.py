@@ -220,7 +220,8 @@ def einstein_solve_canonical(n: int) -> set[Fraction]:
 
 
 def ricci_map_canonical(p: MetricParams) -> MetricParams:
-    """Image of rho g^can under g -> Ric(g), rescaled back into the family."""
+    """Image of rho g^can under g -> Ric(g), rescaled back into the family;
+    homothety invariance of Ric makes the image independent of rho."""
     if p.lambda2 is None:
         raise ValueError("ricci map needs a numeric lambda^2")
     mu = p.lambda2
@@ -228,7 +229,7 @@ def ricci_map_canonical(p: MetricParams) -> MetricParams:
         raise OutOfDomain("requires lambda^2 < n + 2")
     factor = 4 * (p.n + 2 - mu)
     mu_new = (1 + p.n * mu * mu) / (p.n + 2 - mu)
-    return MetricParams(p.n, lambda2=mu_new, rho=factor * p.rho, s_ratio=p.s_ratio)
+    return MetricParams(p.n, lambda2=mu_new, rho=factor, s_ratio=p.s_ratio)
 
 
 def kahler_criterion(p: MetricParams) -> bool:

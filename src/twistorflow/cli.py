@@ -163,7 +163,7 @@ def cmd_flow(args) -> int:
             fh.write(text)
     else:
         print(text, end="")
-    summary = {"samples": len(traj.samples),
+    summary = {"samples": len(traj.t),
                "max_invariant_drift": traj.max_invariant_drift()}
     if args.family == Z:
         cls = classify(init)
@@ -174,7 +174,7 @@ def cmd_flow(args) -> int:
             "extinction": "base-shrinks-faster", "collapse": "fiber-collapse",
             "einstein-ray": "homothety"}[summary["mode"]]
     else:
-        mus = [s.mu for s in traj.samples]
+        mus = traj.mu
         summary["mu_start"], summary["mu_end"] = mus[0], mus[-1]
         summary["mu_monotone"] = ("decreasing" if all(a >= b for a, b in zip(mus, mus[1:]))
                                   else "increasing" if all(a <= b for a, b in zip(mus, mus[1:]))

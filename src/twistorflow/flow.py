@@ -3,6 +3,13 @@
 The flow is integrated in the variables (rho*mu, rho), where the Z family
 is linear; closed forms, trajectory invariants, extinction/collapse
 classification and the entropy diagnostics live here.
+
+A `Trajectory` is stored by column (lists `t`, `rho`, `mu` and
+`invariant_series`); `Trajectory.samples` is a read-only view that builds a
+`FlowState` per sample on demand.  The CSV exports format each row once,
+with one "%.17g,...,%.17g" template; a row holding a non-float value (the
+exact initial state of a Fraction-valued library call) is formatted value
+by value through `_fmt`, which prints a Fraction as p/q.
 """
 
 from __future__ import annotations
@@ -76,11 +83,42 @@ class FlowState:
         return self.rho * self.mu
 
 
+class _Samples:
+    """Read-only sequence view of a Trajectory's samples as FlowStates."""
+
+    __slots__ = ("_traj",)
+
+    def __init__(self, traj: "Trajectory"):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        tr = self._traj
+        return FlowState(tr.t[k], tr.rho[k], tr.mu[k], tr.family, tr.n)
+
+
 @dataclass
 class Trajectory:
-    samples: list[FlowState]
-    invariant_series: list[float]
+    """A flow trajectory stored by column: sample k is (t[k], rho[k], mu[k])
+    with first integral invariant_series[k].  Every sample after the initial
+    one is a float; the initial one keeps the type it was given."""
+
+    t: list
+    rho: list
+    mu: list
+    invariant_series: list
+    family: str
+    n: int
     events: dict | None = None
+
+    @property
+    def samples(self) -> _Samples:
+        """The samples as FlowStates, each built when it is read."""
+        return _Samples(self)
 
     def max_invariant_drift(self) -> float:
         ref = self.invariant_series[0]
@@ -106,13 +144,19 @@ def rhs(state: FlowState) -> tuple[float, float]:
     return -8 * (1 + n * mu * mu), -8 * (n + 2 - mu)
 
 
-def closed_form_z(rho0, mu0, n: int, t):
-    """Exact solution rho = rho0 - 8(n+2)t, rho mu = rho0 mu0 - 8t."""
+def _z_closed(rho0, mu0, n: int, t):
+    """(rho, mu) of the exact Z solution at t; raises Extinct past the
+    singular time."""
     rho = rho0 - 8 * (n + 2) * t
     rho_mu = rho0 * mu0 - 8 * t
     if rho <= 0 or rho_mu <= 0:
         raise Extinct(f"t={t} is past the singular time")
-    mu = rho_mu / rho
+    return rho, rho_mu / rho
+
+
+def closed_form_z(rho0, mu0, n: int, t):
+    """Exact solution rho = rho0 - 8(n+2)t, rho mu = rho0 mu0 - 8t."""
+    rho, mu = _z_closed(rho0, mu0, n, t)
     return FlowState(t=t, rho=rho, mu=mu, family=Z, n=n)
 
 
@@ -145,7 +189,10 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
     FLOOR_RATIO of the initial values.
 
     t_end before the initial time integrates backward (the ancient
-    direction).  A request for more than MAX_STEPS steps is rejected.
+    direction).  A request for more than MAX_STEPS steps is rejected.  Each
+    step appends floats to the trajectory's columns and evaluates the
+    invariant inline, with the checks and formulas of FlowState and
+    `invariant`.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -165,9 +212,15 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
     rho = initial.rho
     floor_v = FLOOR_RATIO * v
     floor_rho = FLOOR_RATIO * rho
-    t = initial.t
-    samples = [initial]
+    t0 = initial.t
+    ts, rhos, mus = [t0], [rho], [initial.mu]
     inv = [invariant(initial)]
+    on_z = family == Z
+    # the constants of `invariant`, computed as it computes them
+    z_shift = 1.0 / (n + 2)
+    c_fib = (n + 1) / n
+    c_base = (n * n + 3 * n + 1) / (n * (n + 1))
+    log = math.log
     steps = max(0, int(round(span)))
     for k in range(steps):
         k1v, k1r = deriv(v, rho)
@@ -182,14 +235,26 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
                     f"step {k} would cross a nonpositive value (rho mu={nv}, rho={nrho})")
             break
         v, rho = nv, nrho
-        t = initial.t + (k + 1) * step
-        state = FlowState(t=t, rho=rho, mu=v / rho, family=family, n=n)
-        samples.append(state)
-        inv.append(invariant(state))
-    events: dict = {"stopped_at_floor": len(samples) - 1 < steps}
+        mu = v / rho
+        # rho stays above its floor; mu can still underflow to zero
+        if mu <= 0:
+            raise ValueError("rho and mu must stay positive")
+        if on_z:
+            iv = rho * (mu - z_shift)
+        else:
+            if mu >= n + 2:
+                raise ValueError("canonical family needs mu < n + 2")
+            if mu == 1 or mu * (n + 1) == 1:
+                raise OnEinsteinRay("canonical invariant undefined at mu = 1 or 1/(n+1)")
+            iv = log(rho) - c_fib * log(abs(mu - 1)) + c_base * log(abs((n + 1) * mu - 1))
+        ts.append(t0 + (k + 1) * step)
+        rhos.append(rho)
+        mus.append(mu)
+        inv.append(iv)
+    events: dict = {"stopped_at_floor": len(ts) - 1 < steps}
     if family == Z:
         events.update(classify(initial))
-    return Trajectory(samples, inv, events)
+    return Trajectory(ts, rhos, mus, inv, family, n, events)
 
 
 def classify(initial: FlowState) -> dict:
@@ -252,9 +317,9 @@ def entropy_series(initial: FlowState, samples: int) -> list[EntropyRecord]:
         # equally spaced in t, increasing
         tau = tau_max + (tau_min - tau_max) * k / (samples - 1)
         t = -tau
-        state = closed_form_z(initial.rho, initial.mu, n, t)
-        scal = scalar_curvature(state.rho, state.mu, n)
-        vol = state.rho ** (2 * n + 1) * state.mu
+        rho, mu = _z_closed(initial.rho, initial.mu, n, t)
+        scal = scalar_curvature(rho, mu, n)
+        vol = rho ** (2 * n + 1) * mu
         u = 1.0 / vol
         f = -math.log(u) - (2 * n + 1) * math.log(4 * math.pi * tau)
         w = tau * scal + f - dim
@@ -265,48 +330,57 @@ def entropy_series(initial: FlowState, samples: int) -> list[EntropyRecord]:
 _TRAJ_FIELDS = ["t", "rho", "mu", "rho_mu", "invariant"]
 _ENTROPY_FIELDS = ["t", "rho", "mu", "rho_mu", "invariant", "tau", "scal",
                    "vol_ratio", "u", "f", "w"]
+_FLOAT = {float}
 
 
-def _traj_rows(traj: Trajectory) -> list[dict]:
-    rows = []
-    for st, iv in zip(traj.samples, traj.invariant_series):
-        rows.append({"t": st.t, "rho": st.rho, "mu": st.mu,
-                     "rho_mu": st.rho_mu, "invariant": iv})
-    return rows
+def _csv(fields: list[str], rows) -> str:
+    """Header plus one line per row.  A row of floats is written by a single
+    "%.17g,...\n" % row, which gives the bytes of `_fmt` on each value; a row
+    holding anything else goes through `_fmt` value by value."""
+    template = ",".join(["%.17g"] * len(fields)) + "\n"
+    lines = [",".join(fields) + "\n"]
+    for row in rows:
+        if set(map(type, row)) <= _FLOAT:
+            lines.append(template % row)
+        else:
+            lines.append(",".join(map(_fmt, row)) + "\n")
+    return "".join(lines)
+
+
+def _json(fields: list[str], rows) -> str:
+    return json.dumps([dict(zip(fields, map(float, row))) for row in rows],
+                      indent=None, separators=(",", ":"))
+
+
+def _traj_rows(traj: Trajectory):
+    rho_mu = [r * m for r, m in zip(traj.rho, traj.mu)]
+    return zip(traj.t, traj.rho, traj.mu, rho_mu, traj.invariant_series)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    lines = [",".join(_TRAJ_FIELDS)]
-    for row in _traj_rows(traj):
-        lines.append(",".join(_fmt(row[k]) for k in _TRAJ_FIELDS))
-    return "\n".join(lines) + "\n"
+    return _csv(_TRAJ_FIELDS, _traj_rows(traj))
 
 
 def trajectory_to_json(traj: Trajectory) -> str:
-    rows = [{k: float(row[k]) for k in _TRAJ_FIELDS} for row in _traj_rows(traj)]
-    return json.dumps(rows, indent=None, separators=(",", ":"))
+    return _json(_TRAJ_FIELDS, _traj_rows(traj))
 
 
-def _entropy_rows(initial: FlowState, records: list[EntropyRecord]) -> list[dict]:
-    n = initial.n
+def _entropy_rows(initial: FlowState, records: list[EntropyRecord]) -> list[tuple]:
+    """One row per record, its (rho, mu) from the closed form at the record's
+    (float) time, as entropy_series computed them."""
+    n, rho0, mu0 = initial.n, initial.rho, initial.mu
+    z_shift = 1.0 / (n + 2)
     rows = []
     for r in records:
-        state = closed_form_z(initial.rho, initial.mu, n, r.t)
-        rows.append({"t": r.t, "rho": state.rho, "mu": state.mu,
-                     "rho_mu": state.rho_mu, "invariant": invariant(state),
-                     "tau": r.tau, "scal": r.scal, "vol_ratio": r.vol_ratio,
-                     "u": r.u, "f": r.f, "w": r.w})
+        rho, mu = _z_closed(rho0, mu0, n, r.t)
+        rows.append((r.t, rho, mu, rho * mu, rho * (mu - z_shift),
+                     r.tau, r.scal, r.vol_ratio, r.u, r.f, r.w))
     return rows
 
 
 def entropy_to_csv(initial: FlowState, records: list[EntropyRecord]) -> str:
-    lines = [",".join(_ENTROPY_FIELDS)]
-    for row in _entropy_rows(initial, records):
-        lines.append(",".join(_fmt(row[k]) for k in _ENTROPY_FIELDS))
-    return "\n".join(lines) + "\n"
+    return _csv(_ENTROPY_FIELDS, _entropy_rows(initial, records))
 
 
 def entropy_to_json(initial: FlowState, records: list[EntropyRecord]) -> str:
-    rows = [{k: float(row[k]) for k in _ENTROPY_FIELDS}
-            for row in _entropy_rows(initial, records)]
-    return json.dumps(rows, indent=None, separators=(",", ":"))
+    return _json(_ENTROPY_FIELDS, _entropy_rows(initial, records))

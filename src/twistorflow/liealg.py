@@ -389,13 +389,18 @@ def verify_block_equations(n: int, tamper: tuple[int, int, int] | None = None) -
     """Recompute the three Maurer-Cartan block families from structure constants.
 
     Returns a report with exact pass/fail per family; a tampered structure
-    constant (i, j, k) serves as a negative control.
+    constant (i, j, k) serves as a negative control.  A tamper whose target
+    k is an X form leaves the three families intact, so a tampered table is
+    also Jacobi-checked (report key "jacobi"); the untampered table was
+    checked when it was built.
     """
     if not (2 <= n <= 4):
         raise ValueError("block verification supported for n in 2..4")
     sc = _sp_structure(n)
+    jacobi_ok = True
     if tamper is not None:
         sc = sc.tampered(*tamper)
+        jacobi_ok = jacobi_residual(sc) is None
     basis = Basis(n)
     rules = make_rules(sc, basis)
     from .coeff import ONE
@@ -463,7 +468,10 @@ def verify_block_equations(n: int, tamper: tuple[int, int, int] | None = None) -
         ok3 = ok3 and all(fam[a][b].is_zero() for a in range(n) for b in range(n))
     report["dGamma_mu"] = ok3
 
-    report["all_pass"] = report["dGamma0"] and report["dalpha"] and report["dGamma_mu"]
+    if tamper is not None:
+        report["jacobi"] = jacobi_ok
+    report["all_pass"] = (report["dGamma0"] and report["dalpha"] and report["dGamma_mu"]
+                          and jacobi_ok)
     return report
 
 

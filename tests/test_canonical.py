@@ -128,9 +128,11 @@ def test_ricci_map():
     assert p.lambda2 == 1
     p = ricci_map_canonical(MetricParams(2, lambda2=Fraction(1, 3)))
     assert p.lambda2 == Fraction(1, 3)
-    p = ricci_map_canonical(MetricParams(2, lambda2=Fraction(2)))
-    assert p.lambda2 == Fraction(9, 2)
-    assert p.rho == 4 * (2 + 2 - 2)
+    # Ric(rho g) = Ric(g): the image does not depend on rho
+    for rho in (Fraction(1), Fraction(5)):
+        p = ricci_map_canonical(MetricParams(2, lambda2=Fraction(2), rho=rho))
+        assert p.lambda2 == Fraction(9, 2)
+        assert p.rho == 4 * (2 + 2 - 2)
     with pytest.raises(OutOfDomain):
         ricci_map_canonical(MetricParams(2, lambda2=Fraction(4)))
     # fixed rays of the map are exactly the Einstein roots

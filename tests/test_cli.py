@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -86,6 +88,64 @@ def test_golden_stdout(argv, stdout):
     assert run_cli(argv.split()) == (0, stdout)
 
 
+# flow and entropy exports: the first 16 hex digits of the SHA-256 of the
+# export file ("-" when none is written), of stdout and of stderr, and the
+# exit code.  The runs cover both families in csv and json, forward and
+# backward, --t-end auto, a floor stop, decimal input, the benchmark's
+# failing canonical run (StepTooLarge at step 30023), mu reaching n + 2 and
+# a start on the Einstein ray.
+EXPORT_GOLDEN = [
+    ("flow --family z --n 2 --rho0 1 --lambda2 1/2 --dt 1e-4 --t-end 0.02 --out {out}",
+     "e00bc0719afe0b65", "e3b0c44298fc1c14", "20829d89bdfbd02a", 0),
+    ("flow --family z --n 2 --rho0 1 --lambda2 1/2 --dt 1e-4 --t-end 0.02 --format json --out {out}",
+     "2e0c4c1fecde4005", "e3b0c44298fc1c14", "20829d89bdfbd02a", 0),
+    ("flow --family z --n 3 --rho0 3/2 --lambda2 0.7 --dt 1e-4 --t-end -0.05 --out {out}",
+     "4aa097f4c1297c93", "e3b0c44298fc1c14", "2bf4f7c95c859919", 0),
+    ("flow --family z --n 3 --rho0 3/2 --lambda2 0.7 --dt 1e-4 --t-end -0.05 --format json",
+     "-", "47d6d406a71b9e37", "2bf4f7c95c859919", 0),
+    ("flow --family z --n 2 --rho0 1 --lambda2 1/8 --dt 1e-5 --t-end 0.07 --out {out}",
+     "-", "e3b0c44298fc1c14", "6733f4322439b17f", 2),
+    ("flow --family z --n 2 --rho0 1 --lambda2 1/2 --dt 1e-5 --t-end 0.07 --out {out}",
+     "86384cb519e331b9", "e3b0c44298fc1c14", "ba01a64de9bf3bfa", 0),
+    ("flow --family z --n 4 --rho0 2 --lambda2 3/5 --dt 1e-4 --out {out}",
+     "4df6e2b946965b21", "e3b0c44298fc1c14", "fb217d380b39ecc5", 0),
+    ("flow --family canonical --n 2 --rho0 1 --lambda2 1.7 --dt 1e-5 --t-end 0.003 --out {out}",
+     "43adfac0795a0f93", "e3b0c44298fc1c14", "5c6c1bb5a36dd263", 0),
+    ("flow --family canonical --n 2 --rho0 1 --lambda2 1.7 --dt 1e-5 --t-end 0.003 --format json --out {out}",
+     "9fc8c4ff4a863269", "e3b0c44298fc1c14", "5c6c1bb5a36dd263", 0),
+    ("flow --family canonical --n 3 --rho0 5/2 --lambda2 3/5 --dt 1e-4 --t-end -0.03",
+     "-", "a95db78c17499a1e", "bfac180e385112fb", 0),
+    ("flow --family canonical --n 3 --rho0 5/2 --lambda2 3/5 --dt 1e-4 --t-end -0.03 --format json --out {out}",
+     "117db2117887aee2", "e3b0c44298fc1c14", "bfac180e385112fb", 0),
+    ("entropy --n 2 --rho0 1 --lambda2 1/2 --samples 500 --out {out}",
+     "464eddb900d3043f", "e3b0c44298fc1c14", "450bc71611e30d8c", 0),
+    ("entropy --n 3 --rho0 5/2 --lambda2 1.3 --samples 300 --format json",
+     "-", "b5d16bfd6bc97ce3", "76aba646936bb9fe", 0),
+    ("flow --family canonical --n 2 --rho0 1 --lambda2 1/2 --dt 1.22e-06 --t-end 0.05 --out {out}",
+     "-", "e3b0c44298fc1c14", "87fe589bf345c6a1", 2),
+    ("flow --family canonical --n 2 --lambda2 1 --t-end 0.01 --out {out}",
+     "-", "e3b0c44298fc1c14", "33dc5b75d5410fa7", 2),
+    ("flow --family canonical --n 2 --lambda2 7/2 --dt 1e-4 --t-end -1 --out {out}",
+     "-", "e3b0c44298fc1c14", "00a2d3886c849c6b", 2),
+]
+
+
+def _sha16(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("argv, file_sha, stdout_sha, stderr_sha, code", EXPORT_GOLDEN)
+def test_export_bytes_are_pinned(argv, file_sha, stdout_sha, stderr_sha, code, tmp_path):
+    from contextlib import redirect_stderr, redirect_stdout
+    out = tmp_path / "export"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        got_code = main(argv.format(out=out).split())
+    got_file = _sha16(out.read_bytes()) if out.exists() else "-"
+    assert (got_file, _sha16(stdout.getvalue().encode()), _sha16(stderr.getvalue().encode()),
+            got_code) == (file_sha, stdout_sha, stderr_sha, code)
+
+
 def test_flow_command_files(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -155,6 +215,12 @@ def test_verify_fast_subset_and_tamper():
     assert any(r["check"].startswith("divergence:") for r in rep)
     rep = run_checks(2, tamper=(0, 1, 2), checks=["maurer_cartan_blocks"])
     assert rep[0]["status"] == "fail"
+
+
+def test_tamper_with_an_x_target_exits_1():
+    code, out = run_cli("verify --n 2 --tamper 12,6,3".split())
+    assert code == 1
+    assert "[fail] maurer_cartan_blocks" in out
 
 
 def test_verify_report_is_order_stable():

@@ -124,6 +124,42 @@ def test_rk4_oracle_random_cases():
     assert worst <= 1e-8
 
 
+def test_trajectory_columns_and_samples_view():
+    for init in (FlowState(0.0, 1.5, 0.7, Z, 3), FlowState(0.0, 1.0, 1.7, CANONICAL, 2)):
+        traj = integrate(init, 1e-4, 0.002)
+        assert len(traj.samples) == len(traj.t) == len(traj.rho) == len(traj.mu) == 21
+        for k, st in enumerate(traj.samples):
+            assert st == FlowState(traj.t[k], traj.rho[k], traj.mu[k], init.family, init.n)
+            assert traj.invariant_series[k] == invariant(st)
+        assert traj.samples[0] == init
+        assert traj.samples[-1] == traj.samples[20]
+        assert traj.samples[::7] == [traj.samples[k] for k in (0, 7, 14)]
+
+
+def test_exact_initial_row_keeps_its_fractions():
+    traj = integrate(FlowState(0.0, Fraction(1), Fraction(1, 2), Z, 2), 1e-3, 0.002)
+    lines = trajectory_to_csv(traj).splitlines()
+    assert lines[1] == "0,1,1/2,1/2,1/4"
+    assert lines[2] == ",".join(format(x, ".17g") for x in (
+        traj.t[1], traj.rho[1], traj.mu[1], traj.rho[1] * traj.mu[1],
+        traj.invariant_series[1]))
+    assert json.loads(trajectory_to_json(traj))[0] == {
+        "t": 0.0, "rho": 1.0, "mu": 0.5, "rho_mu": 0.5, "invariant": 0.25}
+
+
+def test_canonical_mu_reaching_n_plus_2_is_rejected():
+    # backward from mu0 > 1, mu grows toward n + 2
+    with pytest.raises(ValueError, match="canonical family needs mu < n [+] 2") as info:
+        integrate(FlowState(0.0, 1.0, 3.5, CANONICAL, 2), 1e-4, -1.0)
+    assert type(info.value) is ValueError
+
+
+def test_canonical_forward_past_singular_time_fails_at_the_same_step():
+    # the failing canonical operation of the flow-export benchmark
+    with pytest.raises(StepTooLarge, match="^step 30023 would cross"):
+        integrate(FlowState(0.0, 1.0, 0.5, CANONICAL, 2), 1.22e-06, 0.05)
+
+
 def test_step_too_large():
     init = FlowState(0.0, 1.0, 0.5, Z, 2)
     with pytest.raises(StepTooLarge):

@@ -116,6 +116,20 @@ def test_block_equations():
         verify_block_equations(5)
 
 
+def test_every_single_entry_tamper_is_caught():
+    # a tamper whose target is an X form leaves the three block families
+    # intact, so the control also Jacobi-checks the tampered table; that
+    # check alone catches every single-entry tamper (i < j, k) at n = 2
+    sc = structure_constants(build_sp_basis(2))
+    escaped = [(i, j, k) for i in range(sc.dim) for j in range(i + 1, sc.dim)
+               for k in range(sc.dim) if jacobi_residual(sc.tampered(i, j, k)) is None]
+    assert escaped == []
+    rep = verify_block_equations(2, tamper=(12, 6, 3))
+    assert rep["dGamma0"] and rep["dalpha"] and rep["dGamma_mu"]
+    assert rep["jacobi"] is False and rep["all_pass"] is False
+    assert "jacobi" not in verify_block_equations(2)
+
+
 def test_hpn_curvature_constants():
     for n in (2, 3):
         T = hpn_curvature(n, route="both")
