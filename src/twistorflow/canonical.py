@@ -14,8 +14,8 @@ from functools import lru_cache
 
 from .coeff import ONE, Coeff, active_cutoff, jet_symbol
 from .connections import levi_civita, ricci_matrix
-from .forms import Basis, FormMatrix, OneForm, TwoForm, curvature, specialize
-from .liealg import _sp_structure, make_rules
+from .forms import Basis, FormMatrix, OneForm, curvature, exterior_derivative, specialize, wedge
+from .liealg import _sp_structure, _tx_wedge_x, make_rules
 
 __all__ = [
     "MetricParams",
@@ -115,8 +115,7 @@ def canonical_setup(p: MetricParams):
                 for i in range(4) for a in range(1, n + 1)]
     frames = [{basis.a(1): lam_inv}, {basis.a(3): lam_inv}]
     frames += [{basis.x(i, a): ONE} for i in range(4) for a in range(1, n + 1)]
-    block_map = {"fiber": [0, 1], "base": list(range(2, 4 * n + 2))}
-    return basis, rules, coframe, frames, block_map
+    return basis, rules, coframe, frames
 
 
 @lru_cache(maxsize=None)
@@ -124,8 +123,8 @@ def _solve_canonical(n: int, s_ratio: Fraction | None, cutoff: int):
     """(basis, rules, frames, Levi-Civita connection) of g^can, symbolic in
     lambda.  cutoff is the active jet cutoff, part of the key only.  The
     result is shared by every caller and must not be mutated."""
-    basis, rules, coframe, frames, block_map = canonical_setup(MetricParams(n, s_ratio=s_ratio))
-    return basis, rules, frames, levi_civita(coframe, rules, block_map=block_map)
+    basis, rules, coframe, frames = canonical_setup(MetricParams(n, s_ratio=s_ratio))
+    return basis, rules, frames, levi_civita(coframe, rules)
 
 
 def _solved(p: MetricParams):
@@ -160,7 +159,7 @@ def connection_canonical_transcribed(p: MetricParams) -> FormMatrix:
         return f
 
     dim = 4 * n + 2
-    M = FormMatrix.zero(dim, block_map={"fiber": [0, 1], "base": list(range(2, dim))})
+    M = FormMatrix.zero(dim)
 
     def xi(i, a):
         return 2 + i * n + (a - 1)
@@ -255,7 +254,6 @@ def contact_check(n: int, s_ratio: Fraction | None = None) -> dict:
 
     Returns per-part booleans; s_ratio None keeps the ratio symbolic.
     """
-    from .forms import exterior_derivative
     basis = Basis(n)
     sig = _s_ratio_coeff(s_ratio)
     rules = make_rules(_sp_structure(n), basis, s_ratio=sig)
@@ -264,19 +262,13 @@ def contact_check(n: int, s_ratio: Fraction | None = None) -> dict:
     a3 = OneForm.basis(basis.a(3), ONE)
     d_re = exterior_derivative(a1, rules)
     d_im = exterior_derivative(a3, rules)
-
-    def txx(i: int, j: int) -> TwoForm:
-        return TwoForm.build([(basis.x(i, a), basis.x(j, a), ONE)
-                              for a in range(1, n + 1)])
-
-    from .forms import wedge
     a2 = OneForm.basis(basis.a(2), ONE)
     # -2i a2 ^ (a1 + i a3) = 2 a2^a3 + i(-2 a2^a1)
     fiber_re = wedge(a2, a3).scale(ONE.scale(2))
     fiber_im = wedge(a2, a1).scale(ONE.scale(-2))
     # tZ^2^Z^1 - tZ^1^Z^2 = 2(tX^1^X^0 - tX^3^X^2) + 2i(tX^3^X^0 + tX^1^X^2)
-    base_re = (txx(1, 0) - txx(3, 2)).scale(sigc.scale(2))
-    base_im = (txx(3, 0) + txx(1, 2)).scale(sigc.scale(2))
+    base_re = (_tx_wedge_x(basis, 1, 0) - _tx_wedge_x(basis, 3, 2)).scale(sigc.scale(2))
+    base_im = (_tx_wedge_x(basis, 3, 0) + _tx_wedge_x(basis, 1, 2)).scale(sigc.scale(2))
     report = {
         "real_part": d_re == fiber_re + base_re,
         "imag_part": d_im == fiber_im + base_im,

@@ -22,6 +22,11 @@ from .liealg import hpn_curvature, sectional
 from .verify import run_checks
 from .zmetric import einstein_solve_z, ricci_z
 
+# largest n that ricci and curvature accept: their cost grows geometrically
+# in n (ricci --family z about 2.7x per step); n < 2 is rejected by the
+# model itself
+MAX_QUERY_N = 6
+
 
 def _parse_rational(text: str):
     """Exact p/q strings stay exact; decimals fall back to float with a warning.
@@ -78,6 +83,8 @@ def cmd_verify(args) -> int:
         dim = (args.n + 1) * (2 * args.n + 3)
         if len(tamper) != 3 or not all(0 <= x < dim for x in tamper):
             raise ValueError(f"--tamper needs three basis indices i,j,k in 0..{dim - 1}")
+        if tamper[0] == tamper[1]:
+            raise ValueError("--tamper needs i != j: c^k_ii is not a structure constant")
     report = run_checks(args.n, tamper=tamper)
     if args.format == "json":
         print(json.dumps(report, indent=2))
@@ -89,6 +96,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ricci(args) -> int:
+    if args.n > MAX_QUERY_N:
+        sys.stderr.write(f"ricci supports n in 2..{MAX_QUERY_N}\n")
+        return 2
     mu, exact = _parse_rational(args.lambda2)
     mu_frac = mu if exact else Fraction(mu).limit_denominator(10 ** 12)
     try:
@@ -123,6 +133,9 @@ def cmd_einstein(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    if args.n > MAX_QUERY_N:
+        sys.stderr.write(f"curvature supports n in 2..{MAX_QUERY_N}\n")
+        return 2
     T = hpn_curvature(args.n, route="both")
     payload = {"n": args.n, "scalar": T.scalar()}
     if args.sectional:

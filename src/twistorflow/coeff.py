@@ -28,7 +28,6 @@ __all__ = [
     "active_cutoff",
     "ZERO",
     "ONE",
-    "LAM",
 ]
 
 # symbol registry: name -> (id, grade); grades indexed by id
@@ -297,5 +296,4 @@ class Coeff:
 
 ZERO = Coeff()
 ONE = Coeff.rational(1)
-LAM = Coeff.lam_power(1)
 

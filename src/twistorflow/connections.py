@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeff import ONE, ZERO, Coeff
-from .forms import (DerivativeRules, FormMatrix, OneForm, TwoForm, eval_pair,
-                    exterior_derivative, wedge)
+from .forms import (DerivativeRules, FormMatrix, OneForm, TwoForm, _add_into, _add_pair,
+                    _wedge_into, eval_pair, exterior_derivative)
 
 __all__ = ["coframe_expansion", "levi_civita", "ricci_matrix", "NonMetricStructure"]
 
@@ -64,13 +64,7 @@ def coframe_expansion(coframe: list[OneForm], ambient_dim: int):
                         break
                     raise ValueError("coframe rest touches an uncovered extra form")
                 for slot, sc in sub.items():
-                    add = -(uinv * c * sc)
-                    prev = acc.get(slot)
-                    nv = add if prev is None else prev + add
-                    if nv.is_zero():
-                        acc.pop(slot, None)
-                    else:
-                        acc[slot] = nv
+                    _add_into(acc, slot, -(uinv * c * sc))
             if ok and acc != expans[lead]:
                 expans[lead] = acc
                 changed = True
@@ -81,13 +75,7 @@ def coframe_expansion(coframe: list[OneForm], ambient_dim: int):
         combo: dict[int, Coeff] = {}
         for slot, sc in expans[lead].items():
             for idx, c in coframe[slot].coeffs.items():
-                t = sc * c
-                prev = combo.get(idx)
-                nv = t if prev is None else prev + t
-                if nv.is_zero():
-                    combo.pop(idx, None)
-                else:
-                    combo[idx] = nv
+                _add_into(combo, idx, sc * c)
         if combo != {lead: ONE}:
             raise ValueError("coframe expansion failed to converge")
     extras = set(range(ambient_dim)) - set(covered)
@@ -99,53 +87,24 @@ def _decompose(two: TwoForm, expans, extras):
     C: dict[tuple[int, int], Coeff] = {}
     M: dict[tuple[int, int], Coeff] = {}
     E: dict[tuple[int, int], Coeff] = {}
-
-    def addC(K, L, c):
-        if c.is_zero() or K == L:
-            return
-        if K > L:
-            K, L, c = L, K, -c
-        prev = C.get((K, L))
-        nv = c if prev is None else prev + c
-        if nv.is_zero():
-            C.pop((K, L), None)
-        else:
-            C[(K, L)] = nv
-
-    def addM(e, L, c):
-        if c.is_zero():
-            return
-        prev = M.get((e, L))
-        nv = c if prev is None else prev + c
-        if nv.is_zero():
-            M.pop((e, L), None)
-        else:
-            M[(e, L)] = nv
-
     for (i, j), c in two.coeffs.items():
         i_extra, j_extra = i in extras, j in extras
         if i_extra and j_extra:
-            prev = E.get((i, j))
-            nv = c if prev is None else prev + c
-            if not nv.is_zero():
-                E[(i, j)] = nv
-            elif (i, j) in E:
-                del E[(i, j)]
+            _add_into(E, (i, j), c)
         elif i_extra:
             for L, cl in expans[j].items():
-                addM(i, L, c * cl)
+                _add_into(M, (i, L), c * cl)
         elif j_extra:
             for K, ck in expans[i].items():
-                addM(j, K, -(c * ck))
+                _add_into(M, (j, K), -(c * ck))
         else:
             for K, ck in expans[i].items():
                 for L, cl in expans[j].items():
-                    addC(K, L, c * ck * cl)
+                    _add_pair(C, K, L, c * ck * cl)
     return C, M, E
 
 
-def levi_civita(coframe: list[OneForm], rules: DerivativeRules,
-                block_map=None) -> FormMatrix:
+def levi_civita(coframe: list[OneForm], rules: DerivativeRules) -> FormMatrix:
     """Solve the first structure equation; the solution is checked to be skew
     and to satisfy the equation exactly."""
     m = len(coframe)
@@ -161,7 +120,7 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules,
     forced: list[list[dict[int, Coeff]]] = [[{} for _ in range(m)] for _ in range(m)]
     for K, (_, MK, _) in enumerate(decomposed):
         for (e, L), c in MK.items():
-            forced[K][L][e] = forced[K][L].get(e, ZERO) - c
+            _add_into(forced[K][L], e, -c)
     for K in range(m):
         for L in range(m):
             for e, c in forced[K][L].items():
@@ -198,26 +157,19 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules,
             acc: dict[int, Coeff] = dict(forced[K][L])
             for Mi, g in gamma_cof[K][L].items():
                 for idx, c in coframe[Mi].coeffs.items():
-                    t = g * c
-                    prev = acc.get(idx)
-                    nv = t if prev is None else prev + t
-                    if nv.is_zero():
-                        acc.pop(idx, None)
-                    else:
-                        acc[idx] = nv
-            row.append(OneForm({i: c for i, c in acc.items() if not c.is_zero()}))
+                    _add_into(acc, idx, g * c)
+            row.append(OneForm(acc))
         entries.append(row)
-    gamma = FormMatrix(m, entries, block_map or {})
+    gamma = FormMatrix(m, entries)
 
     if not gamma.is_skew():
         raise NonMetricStructure("derived connection is not skew")
     for K in range(m):
-        resid = dths[K]
+        resid = dict(dths[K].coeffs)
         for L in range(m):
-            if not gamma.entries[K][L].is_zero():
-                resid = resid + wedge(gamma.entries[K][L], coframe[L])
-        if not resid.is_zero():
-            raise ValueError(f"first structure equation fails at row {K}: {resid.coeffs}")
+            _wedge_into(resid, gamma.entries[K][L], coframe[L])
+        if resid:
+            raise ValueError(f"first structure equation fails at row {K}: {resid}")
     return gamma
 
 

@@ -4,13 +4,17 @@ Basis 1-forms are indexed by the left-invariant coframe of sp(n+1):
 alpha_1, alpha_2, alpha_3, the column vectors X^0..X^3 and the sp(n)-part
 matrix forms Gamma~_0..Gamma~_3.  Exterior derivatives of basis forms come
 from structure constants; jet symbols carry their own first-order rules.
+
+A sparse map of Coeffs never stores a zero.  Every sum into one goes
+through _add_into (or _add_pair and _wedge_into, which call it), and a sum
+of many terms accumulates into one dict rather than adding forms pairwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coeff import ONE, ZERO, Coeff, JetSymbol, jet_grade, symbol_name
+from .coeff import ZERO, Coeff, JetSymbol, jet_grade, symbol_name
 
 __all__ = [
     "Basis",
@@ -24,7 +28,6 @@ __all__ = [
     "exterior_derivative",
     "mat_wedge",
     "eval_pair",
-    "eval_one",
     "specialize",
 ]
 
@@ -35,6 +38,37 @@ class MissingRule(KeyError):
 
 class DimensionMismatch(ValueError):
     pass
+
+
+def _add_into(acc: dict, key, c: Coeff) -> None:
+    """acc[key] += c, dropping the key when the sum is zero."""
+    if not c.terms:
+        return
+    prev = acc.get(key)
+    if prev is None:
+        acc[key] = c
+        return
+    c = prev + c
+    if c.terms:
+        acc[key] = c
+    else:
+        del acc[key]
+
+
+def _add_pair(acc: dict, i: int, j: int, c: Coeff) -> None:
+    """Add c e^i ^ e^j to a 2-form map with keys i < j."""
+    if i < j:
+        _add_into(acc, (i, j), c)
+    elif i > j:
+        _add_into(acc, (j, i), -c)
+
+
+def _wedge_into(acc: dict, a: "OneForm", b: "OneForm") -> None:
+    """Add a ^ b to a 2-form map."""
+    for i, ci in a.coeffs.items():
+        for j, cj in b.coeffs.items():
+            if i != j:
+                _add_pair(acc, i, j, ci * cj)
 
 
 class Basis:
@@ -94,14 +128,8 @@ class OneForm:
     def build(items) -> "OneForm":
         out: dict[int, Coeff] = {}
         for idx, c in items:
-            if idx < 0 or c.is_zero():
-                continue
-            prev = out.get(idx)
-            nc = c if prev is None else prev + c
-            if nc.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = nc
+            if idx >= 0:
+                _add_into(out, idx, c)
         return OneForm(out)
 
     @staticmethod
@@ -113,12 +141,7 @@ class OneForm:
     def __add__(self, other: "OneForm") -> "OneForm":
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
-            nc = out.get(idx)
-            nc = c if nc is None else nc + c
-            if nc.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = nc
+            _add_into(out, idx, c)
         return OneForm(out)
 
     def __neg__(self) -> "OneForm":
@@ -148,12 +171,6 @@ class OneForm:
                 out[i] = g
         return OneForm(out)
 
-    def symbols(self) -> set[str]:
-        out: set[str] = set()
-        for c in self.coeffs.values():
-            out |= c.symbols()
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, OneForm):
             return NotImplemented
@@ -169,30 +186,14 @@ class TwoForm:
         """Accumulate (i, j, Coeff) terms, normalizing to i < j keys."""
         out: dict[tuple[int, int], Coeff] = {}
         for i, j, c in items:
-            if i < 0 or j < 0 or c.is_zero():
-                continue
-            if i == j:
-                continue
-            if i > j:
-                i, j, c = j, i, -c
-            key = (i, j)
-            prev = out.get(key)
-            nc = c if prev is None else prev + c
-            if nc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = nc
+            if i >= 0 and j >= 0:
+                _add_pair(out, i, j, c)
         return TwoForm(out)
 
     def __add__(self, other: "TwoForm") -> "TwoForm":
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            nc = out.get(key)
-            nc = c if nc is None else nc + c
-            if nc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = nc
+            _add_into(out, key, c)
         return TwoForm(out)
 
     def __neg__(self) -> "TwoForm":
@@ -222,12 +223,6 @@ class TwoForm:
                 out[k] = g
         return TwoForm(out)
 
-    def symbols(self) -> set[str]:
-        out: set[str] = set()
-        for c in self.coeffs.values():
-            out |= c.symbols()
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwoForm):
             return NotImplemented
@@ -235,24 +230,9 @@ class TwoForm:
 
 
 def wedge(a: OneForm, b: OneForm) -> TwoForm:
-    items = []
-    for i, ci in a.coeffs.items():
-        for j, cj in b.coeffs.items():
-            if i == j:
-                continue
-            items.append((i, j, ci * cj))
-    return TwoForm.build(items)
-
-
-def eval_one(a: OneForm, u: dict) -> Coeff:
-    total = None
-    for i, c in a.coeffs.items():
-        uv = u.get(i)
-        if uv is None:
-            continue
-        t = c * uv
-        total = t if total is None else total + t
-    return ZERO if total is None else total
+    acc: dict[tuple[int, int], Coeff] = {}
+    _wedge_into(acc, a, b)
+    return TwoForm(acc)
 
 
 def eval_pair(w: TwoForm, u: dict, v: dict) -> Coeff:
@@ -286,7 +266,7 @@ class DerivativeRules:
 
     def d_coeff(self, c: Coeff) -> OneForm:
         """d of a scalar: Leibniz over grade-1 jet factors (grade-0 are constants)."""
-        total = OneForm({})
+        acc: dict[int, Coeff] = {}
         for (k, mono), v in c.terms.items():
             for pos, sid in enumerate(mono):
                 if jet_grade(sid) == 0:
@@ -294,22 +274,27 @@ class DerivativeRules:
                 rule = self.jet_rules.get(sid)
                 if rule is None:
                     raise MissingRule(symbol_name(sid))
-                rest = mono[:pos] + mono[pos + 1:]
-                factor = Coeff({(k, rest): v})
-                total = total + rule.scale(factor)
-        return total
+                factor = Coeff({(k, mono[:pos] + mono[pos + 1:]): v})
+                for idx, rc in rule.coeffs.items():
+                    _add_into(acc, idx, rc * factor)
+        return OneForm(acc)
+
+
+def _d_term_into(acc: dict, rules: DerivativeRules, idx: int, c1: Coeff, c0: Coeff) -> None:
+    """Add d(c1) ^ e^idx + c0 de^idx to a 2-form map; c1 = c0 = c gives d(c e^idx)."""
+    if c1.terms:
+        for m, cm in rules.d_coeff(c1).coeffs.items():
+            _add_pair(acc, m, idx, cm)
+    if c0.terms:
+        for key, v in rules.d_basis[idx].coeffs.items():
+            _add_into(acc, key, v * c0)
 
 
 def exterior_derivative(a: OneForm, rules: DerivativeRules) -> TwoForm:
-    total = TwoForm({})
+    acc: dict[tuple[int, int], Coeff] = {}
     for idx, c in a.coeffs.items():
-        dc = rules.d_coeff(c)
-        if not dc.is_zero():
-            total = total + wedge(dc, OneForm.basis(idx, ONE))
-        db = rules.d_basis[idx]
-        if not db.is_zero():
-            total = total + db.scale(c)
-    return total
+        _d_term_into(acc, rules, idx, c, c)
+    return TwoForm(acc)
 
 
 def d2_residual(idx: int, rules: DerivativeRules) -> dict[tuple[int, int, int], Coeff]:
@@ -329,14 +314,7 @@ def d2_residual(idx: int, rules: DerivativeRules) -> dict[tuple[int, int, int], 
         # parity of the permutation of three items
         if order in ([1, 0, 2], [0, 2, 1], [2, 1, 0]):
             sign = -1
-        key = (perm[0][0], perm[1][0], perm[2][0])
-        cc = c if sign == 1 else -c
-        prev = acc.get(key)
-        nc = cc if prev is None else prev + cc
-        if nc.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = nc
+        _add_into(acc, (perm[0][0], perm[1][0], perm[2][0]), c if sign == 1 else -c)
 
     dw = rules.d_basis[idx]
     for (i, j), c in dw.coeffs.items():
@@ -352,34 +330,32 @@ def d2_residual(idx: int, rules: DerivativeRules) -> dict[tuple[int, int, int], 
 
 @dataclass
 class FormMatrix:
-    """Square matrix of OneForms or TwoForms with named row/column blocks."""
+    """Square matrix of OneForms or TwoForms."""
 
     dim: int
     entries: list[list]
-    block_map: dict[str, list[int]] = field(default_factory=dict)
 
     @staticmethod
-    def zero(dim: int, two: bool = False, block_map=None) -> "FormMatrix":
+    def zero(dim: int, two: bool = False) -> "FormMatrix":
         mk = TwoForm if two else OneForm
-        return FormMatrix(dim, [[mk({}) for _ in range(dim)] for _ in range(dim)],
-                          block_map or {})
-
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
+        return FormMatrix(dim, [[mk({}) for _ in range(dim)] for _ in range(dim)])
 
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         if self.dim != other.dim:
             raise DimensionMismatch
         return FormMatrix(self.dim,
                           [[self.entries[i][j] + other.entries[i][j] for j in range(self.dim)]
-                           for i in range(self.dim)], self.block_map)
+                           for i in range(self.dim)])
 
     def __sub__(self, other: "FormMatrix") -> "FormMatrix":
         if self.dim != other.dim:
             raise DimensionMismatch
         return FormMatrix(self.dim,
                           [[self.entries[i][j] - other.entries[i][j] for j in range(self.dim)]
-                           for i in range(self.dim)], self.block_map)
+                           for i in range(self.dim)])
+
+    def is_zero(self) -> bool:
+        return all(e.is_zero() for row in self.entries for e in row)
 
     def is_skew(self) -> bool:
         for i in range(self.dim):
@@ -393,15 +369,7 @@ class FormMatrix:
     def d(self, rules: DerivativeRules) -> "FormMatrix":
         return FormMatrix(self.dim,
                           [[exterior_derivative(self.entries[i][j], rules)
-                            for j in range(self.dim)] for i in range(self.dim)],
-                          self.block_map)
-
-    def symbols(self) -> set[str]:
-        out: set[str] = set()
-        for row in self.entries:
-            for e in row:
-                out |= e.symbols()
-        return out
+                            for j in range(self.dim)] for i in range(self.dim)])
 
 
 def mat_wedge(A: FormMatrix, B: FormMatrix) -> FormMatrix:
@@ -411,16 +379,12 @@ def mat_wedge(A: FormMatrix, B: FormMatrix) -> FormMatrix:
     for i in range(A.dim):
         row = []
         for j in range(A.dim):
-            acc = TwoForm({})
+            acc: dict[tuple[int, int], Coeff] = {}
             for k in range(A.dim):
-                a = A.entries[i][k]
-                b = B.entries[k][j]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + wedge(a, b)
-            row.append(acc)
+                _wedge_into(acc, A.entries[i][k], B.entries[k][j])
+            row.append(TwoForm(acc))
         out.append(row)
-    return FormMatrix(A.dim, out, A.block_map)
+    return FormMatrix(A.dim, out)
 
 
 def curvature(gamma: FormMatrix, rules: DerivativeRules) -> FormMatrix:
@@ -438,29 +402,24 @@ def curvature(gamma: FormMatrix, rules: DerivativeRules) -> FormMatrix:
     rules0 = DerivativeRules(rules.basis, [w.grade_part(0) for w in rules.d_basis],
                              {sid: r.grade_part(0) for sid, r in rules.jet_rules.items()})
     g0 = [[e.grade_part(0) for e in row] for row in gamma.entries]
-    out = FormMatrix.zero(m, two=True, block_map=gamma.block_map)
+    out = FormMatrix.zero(m, two=True)
     for i in range(m):
         for j in range(i + 1, m):
-            acc = TwoForm({})
+            acc: dict[tuple[int, int], Coeff] = {}
+            g0ij = g0[i][j].coeffs
             for idx, c in gamma.entries[i][j].coeffs.items():
-                dc = rules0.d_coeff(c.grade_part(1))
-                if not dc.is_zero():
-                    acc = acc + wedge(dc, OneForm.basis(idx, ONE))
-            for idx, c in g0[i][j].coeffs.items():
-                acc = acc + rules0.d_basis[idx].scale(c)
+                _d_term_into(acc, rules0, idx, c.grade_part(1), g0ij.get(idx, ZERO))
             for k in range(m):
-                if not (g0[i][k].is_zero() or g0[k][j].is_zero()):
-                    acc = acc + wedge(g0[i][k], g0[k][j])
-            out.entries[i][j] = acc
-            out.entries[j][i] = -acc
+                _wedge_into(acc, g0[i][k], g0[k][j])
+            out.entries[i][j] = TwoForm(acc)
+            out.entries[j][i] = -out.entries[i][j]
     return out
 
 
 def specialize(x, mu):
     """Coefficient-wise Coeff.specialize of a OneForm, TwoForm or FormMatrix."""
     if isinstance(x, FormMatrix):
-        return FormMatrix(x.dim, [[_specialize_form(e, mu) for e in row] for row in x.entries],
-                          x.block_map)
+        return FormMatrix(x.dim, [[_specialize_form(e, mu) for e in row] for row in x.entries])
     return _specialize_form(x, mu)
 
 

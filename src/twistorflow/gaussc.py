@@ -34,10 +34,6 @@ class CForm:
         return CForm(self.re, -self.im)
 
 
-def _cmat_entry(zero):
-    return CForm(zero, zero)
-
-
 def complex_transform(gamma: FormMatrix, n: int) -> list[list[CForm]]:
     """Transform a real (4n+2) form matrix to the basis
     (lambda zeta^0, Z^1_a, Z^2_a, conjugates), zeta^0 = alpha_1 + i alpha_3,
@@ -86,7 +82,7 @@ def complex_transform(gamma: FormMatrix, n: int) -> list[list[CForm]]:
         set_col(xi(3, a), m + n + a, Fraction(0), h)
 
     zero = type(gamma.entries[0][0])({})
-    out = [[_cmat_entry(zero) for _ in range(dim)] for _ in range(dim)]
+    out = [[CForm(zero, zero) for _ in range(dim)] for _ in range(dim)]
     for p in range(dim):
         for (r, pre, pim) in rows[p]:
             for s in range(dim):

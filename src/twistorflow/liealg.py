@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coeff import Coeff, ring_value
+from .coeff import ONE, Coeff, ring_value
 from .forms import (Basis, DerivativeRules, DimensionMismatch, FormMatrix, OneForm,
                     TwoForm, eval_pair, exterior_derivative, mat_wedge, wedge)
 
@@ -77,12 +77,16 @@ class StructureConstants:
             return self.c.get((i, j), {})
         return {k: -v for k, v in self.c.get((j, i), {}).items()}
 
-    def tampered(self, i: int, j: int, k: int, delta=1) -> "StructureConstants":
+    def tampered(self, i: int, j: int, k: int) -> "StructureConstants":
+        """A copy with c^k_ij raised by one (so c^k_ji lowered by one)."""
+        if i == j:
+            raise ValueError("c^k_ii is not a structure constant (the bracket is antisymmetric)")
         out = {key: dict(val) for key, val in self.c.items()}
+        delta = 1
         if i > j:
-            i, j, delta = j, i, -delta
+            i, j, delta = j, i, -1
         row = out.setdefault((i, j), {})
-        row[k] = ring_value(row.get(k, 0) + Fraction(delta))
+        row[k] = ring_value(row.get(k, 0) + delta)
         if row[k] == 0:
             del row[k]
         return StructureConstants(self.dim, out)
@@ -347,22 +351,19 @@ def make_rules(sc: StructureConstants, basis: Basis,
     alpha and Gamma~ differentials (the base-metric rescaling; the model
     case is s_ratio = 1).
     """
-    n = basis.n
     dim = basis.dim()
     d_basis = [dict() for _ in range(dim)]
     for (i, j), row in sc.c.items():
         for k, v in row.items():
             d_basis[k][(i, j)] = -v
     out = []
-    nx0 = 3
-    nx1 = 3 + 4 * n
     for k in range(dim):
         target_scaled = basis.labels[k][0] in ("A", "G")
         coeffs = {}
         for (i, j), v in d_basis[k].items():
             c = Coeff({(0, ()): v})
             if (target_scaled and s_ratio is not None
-                    and nx0 <= i < nx1 and nx0 <= j < nx1):
+                    and basis.labels[i][0] == "X" and basis.labels[j][0] == "X"):
                 c = c * s_ratio
             if not c.is_zero():
                 coeffs[(i, j)] = c
@@ -372,13 +373,18 @@ def make_rules(sc: StructureConstants, basis: Basis,
 
 def _tx_wedge_x(basis: Basis, i: int, j: int) -> TwoForm:
     """Scalar 2-form  tX^i ^ X^j  =  sum_a X^i_a ^ X^j_a."""
-    from .coeff import ONE
     items = [(basis.x(i, a), basis.x(j, a), ONE) for a in range(1, basis.n + 1)]
     return TwoForm.build(items)
 
 
+def _x_outer(basis: Basis, i: int, j: int) -> FormMatrix:
+    """The n x n matrix of 2-forms  X^i_a ^ X^j_b."""
+    n = basis.n
+    return FormMatrix(n, [[TwoForm.build([(basis.x(i, a), basis.x(j, b), ONE)])
+                           for b in range(1, n + 1)] for a in range(1, n + 1)])
+
+
 def _gamma_form(basis: Basis, m: int, a: int, b: int) -> OneForm:
-    from .coeff import ONE
     idx, sign = basis.g(m, a, b)
     if idx < 0:
         return OneForm({})
@@ -403,46 +409,21 @@ def verify_block_equations(n: int, tamper: tuple[int, int, int] | None = None) -
         jacobi_ok = jacobi_residual(sc) is None
     basis = Basis(n)
     rules = make_rules(sc, basis)
-    from .coeff import ONE
 
     def alpha(i: int) -> OneForm:
         return OneForm.basis(basis.a(i), ONE)
 
-    def gmat(m: int) -> list[list[OneForm]]:
-        return [[_gamma_form(basis, m, a, b) for b in range(1, n + 1)]
-                for a in range(1, n + 1)]
-
-    def mat_d(mat) -> list[list[TwoForm]]:
-        return [[exterior_derivative(e, rules) for e in row] for row in mat]
-
-    def mat_wedge2(A, B) -> list[list[TwoForm]]:
-        out = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                acc = TwoForm({})
-                for c in range(n):
-                    acc = acc + wedge(A[a][c], B[c][b])
-                row.append(acc)
-            out.append(row)
-        return out
-
-    def x_outer(i: int, j: int) -> list[list[TwoForm]]:
-        return [[TwoForm.build([(basis.x(i, a + 1), basis.x(j, b + 1), ONE)])
-                 for b in range(n)] for a in range(n)]
+    def xo(i: int, j: int) -> FormMatrix:
+        return _x_outer(basis, i, j)
 
     report = {}
 
-    g = {m: gmat(m) for m in range(4)}
-    fam1 = mat_d(g[0])
-    for m, sgn in ((0, 1), (1, -1), (2, -1), (3, -1)):
-        ww = mat_wedge2(g[m], g[m])
-        fam1 = [[fam1[a][b] + (ww[a][b] if sgn > 0 else -ww[a][b]) for b in range(n)]
-                for a in range(n)]
-    for i in range(4):
-        xo = x_outer(i, i)
-        fam1 = [[fam1[a][b] - xo[a][b] for b in range(n)] for a in range(n)]
-    report["dGamma0"] = all(fam1[a][b].is_zero() for a in range(n) for b in range(n))
+    g = {m: FormMatrix(n, [[_gamma_form(basis, m, a, b) for b in range(1, n + 1)]
+                           for a in range(1, n + 1)]) for m in range(4)}
+    fam1 = (g[0].d(rules) + mat_wedge(g[0], g[0]) - mat_wedge(g[1], g[1])
+            - mat_wedge(g[2], g[2]) - mat_wedge(g[3], g[3])
+            - xo(0, 0) - xo(1, 1) - xo(2, 2) - xo(3, 3))
+    report["dGamma0"] = fam1.is_zero()
 
     ok2 = True
     for mu, eta, nu in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
@@ -455,17 +436,10 @@ def verify_block_equations(n: int, tamper: tuple[int, int, int] | None = None) -
 
     ok3 = True
     for mu, eta, nu in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        fam = mat_d(g[mu])
-        for A, B, sgn in ((g[mu], g[0], 1), (g[0], g[mu], 1), (g[nu], g[eta], -1),
-                          (g[eta], g[nu], 1)):
-            ww = mat_wedge2(A, B)
-            fam = [[fam[a][b] + (ww[a][b] if sgn > 0 else -ww[a][b]) for b in range(n)]
-                   for a in range(n)]
-        for i, j, sgn in ((mu, 0, -1), (0, mu, 1), (nu, eta, -1), (eta, nu, 1)):
-            xo = x_outer(i, j)
-            fam = [[fam[a][b] + (xo[a][b] if sgn > 0 else -xo[a][b]) for b in range(n)]
-                   for a in range(n)]
-        ok3 = ok3 and all(fam[a][b].is_zero() for a in range(n) for b in range(n))
+        fam = (g[mu].d(rules) + mat_wedge(g[mu], g[0]) + mat_wedge(g[0], g[mu])
+               - mat_wedge(g[nu], g[eta]) + mat_wedge(g[eta], g[nu])
+               - xo(mu, 0) + xo(0, mu) - xo(nu, eta) + xo(eta, nu))
+        ok3 = ok3 and fam.is_zero()
     report["dGamma_mu"] = ok3
 
     if tamper is not None:
@@ -512,55 +486,39 @@ def sectional(T: CurvatureTensor, A: int, B: int) -> Fraction:
     return T.component(A, B, A, B)
 
 
-def _hpn_blocks_closed_form(basis: Basis) -> list[list[TwoForm]]:
-    """The displayed HP^n curvature blocks as a 4x4 block table."""
+def _hpn_blocks_closed_form(basis: Basis) -> FormMatrix:
+    """The displayed HP^n curvature blocks, assembled into one 4n x 4n matrix."""
     n = basis.n
-    from .coeff import ONE
 
     def xo(i, j):
-        return [[TwoForm.build([(basis.x(i, a + 1), basis.x(j, b + 1), ONE)])
-                 for b in range(n)] for a in range(n)]
+        return _x_outer(basis, i, j)
 
-    def scalar_diag(two: TwoForm):
-        return [[two if a == b else TwoForm({}) for b in range(n)] for a in range(n)]
-
-    def madd(*mats):
-        out = [[TwoForm({}) for _ in range(n)] for _ in range(n)]
-        for m, sgn in mats:
-            out = [[out[a][b] + (m[a][b] if sgn > 0 else -m[a][b]) for b in range(n)]
-                   for a in range(n)]
-        return out
-
-    om00 = madd((xo(0, 0), 1), (xo(1, 1), 1), (xo(2, 2), 1), (xo(3, 3), 1))
-
-    def om_mu0(mu, eta, nu):
-        scal = (_tx_wedge_x(basis, mu, 0) + _tx_wedge_x(basis, eta, nu)).scale(ONE.scale(2))
-        return madd((xo(mu, 0), 1), (xo(0, mu), -1), (xo(nu, eta), 1), (xo(eta, nu), -1),
-                    (scalar_diag(scal), 1))
-
-    def om_eta_nu(mu, eta, nu):
-        scal = (_tx_wedge_x(basis, mu, 0) + _tx_wedge_x(basis, eta, nu)).scale(ONE.scale(2))
-        return madd((xo(mu, 0), -1), (xo(0, mu), 1), (xo(nu, eta), -1), (xo(eta, nu), 1),
-                    (scalar_diag(scal), 1))
-
-    blocks = [[None] * 4 for _ in range(4)]
-    for i in range(4):
-        blocks[i][i] = om00
+    om = FormMatrix.zero(4 * n, two=True)
+    diag = xo(0, 0) + xo(1, 1) + xo(2, 2) + xo(3, 3)
+    for bi in range(4):
+        for a in range(n):
+            for b in range(n):
+                om.entries[bi * n + a][bi * n + b] = diag.entries[a][b]
     for mu, eta, nu in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        bm = om_mu0(mu, eta, nu)
-        blocks[mu][0] = bm
-        blocks[0][mu] = [[-bm[b][a] for b in range(n)] for a in range(n)]
-        be = om_eta_nu(mu, eta, nu)
-        blocks[eta][nu] = be
-        blocks[nu][eta] = [[-be[b][a] for b in range(n)] for a in range(n)]
-    return blocks
+        scal = (_tx_wedge_x(basis, mu, 0) + _tx_wedge_x(basis, eta, nu)).scale(ONE.scale(2))
+        mixed = xo(mu, 0) - xo(0, mu) + xo(nu, eta) - xo(eta, nu)
+        # block (mu, 0) is mixed + scal Id, block (eta, nu) is -mixed + scal Id, and
+        # the transposed blocks are their negated transposes
+        for bi, bj, sgn in ((mu, 0, 1), (eta, nu, -1)):
+            for a in range(n):
+                for b in range(n):
+                    e = mixed.entries[a][b] if sgn > 0 else -mixed.entries[a][b]
+                    if a == b:
+                        e = e + scal
+                    om.entries[bi * n + a][bj * n + b] = e
+                    om.entries[bj * n + b][bi * n + a] = -e
+    return om
 
 
-def _hpn_blocks_maurer_cartan(basis: Basis, sc: StructureConstants) -> list[list[TwoForm]]:
+def _hpn_blocks_maurer_cartan(basis: Basis, sc: StructureConstants) -> FormMatrix:
     """HP^n curvature via d Gamma + Gamma ^ Gamma on the holonomy connection (2-2 pattern)."""
     n = basis.n
     rules = make_rules(sc, basis)
-    from .coeff import ONE
 
     def alpha(i):
         return OneForm.basis(basis.a(i), ONE)
@@ -586,10 +544,7 @@ def _hpn_blocks_maurer_cartan(basis: Basis, sc: StructureConstants) -> list[list
             for a in range(n):
                 for b in range(n):
                     gamma.entries[bi * n + a][bj * n + b] = entry(pattern[bi][bj], a, b)
-    om = gamma.d(rules) + mat_wedge(gamma, gamma)
-    blocks = [[[[om.entries[bi * n + a][bj * n + b] for b in range(n)] for a in range(n)]
-               for bj in range(4)] for bi in range(4)]
-    return blocks, om
+    return gamma.d(rules) + mat_wedge(gamma, gamma)
 
 
 def hpn_curvature(n: int, route: str = "both") -> CurvatureTensor:
@@ -604,22 +559,14 @@ def hpn_curvature(n: int, route: str = "both") -> CurvatureTensor:
     basis = Basis(n)
     comps: dict[tuple[int, int, int, int], Fraction] = {}
 
-    def frame(i, a):
-        from .coeff import ONE
-        return {basis.x(i, a): ONE}
-
-    def blocks_to_components(blocks) -> dict:
+    def blocks_to_components(om: FormMatrix) -> dict:
         out = {}
         m = 4 * n
-        duals = {A: frame((A - 1) // n, (A - 1) % n + 1) for A in range(1, m + 1)}
+        # frame index A = 1..4n is X^i_a with i = (A - 1) // n, a = (A - 1) % n + 1
+        duals = {A: {basis.x((A - 1) // n, (A - 1) % n + 1): ONE} for A in range(1, m + 1)}
         for A in range(1, m + 1):
-            bi, a = (A - 1) // n, (A - 1) % n
             for B in range(1, m + 1):
-                bj, b = (B - 1) // n, (B - 1) % n
-                two = blocks[bi][bj]
-                if two is None:
-                    continue
-                w = two[a][b] if isinstance(two, list) else two
+                w = om.entries[A - 1][B - 1]
                 if w.is_zero():
                     continue
                 for C in range(1, m + 1):
@@ -636,13 +583,13 @@ def hpn_curvature(n: int, route: str = "both") -> CurvatureTensor:
     if route in ("closed_form", "both"):
         comps = blocks_to_components(_hpn_blocks_closed_form(basis))
     if route in ("maurer_cartan", "both"):
-        blocks, om = _hpn_blocks_maurer_cartan(basis, _sp_structure(n))
+        om = _hpn_blocks_maurer_cartan(basis, _sp_structure(n))
         for row in om.entries:
             for e in row:
                 for (i, j) in e.coeffs:
                     if basis.labels[i][0] != "X" or basis.labels[j][0] != "X":
                         raise ValueError("curvature entry leaves the X-quadratic span")
-        comps_mc = blocks_to_components(blocks)
+        comps_mc = blocks_to_components(om)
         if route == "both" and comps != comps_mc:
             raise ValueError("closed-form and Maurer-Cartan curvature disagree")
         if route == "maurer_cartan":

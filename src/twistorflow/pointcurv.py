@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .coeff import ONE, ZERO, Coeff, jet_symbol
 from .connections import coframe_expansion, levi_civita, ricci_matrix
-from .forms import DerivativeRules, FormMatrix, OneForm, TwoForm, curvature, eval_pair
+from .forms import (DerivativeRules, FormMatrix, OneForm, TwoForm, _add_into, _wedge_into,
+                    curvature, eval_pair, exterior_derivative)
 
 __all__ = ["SlotBasis", "PointGeometry", "point_geometry"]
 
@@ -60,7 +61,7 @@ class PointGeometry:
 
 
 def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRules,
-                   value_frames: list[dict], block_map=None) -> PointGeometry:
+                   value_frames: list[dict]) -> PointGeometry:
     """Build connection and curvature of the coframe metric at the point.
 
     value_frames[K] is the pairing table of the dual orthonormal frame
@@ -70,10 +71,7 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
     m = len(ambient_coframe)
     ambient_basis = ambient_rules.basis
     expans, extras = coframe_expansion(ambient_coframe, ambient_basis.dim())
-    dth_amb = [None] * m
-    from .forms import exterior_derivative
-    for K in range(m):
-        dth_amb[K] = exterior_derivative(ambient_coframe[K], ambient_rules)
+    dth_amb = [exterior_derivative(th, ambient_rules) for th in ambient_coframe]
 
     def val(e: int, K: int) -> Coeff:
         return value_frames[K].get(e, ZERO)
@@ -90,18 +88,15 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
         extras_expansion[e] = OneForm.build(items)
 
     def conv1(a: OneForm) -> OneForm:
-        out = OneForm({})
+        acc: dict[int, Coeff] = {}
         for i, c in a.coeffs.items():
-            if i in extras:
-                out = out + extras_expansion[i].scale(c)
-            else:
-                out = out + OneForm.build(
-                    [(L, cl * c) for L, cl in expans[i].items()])
-        return out
+            exp = extras_expansion[i].coeffs if i in extras else expans[i]
+            for L, cl in exp.items():
+                _add_into(acc, L, cl * c)
+        return OneForm(acc)
 
     def conv2(w: TwoForm) -> TwoForm:
-        from .forms import wedge
-        out = TwoForm({})
+        acc: dict[tuple[int, int], Coeff] = {}
         cache: dict[int, OneForm] = {}
 
         def exp1(i: int) -> OneForm:
@@ -115,8 +110,8 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
             return f
 
         for (i, j), c in w.coeffs.items():
-            out = out + wedge(exp1(i), exp1(j)).scale(c)
-        return out
+            _wedge_into(acc, exp1(i), exp1(j).scale(c))
+        return TwoForm(acc)
 
     d_slot = [conv2(dt) for dt in dth_amb]
 
@@ -158,7 +153,7 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
     slot_basis = SlotBasis(m)
     slot_rules = DerivativeRules(slot_basis, d_slot, slot_jet_rules)
     slot_coframe = [OneForm.basis(K, ONE) for K in range(m)]
-    gamma = levi_civita(slot_coframe, slot_rules, block_map=block_map)
+    gamma = levi_civita(slot_coframe, slot_rules)
     omega = curvature(gamma, slot_rules)
     frames = [{K: ONE} for K in range(m)]
     return PointGeometry(slot_basis, slot_rules, slot_coframe, frames, gamma, omega,

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 from .canonical import MetricParams, RicciDiag, _ricci_diag, _sp_structure
 from .coeff import ONE, Coeff, active_cutoff, jet_symbol
-from .forms import (Basis, FormMatrix, OneForm, TwoForm, exterior_derivative, specialize,
-                    wedge)
+from .forms import (Basis, FormMatrix, OneForm, TwoForm, _wedge_into, exterior_derivative,
+                    specialize, wedge)
 from .liealg import make_rules
 
 __all__ = [
@@ -204,8 +204,7 @@ def z_setup(p: MetricParams, ambiguity: str = "none", free_gamma_fiber: bool = F
             elif j == 3:
                 gamma_values(f, ONE, "Q", "S", a)
             frames.append(f)
-    block_map = {"fiber": [0, 1], "base": list(range(2, 4 * n + 2))}
-    return basis, rules, coframe, frames, block_map
+    return basis, rules, coframe, frames
 
 
 def hat_alpha_derivatives(n: int) -> dict:
@@ -247,13 +246,8 @@ def hat_alpha_derivatives(n: int) -> dict:
     disp3 = clean3 + displayed_gamma_terms(3)
 
     def gamma_coupling_only(resid: TwoForm) -> bool:
-        nx0, nx1 = 3, 3 + 4 * n
         for (i, j), c in resid.coeffs.items():
-            gi = basis.labels[i][0] == "G"
-            gj = basis.labels[j][0] == "G"
-            xi = nx0 <= i < nx1
-            xj = nx0 <= j < nx1
-            if not ((gi and xj) or (gj and xi)):
+            if {basis.labels[i][0], basis.labels[j][0]} != {"G", "X"}:
                 return False
             if not c.grade_part(0).is_zero() or not c.grade_part(1) == c:
                 return False
@@ -286,9 +280,8 @@ def _z_point_geometry(n: int, ambiguity: str, free_gamma_fiber: bool, cutoff: in
     """The symbolic Z point geometry; cutoff is the active jet cutoff, part of
     the key only."""
     from .pointcurv import point_geometry
-    basis, rules, coframe, frames, block_map = z_setup(MetricParams(n), ambiguity,
-                                                       free_gamma_fiber)
-    return point_geometry(coframe, rules, frames, block_map=block_map)
+    basis, rules, coframe, frames = z_setup(MetricParams(n), ambiguity, free_gamma_fiber)
+    return point_geometry(coframe, rules, frames)
 
 
 def z_geometry(p: MetricParams, ambiguity: str = "none", free_gamma_fiber: bool = False):
@@ -357,12 +350,11 @@ def integrability_witness(n: int) -> bool:
     geo = z_geometry(MetricParams(n))
     # slots 0,1 are the fiber directions; 2.. are the X slots
     for row in range(2, 4 * n + 2):
-        acc = TwoForm({})
+        acc: dict[tuple[int, int], Coeff] = {}
         for L in range(4 * n + 2):
-            if not geo.gamma.entries[row][L].is_zero():
-                acc = acc + wedge(geo.gamma.entries[row][L], geo.coframe[L])
+            _wedge_into(acc, geo.gamma.entries[row][L], geo.coframe[L])
         # d X^i = -(row of Gamma ^ coframe); every term must touch an X slot
-        for (i, j) in acc.coeffs:
+        for (i, j) in acc:
             if i < 2 and j < 2:
                 return False
     return True

@@ -146,6 +146,19 @@ def test_export_bytes_are_pinned(argv, file_sha, stdout_sha, stderr_sha, code, t
             got_code) == (file_sha, stdout_sha, stderr_sha, code)
 
 
+# the first 16 hex digits of the SHA-256 of the stdout of symbolic commands
+STDOUT_GOLDEN = [
+    ("verify --n 2 --format json", "b4f9a8c599e4d3a7"),
+    ("curvature --n 3 --format json", "d41e8e6cede0e07d"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout_sha", STDOUT_GOLDEN)
+def test_symbolic_stdout_is_pinned(argv, stdout_sha):
+    code, out = run_cli(argv.split())
+    assert (code, _sha16(out.encode())) == (0, stdout_sha)
+
+
 def test_flow_command_files(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -192,6 +205,10 @@ def test_domain_errors_exit_2():
     "verify --n 2 --tamper 1,2",
     "verify --n 2 --tamper 1,2,3,4",
     "verify --n 2 --tamper 0,1,21",
+    "verify --n 2 --tamper 0,0,5",
+    "verify --n 2 --tamper 3,3,0",
+    "ricci --family z --n 7 --lambda2 1/2",
+    "curvature --n 7",
     "entropy --n 2 --rho0 1 --lambda2 1/2 --samples 10000001",
 ])
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twistorflow.coeff import Coeff, ONE, jet_symbol
+from twistorflow.coeff import Coeff, ONE, ZERO, jet_cutoff, jet_symbol
+from twistorflow.connections import _decompose
 from twistorflow.forms import (Basis, DimensionMismatch, FormMatrix, MissingRule,
                                OneForm, TwoForm, d2_residual, eval_pair,
                                exterior_derivative, mat_wedge, wedge)
@@ -258,3 +261,72 @@ def test_d_squared_zero_with_symbolic_scale():
     rules = make_rules(structure_constants(build_sp_basis(2)), b, s_ratio=sig)
     for idx in range(b.dim()):
         assert d2_residual(idx, rules) == {}
+
+
+# one random Coeff: up to three terms lambda^k * value * (up to two symbols),
+# small values so that sums often cancel
+HA, HB, HP = jet_symbol("hA", 1), jet_symbol("hB", 1), jet_symbol("hP", 0)
+_coeff_spec = st.lists(st.tuples(st.integers(-1, 1),
+                                 st.lists(st.sampled_from([HA, HB, HP]), max_size=2),
+                                 st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-1, 2)])),
+                       max_size=3)
+
+
+def _make_coeff(spec) -> Coeff:
+    c = ZERO
+    for k, syms, v in spec:
+        t = Coeff.lam_power(k, v)
+        for sym in syms:
+            t = t * Coeff.symbol(sym)
+        c = c + t
+    return c
+
+
+def _no_zero(mapping) -> bool:
+    return all(not c.is_zero() for c in mapping.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(cutoff=st.sampled_from([2, 3]),
+       raw=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), _coeff_spec), max_size=10),
+       n_mirrored=st.integers(0, 10), rnd=st.randoms(use_true_random=False))
+def test_sparse_sums_never_store_a_zero(cutoff, raw, n_mirrored, rnd):
+    with jet_cutoff(cutoff):
+        items = [(i, j, _make_coeff(spec)) for i, j, spec in raw]
+        # (j, i, c) is -(i, j, c): a mirrored prefix cancels through the swap
+        items += [(j, i, c) for i, j, c in items[:n_mirrored]]
+        built = TwoForm.build(items)
+
+        want: dict = {}
+        for i, j, c in items:
+            if i != j:
+                key, c = ((i, j), c) if i < j else ((j, i), -c)
+                want[key] = want.get(key, ZERO) + c
+        assert built.coeffs == {k: c for k, c in want.items() if not c.is_zero()}
+        assert _no_zero(built.coeffs) and all(i < j for i, j in built.coeffs)
+
+        shuffled = list(items)
+        rnd.shuffle(shuffled)
+        total = TwoForm({})
+        for i, j, c in shuffled:
+            total = total + TwoForm.build([(i, j, c)])
+        assert total == built and _no_zero(total.coeffs)
+
+        a = OneForm.build((i, c) for i, _, c in items)
+        b = OneForm.build((j, c) for _, j, c in shuffled)
+        for f in (a, b, a + b, a - b, a.scale(a.coeffs.get(0, ONE))):
+            assert _no_zero(f.coeffs)
+        assert (a - a).coeffs == {}
+        assert wedge(a, a).is_zero() and wedge(b, b).is_zero()
+        assert _no_zero(wedge(a, b).coeffs)
+
+        M = FormMatrix(2, [[built, TwoForm({})], [total - built, TwoForm({})]])
+        assert M.is_zero() == all(e.is_zero() for row in M.entries for e in row)
+        assert M.is_zero() == built.is_zero()
+
+        # the ambient forms 0..2 expand over three coframe slots; 3, 4 are extras
+        cs = [c for _, _, c in items if not c.is_zero()] + [ONE]
+        expans = {i: {K: cs[(i + K) % len(cs)] for K in range(3)} for i in range(3)}
+        C, Mx, E = _decompose(built, expans, {3, 4})
+        assert _no_zero(C) and _no_zero(Mx) and _no_zero(E)
+        assert all(K < L for K, L in C)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +131,40 @@ def test_every_single_entry_tamper_is_caught():
     assert rep["dGamma0"] and rep["dalpha"] and rep["dGamma_mu"]
     assert rep["jacobi"] is False and rep["all_pass"] is False
     assert "jacobi" not in verify_block_equations(2)
+
+
+def test_degenerate_tamper_is_rejected():
+    # c^k_ii is not a structure constant: the bracket is antisymmetric
+    sc = structure_constants(build_sp_basis(2))
+    for i, k in ((0, 5), (3, 0)):
+        with pytest.raises(ValueError):
+            sc.tampered(i, i, k)
+    for i, j in ((0, 1), (1, 0)):
+        assert sc.tampered(i, j, 2).get(i, j).get(2, 0) == sc.get(i, j).get(2, 0) + 1
+
+
+def _sha16(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# the first 16 hex digits of the SHA-256 of verify_block_equations reports
+# (json, sorted keys): the untampered table at n = 2 and 3, and 300 seeded
+# single-entry tampers (i != j, k) at n = 2 joined by newlines
+BLOCK_REPORT_GOLDEN = {2: "f7180657a3b04687", 3: "f7180657a3b04687",
+                       "tampers": "d56ff57f9b86a73a"}
+
+
+def test_block_equation_reports_are_pinned():
+    for n in (2, 3):
+        report = json.dumps(verify_block_equations(n), sort_keys=True)
+        assert _sha16(report) == BLOCK_REPORT_GOLDEN[n]
+    rng = random.Random(7)
+    reports = []
+    for _ in range(300):
+        i, j = rng.sample(range(21), 2)
+        k = rng.randrange(21)
+        reports.append(json.dumps(verify_block_equations(2, tamper=(i, j, k)), sort_keys=True))
+    assert _sha16("\n".join(reports)) == BLOCK_REPORT_GOLDEN["tampers"]
 
 
 def test_hpn_curvature_constants():

@@ -20,7 +20,7 @@ from twistorflow.zmetric import z_geometry
 
 def test_point_geometry_reproduces_canonical_ricci():
     p = MetricParams(2)
-    basis, rules, coframe, frames, bm = canonical_setup(p)
+    basis, rules, coframe, frames = canonical_setup(p)
     lam_inv = Coeff.lam_power(-1)
     tags = ["f1", "f3"] + [f"{j}{a}" for j in range(4) for a in (1, 2)]
     vf = []
@@ -32,7 +32,7 @@ def test_point_geometry_reproduces_canonical_ricci():
                 name = "GV[" + ",".join(map(str, lab[1:])) + "|" + tags[K] + "]"
                 f[idx] = Coeff.symbol(jet_symbol(name, 0)) * scale
         vf.append(f)
-    geo = point_geometry(coframe, rules, vf, block_map=bm)
+    geo = point_geometry(coframe, rules, vf)
     ric = geo.ricci()
     dim = 10
     want = ricci_canonical(p)
@@ -51,8 +51,8 @@ def test_point_geometry_structure_equation_is_checked():
     # the slot-world first structure equation and skewness are enforced by
     # the shared solver; reaching here without exceptions is the assertion
     p = MetricParams(2, lambda2=Fraction(1, 3))
-    basis, rules, coframe, frames, bm = canonical_setup(p)
-    geo = point_geometry(coframe, rules, frames, block_map=bm)
+    basis, rules, coframe, frames = canonical_setup(p)
+    geo = point_geometry(coframe, rules, frames)
     assert geo.gamma.is_skew()
     assert geo.omega.dim == 10
 
@@ -75,8 +75,8 @@ def test_curvature_matches_full_structure_equation_z(ambiguity, free_gamma_fiber
 @pytest.mark.parametrize("s_ratio", [Fraction(1), None])
 def test_curvature_matches_full_structure_equation_canonical(s_ratio):
     p = MetricParams(2, s_ratio=s_ratio)
-    basis, rules, coframe, frames, bm = canonical_setup(p)
-    gamma = levi_civita(coframe, rules, block_map=bm)
+    basis, rules, coframe, frames = canonical_setup(p)
+    gamma = levi_civita(coframe, rules)
     want = _full_curvature_grade0(gamma, rules)
     assert curvature(gamma, rules).entries == want
     assert curvature_canonical(p).entries == want
