@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import ONE, Coeff
-from .forms import FormMatrix, OneForm
+from .coeff import ONE
+from .forms import FormMatrix, OneForm, _add_into
 
 __all__ = ["CForm", "complex_transform", "mixing_blocks_zero", "hol_block_skew_hermitian",
            "hol_trace"]
@@ -19,13 +19,6 @@ class CForm:
 
     re: OneForm
     im: OneForm
-
-    def __add__(self, other: "CForm") -> "CForm":
-        return CForm(self.re + other.re, self.im + other.im)
-
-    def scale(self, re: Coeff, im: Coeff) -> "CForm":
-        return CForm(self.re.scale(re) - self.im.scale(im),
-                     self.re.scale(im) + self.im.scale(re))
 
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
@@ -81,8 +74,8 @@ def complex_transform(gamma: FormMatrix, n: int) -> list[list[CForm]]:
         set_col(xi(3, a), n + a, Fraction(0), -h)
         set_col(xi(3, a), m + n + a, Fraction(0), h)
 
-    zero = type(gamma.entries[0][0])({})
-    out = [[CForm(zero, zero) for _ in range(dim)] for _ in range(dim)]
+    # the re and im coefficient maps of each complex entry, summed in place
+    acc = [[({}, {}) for _ in range(dim)] for _ in range(dim)]
     for p in range(dim):
         for (r, pre, pim) in rows[p]:
             for s in range(dim):
@@ -90,11 +83,13 @@ def complex_transform(gamma: FormMatrix, n: int) -> list[list[CForm]]:
                 if entry.is_zero():
                     continue
                 for (q, cre, cim) in cols[s]:
-                    re = pre * cre - pim * cim
-                    im = pre * cim + pim * cre
-                    add = CForm(entry, zero).scale(ONE.scale(re), ONE.scale(im))
-                    out[p][q] = out[p][q] + add
-    return out
+                    for part, x in zip(acc[p][q], (pre * cre - pim * cim, pre * cim + pim * cre)):
+                        if x:
+                            c = ONE.scale(x)
+                            for key, v in entry.coeffs.items():
+                                _add_into(part, key, v * c)
+    form = type(gamma.entries[0][0])
+    return [[CForm(form(re), form(im)) for re, im in row] for row in acc]
 
 
 def mixing_blocks_zero(cmat: list[list[CForm]], n: int) -> bool:
@@ -125,8 +120,11 @@ def hol_block_skew_hermitian(cmat: list[list[CForm]], n: int) -> bool:
 
 def hol_trace(cmat: list[list[CForm]], n: int) -> CForm:
     """Trace over the holomorphic block (the Ricci form for a curvature matrix)."""
-    m = 2 * n + 1
-    total = cmat[0][0]
-    for p in range(1, m):
-        total = total + cmat[p][p]
-    return total
+    re: dict = {}
+    im: dict = {}
+    for p in range(2 * n + 1):
+        for acc, part in ((re, cmat[p][p].re), (im, cmat[p][p].im)):
+            for key, c in part.coeffs.items():
+                _add_into(acc, key, c)
+    form = type(cmat[0][0].re)
+    return CForm(form(re), form(im))

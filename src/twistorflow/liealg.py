@@ -9,14 +9,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .coeff import ONE, Coeff, ring_value
 from .forms import (Basis, DerivativeRules, DimensionMismatch, FormMatrix, OneForm,
                     TwoForm, eval_pair, exterior_derivative, mat_wedge, wedge)
 
 __all__ = [
     "LieAlgebraSpec",
+    "IntMatrix",
     "StructureConstants",
     "CurvatureTensor",
     "NotClosed",
@@ -52,14 +51,11 @@ class EqualIndices(ValueError):
 class LieAlgebraSpec:
     name: str
     n: int
-    basis: list[np.ndarray]
+    basis: list[IntMatrix]
     labels: list[tuple]
 
     def dim(self) -> int:
         return len(self.basis)
-
-    def matrix_size(self) -> int:
-        return self.basis[0].shape[0]
 
 
 @dataclass
@@ -92,196 +88,222 @@ class StructureConstants:
         return StructureConstants(self.dim, out)
 
 
-def _sp_matrix(n: int, a1, a2, a3, X, G) -> np.ndarray:
-    """Assemble an sp(n+1) element from block components.
+class IntMatrix:
+    """A square matrix of Python ints, exact at any size, stored sparsely as
+    {(row, col): nonzero int}; it has only what the builders and checks use."""
 
-    a1..a3 scalars, X a 4 x n integer array (rows X^0..X^3), G a list of four
-    n x n arrays (Gamma~_0 antisymmetric, Gamma~_1..3 symmetric).
-    """
-    D = 4 * (n + 1)
-    M = np.zeros((D, D), dtype=np.int64)
-    corner = np.array([[0, a1, -a3, a2],
-                       [-a1, 0, a2, a3],
-                       [a3, -a2, 0, a1],
-                       [-a2, -a3, -a1, 0]], dtype=np.int64)
-    M[:4, :4] = corner
-    X0, X1, X2, X3 = (np.asarray(X[i], dtype=np.int64) for i in range(4))
-    rows = [
-        [X0, -X1, X3, -X2],
-        [X1, X0, -X2, -X3],
-        [-X3, X2, X0, -X1],
-        [X2, X3, X1, X0],
-    ]
-    for blk in range(4):
-        r0 = 4 + blk * n
-        for col in range(4):
-            M[r0:r0 + n, col] = rows[blk][col]
-            M[col, r0:r0 + n] = -rows[blk][col]
-    G0, G1, G2, G3 = (np.asarray(G[m], dtype=np.int64) for m in range(4))
-    gblocks = [
-        [G0, -G1, G3, -G2],
-        [G1, G0, -G2, -G3],
-        [-G3, G2, G0, -G1],
-        [G2, G3, G1, G0],
-    ]
-    for bi in range(4):
-        for bj in range(4):
-            M[4 + bi * n:4 + (bi + 1) * n, 4 + bj * n:4 + (bj + 1) * n] = gblocks[bi][bj]
-    return M
+    __slots__ = ("size", "entries")
+
+    def __init__(self, size: int, entries: dict[tuple[int, int], int]):
+        self.size = size
+        self.entries = {k: v for k, v in entries.items() if v}
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.size, self.size)
+
+    @property
+    def T(self) -> "IntMatrix":
+        return IntMatrix(self.size, {(c, r): v for (r, c), v in self.entries.items()})
+
+    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        _same_shape(self, other)
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            out[k] = out.get(k, 0) + v
+        return IntMatrix(self.size, out)
+
+    def __neg__(self) -> "IntMatrix":
+        return IntMatrix(self.size, {k: -v for k, v in self.entries.items()})
+
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        return self + (-other)
+
+    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        _same_shape(self, other)
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for (k, c), w in other.entries.items():
+            rows.setdefault(k, []).append((c, w))
+        out: dict[tuple[int, int], int] = {}
+        for (r, k), v in self.entries.items():
+            for c, w in rows.get(k, ()):
+                out[(r, c)] = out.get((r, c), 0) + v * w
+        return IntMatrix(self.size, out)
+
+    def any(self) -> bool:
+        return bool(self.entries)
+
+
+def _pattern(*rows: str) -> dict[int, list[tuple[int, int, int]]]:
+    """Read a 4 x 4 block pattern, one signed quaternion component per
+    block, into {component: [(block row, block column, sign)]}."""
+    out: dict[int, list[tuple[int, int, int]]] = {}
+    for bi, row in enumerate(rows):
+        for bj, cell in enumerate(row.split()):
+            out.setdefault(int(cell[1:]), []).append((bi, bj, 1 if cell[0] == "+" else -1))
+    return out
+
+
+# real 4 x 4 forms of the quaternion units 1, i, j, k (components 0..3):
+# left and right multiplication in the basis 1, i, j, k, and the unit
+# blocks of sp(n+1) in its so(4(n+1)) coordinates
+_LEFT = _pattern("+0 -1 -2 -3", "+1 +0 -3 +2", "+2 +3 +0 -1", "+3 -2 +1 +0")
+_RIGHT = _pattern("+0 -1 -2 -3", "+1 +0 +3 -2", "+2 -3 +0 +1", "+3 +2 -1 +0")
+_SP_UNITS = _pattern("+0 -1 +3 -2", "+1 +0 -2 -3", "-3 +2 +0 -1", "+2 +3 +1 +0")
+
+
+def _sp_coord(n: int):
+    """Real coordinate of component c of the quaternionic row a of H^(n+1):
+    the first H (a = 0), then H^n as four blocks of n, one per component."""
+    return lambda c, a: c if a == 0 else 4 + c * n + a - 1
+
+
+def _quaternionic(size: int, coord, units: dict, comp: int, cells: dict) -> IntMatrix:
+    """Real form of the quaternionic matrix with entry v times unit `comp`
+    at each cell (a, b) -> v."""
+    M: dict[tuple[int, int], int] = {}
+    for bi, bj, sign in units[comp]:
+        for (a, b), v in cells.items():
+            M[(coord(bi, a), coord(bj, b))] = sign * v
+    return IntMatrix(size, M)
+
+
+def _skew(size: int, coord, units: dict, comp: int, a: int, b: int, v: int = 1) -> IntMatrix:
+    """The skew-Hermitian matrix with v times unit `comp` at (a, b) and minus
+    its conjugate at (b, a); an imaginary unit on the diagonal is its own."""
+    N = _quaternionic(size, coord, units, comp, {(a, b): v})
+    return N if a == b else N - N.T
+
+
+def _sp_matrix(n: int, lab: tuple) -> IntMatrix:
+    """The sp(n+1) basis matrix of a Basis(n) label: alpha_k is minus the
+    unit k at (0, 0), X^i_a the unit i at (a, 0), Gamma~_m the unit m at (a, b)."""
+    if lab[0] == "A":
+        a, b, v = 0, 0, -1
+    elif lab[0] == "X":
+        a, b, v = lab[2], 0, 1
+    else:
+        a, b, v = lab[2], lab[3], 1
+    return _skew(4 * (n + 1), _sp_coord(n), _SP_UNITS, lab[1], a, b, v)
 
 
 def build_sp_basis(n: int) -> LieAlgebraSpec:
     """Basis of sp(n+1) realized in so(4(n+1)), aligned with Basis(n) labels."""
     if n < 2:
         raise ValueError("paper setting requires n > 1")
-    basis = Basis(n)
-    mats: list[np.ndarray] = []
-    zX = np.zeros((4, n), dtype=np.int64)
-    zG = [np.zeros((n, n), dtype=np.int64) for _ in range(4)]
-    for lab in basis.labels:
-        a1 = a2 = a3 = 0
-        X = zX.copy()
-        G = [g.copy() for g in zG]
-        if lab[0] == "A":
-            if lab[1] == 1:
-                a1 = 1
-            elif lab[1] == 2:
-                a2 = 1
-            else:
-                a3 = 1
-        elif lab[0] == "X":
-            X[lab[1], lab[2] - 1] = 1
-        else:
-            _, m, a, b = lab
-            if m == 0:
-                G[0][a - 1, b - 1] = 1
-                G[0][b - 1, a - 1] = -1
-            else:
-                G[m][a - 1, b - 1] = 1
-                G[m][b - 1, a - 1] = 1
-        mats.append(_sp_matrix(n, a1, a2, a3, X, G))
-    return LieAlgebraSpec(f"sp({n + 1})", n, mats, list(basis.labels))
+    labels = list(Basis(n).labels)
+    return LieAlgebraSpec(f"sp({n + 1})", n, [_sp_matrix(n, lab) for lab in labels], labels)
 
 
 def build_sp_sp1_basis(n: int) -> LieAlgebraSpec:
-    """Basis of sp(n) + sp(1) in so(4n), block pattern of the holonomy algebra."""
+    """Basis of sp(n) + sp(1) in so(4n), block pattern of the holonomy algebra:
+    sp(1) acts by right multiplication, sp(n) by left."""
     if n < 2:
         raise ValueError("paper setting requires n > 1")
 
-    def assemble(A, a) -> np.ndarray:
-        A0, A1, A2, A3 = A
-        a1, a2, a3 = (x * np.eye(n, dtype=np.int64) for x in a)
-        blocks = [
-            [A0, -A1 - a1, -A2 - a2, -A3 - a3],
-            [A1 + a1, A0, -A3 + a3, A2 - a2],
-            [A2 + a2, A3 - a3, A0, -A1 + a1],
-            [A3 + a3, -A2 + a2, A1 - a1, A0],
-        ]
-        return np.block(blocks).astype(np.int64)
+    def coord(c: int, a: int) -> int:
+        return c * n + a
 
-    mats, labels = [], []
-    zero = [np.zeros((n, n), dtype=np.int64) for _ in range(4)]
-    for i in (1, 2, 3):
-        a = [0, 0, 0]
-        a[i - 1] = 1
-        mats.append(assemble(zero, a))
-        labels.append(("a", i))
-    for a_ in range(1, n + 1):
-        for b in range(a_ + 1, n + 1):
-            A = [z.copy() for z in zero]
-            A[0][a_ - 1, b - 1] = 1
-            A[0][b - 1, a_ - 1] = -1
-            mats.append(assemble(A, [0, 0, 0]))
-            labels.append(("A", 0, a_, b))
-    for m in (1, 2, 3):
-        for a_ in range(1, n + 1):
-            for b in range(a_, n + 1):
-                A = [z.copy() for z in zero]
-                A[m][a_ - 1, b - 1] = 1
-                A[m][b - 1, a_ - 1] = 1
-                mats.append(assemble(A, [0, 0, 0]))
-                labels.append(("A", m, a_, b))
+    eye = {(a, a): 1 for a in range(n)}
+    mats = [_quaternionic(4 * n, coord, _RIGHT, i, eye) for i in (1, 2, 3)]
+    labels: list[tuple] = [("a", i) for i in (1, 2, 3)]
+    for m in range(4):
+        for a in range(1, n + 1):
+            for b in range(a + (m == 0), n + 1):
+                mats.append(_skew(4 * n, coord, _LEFT, m, a - 1, b - 1))
+                labels.append(("A", m, a, b))
     return LieAlgebraSpec(f"sp({n})+sp(1)", n, mats, labels)
 
 
-def right_action_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+def right_action_matrices(n: int) -> tuple[IntMatrix, IntMatrix]:
     """Right multiplication by i and j on H^(n+1) in the (4+4n) coordinate split."""
-    D = 4 * (n + 1)
-    Ri = np.zeros((D, D), dtype=np.int64)
-    Rj = np.zeros((D, D), dtype=np.int64)
-    ri = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=np.int64)
-    rj = np.array([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.int64)
-    Ri[:4, :4] = ri
-    Rj[:4, :4] = rj
-    E = np.eye(n, dtype=np.int64)
-    for bi in range(4):
-        for bj in range(4):
-            if ri[bi, bj]:
-                Ri[4 + bi * n:4 + (bi + 1) * n, 4 + bj * n:4 + (bj + 1) * n] = ri[bi, bj] * E
-            if rj[bi, bj]:
-                Rj[4 + bi * n:4 + (bi + 1) * n, 4 + bj * n:4 + (bj + 1) * n] = rj[bi, bj] * E
+    eye = {(a, a): 1 for a in range(n + 1)}
+    Ri, Rj = (_quaternionic(4 * (n + 1), _sp_coord(n), _RIGHT, i, eye) for i in (1, 2))
     return Ri, Rj
 
 
-def bracket(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _same_shape(A: IntMatrix, B: IntMatrix) -> None:
     if A.shape != B.shape:
         raise DimensionMismatch(f"{A.shape} != {B.shape}")
+
+
+def bracket(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return A @ B - B @ A
 
 
-def exact_rank(mats: list[np.ndarray]) -> int:
-    rows = [[Fraction(int(x)) for x in m.reshape(-1)] for m in mats]
-    rank, ncols = 0, len(rows[0])
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
+def exact_rank(mats: list[IntMatrix]) -> int:
+    """Rank of the matrices as vectors, by fraction-free sparse elimination."""
+    pivots: list[tuple[tuple[int, int], dict]] = []
+    for m in mats:
+        row = m.entries
+        # each pivot row is zero on the pivots found before it, so reducing
+        # in order clears every pivot position of `row`
+        for pos, prow in pivots:
+            x = row.get(pos)
+            if x:
+                p = prow[pos]
+                row = {q: v for q in row.keys() | prow.keys()
+                       if (v := p * row.get(q, 0) - x * prow.get(q, 0))}
+        if row:
+            pivots.append((min(row), row))
+    return len(pivots)
 
 
 class _Expander:
     """Exact expansion of matrices in a fixed integer basis via the Gram matrix.
 
-    den * G^-1 is an integer matrix, so an expansion is two int64 products:
+    den * G^-1 is an integer matrix, so an expansion is two integer products:
     num = (den G^-1)(B t) gives the components num / den, and the target lies
-    in the span exactly when num B = den t.  Basis entries are small integers,
-    far inside the int64 range for every algebra built here.
+    in the span exactly when num B = den t.  Basis entries are indexed by
+    position, so an expansion touches only the target's own positions.
     """
 
-    def __init__(self, mats: list[np.ndarray]):
-        self.flat = np.stack([m.reshape(-1) for m in mats]).astype(np.int64)
-        gram_inv = _fraction_inverse(self.flat @ self.flat.T)
+    def __init__(self, mats: list[IntMatrix]):
+        self.mats = mats
+        self.at: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for k, m in enumerate(mats):
+            for pos, v in m.entries.items():
+                self.at.setdefault(pos, []).append((k, v))
+        d = len(mats)
+        gram = [[0] * d for _ in range(d)]
+        for overlap in self.at.values():
+            for k, v in overlap:
+                for l, w in overlap:
+                    gram[k][l] += v * w
+        gram_inv = _fraction_inverse(gram)
         self.den = math.lcm(*(x.denominator for row in gram_inv for x in row))
-        self.inv_num = np.array([[int(x * self.den) for x in row] for row in gram_inv],
-                                dtype=np.int64)
+        # column l of den * G^-1, as its nonzero (row, value) pairs
+        self.inv_cols = [[(k, int(gram_inv[k][l] * self.den)) for k in range(d) if gram_inv[k][l]]
+                         for l in range(d)]
 
-    def expand(self, target: np.ndarray) -> list[int | Fraction]:
-        t = target.reshape(-1).astype(np.int64)
-        num = self.inv_num @ (self.flat @ t)
-        if not np.array_equal(num @ self.flat, self.den * t):
-            raise NotClosed("bracket leaves the span of the basis")
+    def expand(self, target: IntMatrix) -> list[int | Fraction]:
+        bt: dict[int, int] = {}
+        for pos, v in target.entries.items():
+            for l, w in self.at.get(pos, ()):
+                bt[l] = bt.get(l, 0) + w * v
+        num = [0] * len(self.mats)
+        for l, x in bt.items():
+            for k, g in self.inv_cols[l]:
+                num[k] += g * x
+        back: dict[tuple[int, int], int] = {}
+        for k, x in enumerate(num):
+            if x:
+                for pos, v in self.mats[k].entries.items():
+                    back[pos] = back.get(pos, 0) + x * v
         den = self.den
-        return [x // den if x % den == 0 else Fraction(x, den) for x in num.tolist()]
+        if IntMatrix(target.size, back).entries != {p: den * v for p, v in target.entries.items()}:
+            raise NotClosed("bracket leaves the span of the basis")
+        return [x // den if x % den == 0 else Fraction(x, den) for x in num]
 
 
-def _fraction_inverse(M: np.ndarray) -> list[list[Fraction]]:
-    d = M.shape[0]
-    aug = [[Fraction(int(M[i, j])) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)]
-           for i in range(d)]
+def _fraction_inverse(M: list[list[int]]) -> list[list[Fraction]]:
+    d = len(M)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+           for i, row in enumerate(M)]
     for col in range(d):
-        piv = next(i for i in range(col, d) if aug[i][col] != 0)
+        piv = next((i for i in range(col, d) if aug[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular Gram matrix: the basis is linearly dependent")
         aug[col], aug[piv] = aug[piv], aug[col]
         pv = aug[col][col]
         aug[col] = [x / pv for x in aug[col]]

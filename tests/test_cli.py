@@ -296,3 +296,25 @@ def test_optimized_interpreter_gives_the_same_output(argv):
             for flags in ([], ["-O"])]
     assert runs[0].returncode == 0
     assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
+
+
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from twistorflow import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv.split()) for argv in sys.argv[1:]]
+added = set(sys.modules) - before
+foreign = sorted(m for m in added if m.partition(".")[0] not in sys.stdlib_module_names
+                 and m.partition(".")[0] != "twistorflow")
+print(json.dumps({"codes": codes, "foreign": foreign}))
+"""
+
+
+def test_startup_path_loads_only_the_standard_library():
+    # every tflow call is a fresh interpreter: no third-party import on its path
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE,
+                           "ricci --family z --n 2 --lambda2 1/2", "verify --n 2"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "foreign": []}

@@ -3,14 +3,14 @@ import json
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistorflow.liealg import (EqualIndices, NotClosed,
                                 bracket, build_sp_basis, build_sp_sp1_basis, exact_rank,
                                 hpn_curvature, jacobi_residual, right_action_matrices,
                                 sectional, structure_constants, verify_block_equations)
-from twistorflow.liealg import LieAlgebraSpec, _Expander
+from twistorflow.liealg import IntMatrix, LieAlgebraSpec, _Expander, _sp_structure
 from twistorflow.forms import DimensionMismatch
 
 
@@ -50,7 +50,7 @@ def test_bracket_basics():
     A = L.basis[0]
     assert not bracket(A, A).any()
     with pytest.raises(DimensionMismatch):
-        bracket(A, np.zeros((4, 4), dtype=np.int64))
+        bracket(A, IntMatrix(4, {}))
 
 
 def test_bracket_alpha_relations():
@@ -88,17 +88,24 @@ def test_sp1_restriction_factor_two():
 
 
 def test_abelian_diagonal_algebra():
-    mats = [np.diag([1, 0, 0, 0]).astype(np.int64), np.diag([0, 1, 0, 0]).astype(np.int64)]
+    mats = [IntMatrix(4, {(0, 0): 1}), IntMatrix(4, {(1, 1): 1})]
     L = LieAlgebraSpec("abelian", 2, mats, [("d", 0), ("d", 1)])
     sc = structure_constants(L)
     assert sc.c == {}
 
 
 def test_not_closed_detection():
-    e = np.array([[0, 1], [0, 0]], dtype=np.int64)
-    f = np.array([[0, 0], [1, 0]], dtype=np.int64)
+    e = IntMatrix(2, {(0, 1): 1})
+    f = IntMatrix(2, {(1, 0): 1})
     L = LieAlgebraSpec("bad", 2, [e, f], [("e",), ("f",)])
     with pytest.raises(NotClosed):
+        structure_constants(L)
+
+
+def test_dependent_basis_is_rejected():
+    e = IntMatrix(2, {(0, 1): 1, (1, 0): -1})
+    L = LieAlgebraSpec("dependent", 2, [e, e], [("e",), ("f",)])
+    with pytest.raises(ValueError, match="linearly dependent"):
         structure_constants(L)
 
 
@@ -165,6 +172,93 @@ def test_block_equation_reports_are_pinned():
         k = rng.randrange(21)
         reports.append(json.dumps(verify_block_equations(2, tamper=(i, j, k)), sort_keys=True))
     assert _sha16("\n".join(reports)) == BLOCK_REPORT_GOLDEN["tampers"]
+
+
+def _dense(M: IntMatrix) -> list[list[int]]:
+    return [[M.entries.get((r, c), 0) for c in range(M.size)] for r in range(M.size)]
+
+
+# the first 16 hex digits of the SHA-256 of the sp(n+1) structure constants
+# (json of the sorted rows [i, j, sorted [k, str(value)]]) and of the dense
+# entry lists of the basis and right-action matrices, recorded from the dense
+# int64 builders before IntMatrix replaced them
+SP_STRUCTURE_GOLDEN = {2: "125c1a6944a66b86", 3: "79ebe2d415f985b5", 4: "27cd6ad2ac217a5e"}
+MATRIX_GOLDEN = {
+    2: {"sp": "1053955c087e6a2d", "sp+sp1": "c520238ce1356080", "right": "74b27b99f5a60e14"},
+    3: {"sp": "0cc8d2ccc61b9eb0", "sp+sp1": "a4e6a850ec29b7fa", "right": "3577903938dd2fc7"},
+}
+
+
+def test_structure_constants_are_pinned():
+    for n, want in SP_STRUCTURE_GOLDEN.items():
+        rows = [[i, j, sorted([k, str(v)] for k, v in row.items())]
+                for (i, j), row in sorted(_sp_structure(n).c.items())]
+        assert _sha16(json.dumps(rows)) == want
+
+
+def test_basis_matrices_are_pinned():
+    for n, want in MATRIX_GOLDEN.items():
+        mats = {"sp": build_sp_basis(n).basis, "sp+sp1": build_sp_sp1_basis(n).basis,
+                "right": right_action_matrices(n)}
+        got = {name: _sha16(json.dumps([_dense(M) for M in ms])) for name, ms in mats.items()}
+        assert got == want
+
+
+# sparse entries, with magnitudes past 2**63 where int64 arithmetic would wrap
+_ENTRY = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70),
+                   st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 64 + 1]))
+
+
+@st.composite
+def _int_matrix(draw, size):
+    pos = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    return IntMatrix(size, draw(st.dictionaries(pos, _ENTRY, max_size=2 * size)))
+
+
+@st.composite
+def _int_matrix_pair(draw):
+    size = draw(st.integers(1, 6))
+    return draw(_int_matrix(size)), draw(_int_matrix(size))
+
+
+def _dense_mul(a, b):
+    n = len(a)
+    return [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+
+
+def _dense_zip(a, b, op):
+    return [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_matrix_pair())
+def test_int_matrix_agrees_with_a_dense_oracle(pair):
+    A, B = pair
+    a, b = _dense(A), _dense(B)
+    n = A.size
+    assert A.shape == (n, n)
+    assert _dense(A @ B) == _dense_mul(a, b)
+    assert _dense(A + B) == _dense_zip(a, b, lambda x, y: x + y)
+    assert _dense(A - B) == _dense_zip(a, b, lambda x, y: x - y)
+    assert _dense(-A) == [[-x for x in row] for row in a]
+    assert _dense(A.T) == [list(col) for col in zip(*a)]
+    assert _dense(bracket(A, B)) == _dense_zip(_dense_mul(a, b), _dense_mul(b, a),
+                                               lambda x, y: x - y)
+    assert A.any() == any(any(row) for row in a)
+    assert not bracket(A, A).any()
+    for M in (A, B, A @ B, A + B, A - B, A - A, -A, A.T, bracket(A, B)):
+        assert 0 not in M.entries.values()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.data())
+def test_int_matrix_sizes_must_agree(size, extra, data):
+    A = data.draw(_int_matrix(size))
+    B = data.draw(_int_matrix(size + extra))
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x @ y, bracket):
+        for X, Y in ((A, B), (B, A)):
+            with pytest.raises(DimensionMismatch):
+                op(X, Y)
 
 
 def test_hpn_curvature_constants():
