@@ -16,11 +16,12 @@ from fractions import Fraction
 
 from .canonical import (MetricParams, OutOfDomain, einstein_solve_canonical,
                         ricci_canonical)
-from .flow import (CANONICAL, Z, FlowState, classify, entropy_series, entropy_to_csv,
-                   entropy_to_json, integrate, trajectory_to_csv, trajectory_to_json)
 from .liealg import hpn_curvature, sectional
-from .verify import run_checks
 from .zmetric import einstein_solve_z, ricci_z
+
+# flow.CANONICAL and flow.Z: verify and flow are imported only by the
+# commands that use them, so ricci, einstein and curvature load neither
+CANONICAL, Z = "canonical", "z"
 
 # largest n that ricci and curvature accept: their cost grows geometrically
 # in n (ricci --family z about 2.7x per step); n < 2 is rejected by the
@@ -85,6 +86,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--tamper needs three basis indices i,j,k in 0..{dim - 1}")
         if tamper[0] == tamper[1]:
             raise ValueError("--tamper needs i != j: c^k_ii is not a structure constant")
+    from .verify import run_checks
     report = run_checks(args.n, tamper=tamper)
     if args.format == "json":
         print(json.dumps(report, indent=2))
@@ -151,12 +153,14 @@ def cmd_curvature(args) -> int:
 
 
 def _initial_state(args) -> FlowState:
+    from .flow import FlowState
     mu, _ = _parse_rational(args.lambda2)
     rho0, _ = _parse_rational(args.rho0)
     return FlowState(0.0, float(rho0), float(mu), args.family, args.n)
 
 
 def cmd_flow(args) -> int:
+    from .flow import classify, integrate, trajectory_to_csv, trajectory_to_json
     try:
         init = _initial_state(args)
     except ValueError as ex:
@@ -197,6 +201,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_entropy(args) -> int:
+    from .flow import entropy_series, entropy_to_csv, entropy_to_json
     try:
         init = _initial_state(args)
         records = entropy_series(init, args.samples)

@@ -17,9 +17,11 @@ from fractions import Fraction
 
 from .coeff import ONE, ZERO, Coeff
 from .forms import (DerivativeRules, FormMatrix, OneForm, TwoForm, _add_into, _add_pair,
-                    _wedge_into, eval_pair, exterior_derivative)
+                    _curvature_entries, _wedge_into, exterior_derivative, frame_index,
+                    pairing_table)
 
-__all__ = ["coframe_expansion", "levi_civita", "ricci_matrix", "NonMetricStructure"]
+__all__ = ["coframe_expansion", "levi_civita", "ricci_matrix", "ricci_from_gamma",
+           "NonMetricStructure"]
 
 
 class NonMetricStructure(ValueError):
@@ -176,17 +178,35 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules) -> FormMatrix:
 def ricci_matrix(curv: FormMatrix, frames: list) -> list[list[Coeff]]:
     """Ric(e_i, e_j) = sum_k Omega^j_k(e_i, e_k) over an orthonormal frame."""
     m = curv.dim
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            total = None
-            for k in range(m):
-                w = curv.entries[j][k]
-                if w.is_zero():
-                    continue
-                t = eval_pair(w, frames[i], frames[k])
-                total = t if total is None else total + t
-            row.append(total if total is not None else ZERO)
-        out.append(row)
-    return out
+    index = frame_index(frames)
+    acc: dict[tuple[int, int], Coeff] = {}
+    for j in range(m):
+        for k in range(m):
+            for (i, l), t in pairing_table(curv.entries[j][k], index).items():
+                if l == k:
+                    _add_into(acc, (i, j), t)
+    return [[acc.get((i, j), ZERO) for j in range(m)] for i in range(m)]
+
+
+def ricci_from_gamma(gamma: FormMatrix, rules: DerivativeRules) -> list[list[Coeff]]:
+    """ricci_matrix(curvature(gamma, rules), frames) for the unit frames
+    e_K = {K: 1} of the basis gamma is written over, without building Omega.
+
+    Over those frames Omega^j_k(e_i, e_k) is the (i, k) component of
+    Omega^j_k, so Ric reads of each Omega^i_j (i < j) only the components
+    with an index in {i, j}, and no other component is computed.
+    """
+    m = gamma.dim
+    acc: dict[tuple[int, int], Coeff] = {}
+    for i, j, w in _curvature_entries(gamma, rules, touching=True):
+        # Ric(e_a, e_i) += Omega^i_j(e_a, e_j), Ric(e_a, e_j) += Omega^j_i(e_a, e_i)
+        for (p, q), c in w.items():
+            if q == j:
+                _add_into(acc, (p, i), c)
+            elif p == j:
+                _add_into(acc, (q, i), -c)
+            if q == i:
+                _add_into(acc, (p, j), -c)
+            elif p == i:
+                _add_into(acc, (q, j), c)
+    return [[acc.get((a, b), ZERO) for b in range(m)] for a in range(m)]

@@ -28,6 +28,8 @@ __all__ = [
     "exterior_derivative",
     "mat_wedge",
     "eval_pair",
+    "frame_index",
+    "pairing_table",
     "specialize",
 ]
 
@@ -63,12 +65,26 @@ def _add_pair(acc: dict, i: int, j: int, c: Coeff) -> None:
         _add_into(acc, (j, i), -c)
 
 
-def _wedge_into(acc: dict, a: "OneForm", b: "OneForm") -> None:
-    """Add a ^ b to a 2-form map."""
-    for i, ci in a.coeffs.items():
-        for j, cj in b.coeffs.items():
-            if i != j:
-                _add_pair(acc, i, j, ci * cj)
+def _wedge_into(acc: dict, a: "OneForm", b: "OneForm", keep: tuple | None = None) -> None:
+    """Add a ^ b to a 2-form map; with keep, only its components with an index in keep."""
+    if keep is None:
+        for i, ci in a.coeffs.items():
+            for j, cj in b.coeffs.items():
+                if i != j:
+                    _add_pair(acc, i, j, ci * cj)
+        return
+    for i in keep:
+        ci = a.coeffs.get(i)
+        if ci is not None:
+            for j, cj in b.coeffs.items():
+                if i != j:
+                    _add_pair(acc, i, j, ci * cj)
+    for j in keep:
+        cj = b.coeffs.get(j)
+        if cj is not None:
+            for i, ci in a.coeffs.items():
+                if i != j and i not in keep:
+                    _add_pair(acc, i, j, ci * cj)
 
 
 class Basis:
@@ -250,6 +266,39 @@ def eval_pair(w: TwoForm, u: dict, v: dict) -> Coeff:
     return ZERO if total is None else total
 
 
+def frame_index(frames: list[dict]) -> dict[int, list[tuple[int, Coeff]]]:
+    """Invert a list of frames (basis-index -> Coeff pairings) to basis index
+    -> [(slot, value)], the index pairing_table reads."""
+    index: dict[int, list[tuple[int, Coeff]]] = {}
+    for slot, f in enumerate(frames):
+        for i, v in f.items():
+            index.setdefault(i, []).append((slot, v))
+    return index
+
+
+def pairing_table(w: TwoForm,
+                  index: dict[int, list[tuple[int, Coeff]]]) -> dict[tuple[int, int], Coeff]:
+    """Every nonzero w(e_L, e_M) over the frames of a frame_index, as
+    {(L, M): Coeff}, in one pass over w; equal to eval_pair pair by pair.
+
+    A term c e^i ^ e^j adds c u_i v_j to (L, M) and its negative to (M, L)
+    for each frame L pairing with e^i and M with e^j.
+    """
+    out: dict[tuple[int, int], Coeff] = {}
+    for (i, j), c in w.coeffs.items():
+        fi, fj = index.get(i), index.get(j)
+        if fi is None or fj is None:
+            continue
+        for L, ui in fi:
+            cu = c * ui
+            for M, vj in fj:
+                if L != M:
+                    t = cu * vj
+                    _add_into(out, (L, M), t)
+                    _add_into(out, (M, L), -t)
+    return out
+
+
 @dataclass
 class DerivativeRules:
     """d on basis forms (from structure constants) plus jet-symbol rules."""
@@ -266,6 +315,10 @@ class DerivativeRules:
 
     def d_coeff(self, c: Coeff) -> OneForm:
         """d of a scalar: Leibniz over grade-1 jet factors (grade-0 are constants)."""
+        return OneForm(self._d_coeff_map(c, None))
+
+    def _d_coeff_map(self, c: Coeff, only: tuple | None) -> dict[int, Coeff]:
+        """The map of d_coeff(c), or only its components at the indices in only."""
         acc: dict[int, Coeff] = {}
         for (k, mono), v in c.terms.items():
             for pos, sid in enumerate(mono):
@@ -275,19 +328,29 @@ class DerivativeRules:
                 if rule is None:
                     raise MissingRule(symbol_name(sid))
                 factor = Coeff({(k, mono[:pos] + mono[pos + 1:]): v})
-                for idx, rc in rule.coeffs.items():
-                    _add_into(acc, idx, rc * factor)
-        return OneForm(acc)
+                coeffs = rule.coeffs
+                for idx in (coeffs if only is None else only):
+                    rc = coeffs.get(idx)
+                    if rc is not None:
+                        _add_into(acc, idx, rc * factor)
+        return acc
 
 
-def _d_term_into(acc: dict, rules: DerivativeRules, idx: int, c1: Coeff, c0: Coeff) -> None:
-    """Add d(c1) ^ e^idx + c0 de^idx to a 2-form map; c1 = c0 = c gives d(c e^idx)."""
+def _d_term_into(acc: dict, rules: DerivativeRules, idx: int, c1: Coeff, c0: Coeff | None,
+                 keep: tuple | None = None) -> None:
+    """Add d(c1) ^ e^idx + c0 de^idx to a 2-form map; c1 = c0 = c gives d(c e^idx).
+
+    With keep, only the components with an index in keep are added: then
+    d(c1) is read only at the indices in keep unless idx is one of them.
+    """
     if c1.terms:
-        for m, cm in rules.d_coeff(c1).coeffs.items():
+        only = None if keep is None or idx in keep else keep
+        for m, cm in rules._d_coeff_map(c1, only).items():
             _add_pair(acc, m, idx, cm)
-    if c0.terms:
+    if c0 is not None and c0.terms:
         for key, v in rules.d_basis[idx].coeffs.items():
-            _add_into(acc, key, v * c0)
+            if keep is None or key[0] in keep or key[1] in keep:
+                _add_into(acc, key, v * c0)
 
 
 def exterior_derivative(a: OneForm, rules: DerivativeRules) -> TwoForm:
@@ -387,6 +450,28 @@ def mat_wedge(A: FormMatrix, B: FormMatrix) -> FormMatrix:
     return FormMatrix(A.dim, out)
 
 
+def _curvature_entries(gamma: FormMatrix, rules: DerivativeRules, touching: bool):
+    """Yield (i, j, 2-form map of Omega^i_j) for i < j, as curvature defines it.
+
+    With touching, each map holds only the components with an index in
+    {i, j}: over unit frames, those are all a Ricci contraction reads.
+    """
+    m = gamma.dim
+    rules0 = DerivativeRules(rules.basis, [w.grade_part(0) for w in rules.d_basis],
+                             {sid: r.grade_part(0) for sid, r in rules.jet_rules.items()})
+    g0 = [[e.grade_part(0) for e in row] for row in gamma.entries]
+    for i in range(m):
+        for j in range(i + 1, m):
+            keep = (i, j) if touching else None
+            acc: dict[tuple[int, int], Coeff] = {}
+            g0ij = g0[i][j].coeffs
+            for idx, c in gamma.entries[i][j].coeffs.items():
+                _d_term_into(acc, rules0, idx, c.grade_part(1), g0ij.get(idx), keep)
+            for k in range(m):
+                _wedge_into(acc, g0[i][k], g0[k][j], keep)
+            yield i, j, acc
+
+
 def curvature(gamma: FormMatrix, rules: DerivativeRules) -> FormMatrix:
     """Curvature at the base point: the grade-0 part of d Gamma + Gamma ^ Gamma.
 
@@ -398,21 +483,10 @@ def curvature(gamma: FormMatrix, rules: DerivativeRules) -> FormMatrix:
     i < j are computed, and the rest are mirrored.  Without jets (the
     canonical family) this is the whole curvature.
     """
-    m = gamma.dim
-    rules0 = DerivativeRules(rules.basis, [w.grade_part(0) for w in rules.d_basis],
-                             {sid: r.grade_part(0) for sid, r in rules.jet_rules.items()})
-    g0 = [[e.grade_part(0) for e in row] for row in gamma.entries]
-    out = FormMatrix.zero(m, two=True)
-    for i in range(m):
-        for j in range(i + 1, m):
-            acc: dict[tuple[int, int], Coeff] = {}
-            g0ij = g0[i][j].coeffs
-            for idx, c in gamma.entries[i][j].coeffs.items():
-                _d_term_into(acc, rules0, idx, c.grade_part(1), g0ij.get(idx, ZERO))
-            for k in range(m):
-                _wedge_into(acc, g0[i][k], g0[k][j])
-            out.entries[i][j] = TwoForm(acc)
-            out.entries[j][i] = -out.entries[i][j]
+    out = FormMatrix.zero(gamma.dim, two=True)
+    for i, j, acc in _curvature_entries(gamma, rules, touching=False):
+        out.entries[i][j] = TwoForm(acc)
+        out.entries[j][i] = -out.entries[i][j]
     return out
 
 

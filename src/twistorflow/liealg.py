@@ -11,7 +11,8 @@ from functools import lru_cache
 
 from .coeff import ONE, Coeff, ring_value
 from .forms import (Basis, DerivativeRules, DimensionMismatch, FormMatrix, OneForm,
-                    TwoForm, eval_pair, exterior_derivative, mat_wedge, wedge)
+                    TwoForm, exterior_derivative, frame_index, mat_wedge, pairing_table,
+                    wedge)
 
 __all__ = [
     "LieAlgebraSpec",
@@ -585,21 +586,13 @@ def hpn_curvature(n: int, route: str = "both") -> CurvatureTensor:
         out = {}
         m = 4 * n
         # frame index A = 1..4n is X^i_a with i = (A - 1) // n, a = (A - 1) % n + 1
-        duals = {A: {basis.x((A - 1) // n, (A - 1) % n + 1): ONE} for A in range(1, m + 1)}
+        index = frame_index([{basis.x(L // n, L % n + 1): ONE} for L in range(m)])
         for A in range(1, m + 1):
             for B in range(1, m + 1):
-                w = om.entries[A - 1][B - 1]
-                if w.is_zero():
-                    continue
-                for C in range(1, m + 1):
-                    for D in range(C + 1, m + 1):
-                        v = eval_pair(w, duals[C], duals[D])
-                        if v.is_zero():
-                            continue
-                        x = v.lam_poly().get(0, Fraction(0))
-                        if x:
-                            out[(A, B, C, D)] = x
-                            out[(A, B, D, C)] = -x
+                for (L, M), v in pairing_table(om.entries[A - 1][B - 1], index).items():
+                    x = v.lam_poly().get(0, Fraction(0))
+                    if x:
+                        out[(A, B, L + 1, M + 1)] = x
         return out
 
     if route in ("closed_form", "both"):

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .coeff import ONE, ZERO, Coeff, jet_symbol
-from .connections import coframe_expansion, levi_civita, ricci_matrix
+from .connections import coframe_expansion, levi_civita, ricci_from_gamma
 from .forms import (DerivativeRules, FormMatrix, OneForm, TwoForm, _add_into, _wedge_into,
-                    curvature, eval_pair, exterior_derivative)
+                    curvature, exterior_derivative, frame_index, pairing_table, specialize)
 
 __all__ = ["SlotBasis", "PointGeometry", "point_geometry"]
 
@@ -43,9 +44,15 @@ class PointGeometry:
     """Coframe-coordinate model of a metric germ at the base point.
 
     omega is the curvature at the point (the grade-0 part of the second
-    structure equation), not the full curvature germ.  A PointGeometry
-    returned by zmetric.z_geometry is a cached object shared by every
-    caller and must not be mutated.
+    structure equation), not the full curvature germ.  It is lazy: computed
+    on first read, then cached.  ricci() never reads it; it contracts Gamma
+    over the unit slot frames directly (connections.ricci_from_gamma), which
+    computes of each Omega^i_j (i < j) only the components with an index in
+    {i, j}.  A geometry specialised at a numeric lambda^2 carries the symbolic
+    geometry and lambda^2 in specialized_from, and its omega and Ricci are
+    the specialised ones of that geometry.  A PointGeometry returned by
+    zmetric.z_geometry is a cached object shared by every caller and must
+    not be mutated.
     """
 
     slot_basis: SlotBasis
@@ -53,11 +60,21 @@ class PointGeometry:
     coframe: list[OneForm]
     frames: list[dict]
     gamma: FormMatrix
-    omega: FormMatrix
     extras_expansion: dict[int, OneForm]
+    specialized_from: tuple["PointGeometry", Fraction] | None = None
+
+    @cached_property
+    def omega(self) -> FormMatrix:
+        if self.specialized_from is None:
+            return curvature(self.gamma, self.rules)
+        geo, mu = self.specialized_from
+        return specialize(geo.omega, mu)
 
     def ricci(self) -> list[list[Coeff]]:
-        return ricci_matrix(self.omega, self.frames)
+        if self.specialized_from is None:
+            return ricci_from_gamma(self.gamma, self.rules)
+        geo, mu = self.specialized_from
+        return [[c.specialize(mu) for c in row] for row in geo.ricci()]
 
 
 def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRules,
@@ -117,24 +134,18 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
 
     # derivative rules of the expansion jets: antisymmetric part pinned by
     # the known d of the ambient form, symmetric part a fresh unknown
-    dtheta_pair = [[[eval_pair(dth_amb[K], value_frames[L], value_frames[M])
-                     for M in range(m)] for L in range(m)] for K in range(m)]
+    index = frame_index(value_frames)
+    dtheta_pair = [pairing_table(dt, index) for dt in dth_amb]
 
     slot_jet_rules: dict[int, OneForm] = {}
     for e in extras:
-        de = ambient_rules.d_basis[e]
-        W = [[None] * m for _ in range(m)]
-        for L in range(m):
-            for M in range(m):
-                if L == M:
-                    W[L][M] = ZERO
-                    continue
-                t = eval_pair(de, value_frames[L], value_frames[M])
-                for K in range(m):
-                    v = val(e, K)
-                    if not v.is_zero():
-                        t = t - v * dtheta_pair[K][L][M]
-                W[L][M] = t
+        # W[(L, M)] = de(e_L, e_M) - sum_K val(e, K) dtheta^K(e_L, e_M)
+        W = pairing_table(ambient_rules.d_basis[e], index)
+        for K in range(m):
+            v = val(e, K)
+            if not v.is_zero():
+                for LM, t in dtheta_pair[K].items():
+                    _add_into(W, LM, -(v * t))
         lab = _label_str(ambient_basis.labels[e])
         half = Fraction(1, 2)
         for K in range(m):
@@ -142,7 +153,7 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
             for M in range(m):
                 kk, mm = (K, M) if K <= M else (M, K)
                 sym = Coeff.symbol(jet_symbol(f"SYM[{lab}|{kk},{mm}]", 0))
-                d_km = sym + W[M][K].scale(half)
+                d_km = sym + W.get((M, K), ZERO).scale(half)
                 items.append((M, d_km))
             slot_jet_rules[fjets[e][K].sid] = OneForm.build(items)
 
@@ -154,7 +165,5 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
     slot_rules = DerivativeRules(slot_basis, d_slot, slot_jet_rules)
     slot_coframe = [OneForm.basis(K, ONE) for K in range(m)]
     gamma = levi_civita(slot_coframe, slot_rules)
-    omega = curvature(gamma, slot_rules)
     frames = [{K: ONE} for K in range(m)]
-    return PointGeometry(slot_basis, slot_rules, slot_coframe, frames, gamma, omega,
-                         extras_expansion)
+    return PointGeometry(slot_basis, slot_rules, slot_coframe, frames, gamma, extras_expansion)

@@ -287,18 +287,19 @@ def _z_point_geometry(n: int, ambiguity: str, free_gamma_fiber: bool, cutoff: in
 def z_geometry(p: MetricParams, ambiguity: str = "none", free_gamma_fiber: bool = False):
     """Connection and curvature of the Z-metric in coframe coordinates.
 
-    omega is the curvature at the base point (its grade-0 part), which is
-    all the Ricci contraction reads.  The symbolic geometry is built once per
-    (n, ambiguity, free_gamma_fiber, active jet cutoff) and shared by every
-    caller, so callers must not mutate it.  gamma and omega are specialized
-    at a numeric p.lambda2; the coframe-level data (rules, extras_expansion)
-    stay symbolic in lambda.
+    omega is the curvature at the base point (its grade-0 part), computed on
+    first read; the Ricci contraction does not read it.  The symbolic
+    geometry is built once per (n, ambiguity, free_gamma_fiber, active jet
+    cutoff) and shared by every caller, so callers must not mutate it.  gamma
+    is specialized at a numeric p.lambda2, and omega and ricci() are those of
+    the symbolic geometry specialized; the coframe-level data (rules,
+    extras_expansion) stay symbolic in lambda.
     """
     geo = _z_point_geometry(p.n, ambiguity, free_gamma_fiber, active_cutoff())
     if p.lambda2 is None:
         return geo
     return replace(geo, gamma=specialize(geo.gamma, p.lambda2),
-                   omega=specialize(geo.omega, p.lambda2))
+                   specialized_from=(geo, p.lambda2))
 
 
 def connection_z(p: MetricParams, ambiguity: str = "none") -> FormMatrix:

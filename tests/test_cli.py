@@ -150,6 +150,8 @@ def test_export_bytes_are_pinned(argv, file_sha, stdout_sha, stderr_sha, code, t
 STDOUT_GOLDEN = [
     ("verify --n 2 --format json", "b4f9a8c599e4d3a7"),
     ("curvature --n 3 --format json", "d41e8e6cede0e07d"),
+    ("ricci --family z --n 3 --lambda2 3/7 --format json", "8c043795e21c78b2"),
+    ("ricci --family z --n 4 --lambda2 3/7 --format json", "127deb7c9b508378"),
 ]
 
 
@@ -248,13 +250,6 @@ def test_verify_report_is_order_stable():
     assert [r["check"] for r in rep1] == [r["check"] for r in rep2]
 
 
-def test_thread_cap_env(monkeypatch):
-    from twistorflow.verify import run_checks
-    monkeypatch.setenv("TFLOW_THREADS", "1")
-    rep = run_checks(2, checks=["lie_algebra"])
-    assert rep[0]["status"] == "pass"
-
-
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "twistorflow.cli", "einstein",
                            "--family", "z", "--n", "4", "--format", "json"],
@@ -318,3 +313,28 @@ def test_startup_path_loads_only_the_standard_library():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0, 0], "foreign": []}
+
+
+_QUERY_PROBE = """
+import contextlib, io, json, sys
+from twistorflow import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1].split())
+print(json.dumps([code, sorted(m for m in ("twistorflow.verify", "twistorflow.flow")
+                               if m in sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("argv", ["ricci --family z --n 2 --lambda2 1/2",
+                                  "einstein --family canonical --n 3",
+                                  "curvature --n 2 --sectional"])
+def test_queries_load_neither_verify_nor_flow(argv):
+    proc = subprocess.run([sys.executable, "-c", _QUERY_PROBE, argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+
+
+def test_family_names_match_flow():
+    from twistorflow import cli, flow
+    assert (cli.CANONICAL, cli.Z) == (flow.CANONICAL, flow.Z)

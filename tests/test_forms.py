@@ -8,7 +8,8 @@ from twistorflow.coeff import Coeff, ONE, ZERO, jet_cutoff, jet_symbol
 from twistorflow.connections import _decompose
 from twistorflow.forms import (Basis, DimensionMismatch, FormMatrix, MissingRule,
                                OneForm, TwoForm, d2_residual, eval_pair,
-                               exterior_derivative, mat_wedge, wedge)
+                               exterior_derivative, frame_index, mat_wedge, pairing_table,
+                               wedge)
 from twistorflow.liealg import build_sp_basis, make_rules, structure_constants
 
 
@@ -330,3 +331,19 @@ def test_sparse_sums_never_store_a_zero(cutoff, raw, n_mirrored, rnd):
         C, Mx, E = _decompose(built, expans, {3, 4})
         assert _no_zero(C) and _no_zero(Mx) and _no_zero(E)
         assert all(K < L for K, L in C)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cutoff=st.sampled_from([2, 3]),
+       raw=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), _coeff_spec), max_size=8),
+       frames=st.lists(st.dictionaries(st.integers(0, 5), _coeff_spec, max_size=3),
+                       min_size=1, max_size=4))
+def test_pairing_table_equals_eval_pair(cutoff, raw, frames):
+    with jet_cutoff(cutoff):
+        w = TwoForm.build((i, j, _make_coeff(spec)) for i, j, spec in raw)
+        fs = [{i: _make_coeff(spec) for i, spec in f.items()} for f in frames]
+        table = pairing_table(w, frame_index(fs))
+        assert _no_zero(table)
+        for L in range(len(fs)):
+            for M in range(len(fs)):
+                assert table.get((L, M), ZERO) == eval_pair(w, fs[L], fs[M])

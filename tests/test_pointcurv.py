@@ -5,17 +5,20 @@ through the point-geometry machinery with unknown Gamma~ frame values must
 reproduce the same Ricci tensor with every unknown cancelling.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 from twistorflow.canonical import (MetricParams, canonical_setup, curvature_canonical,
                                    ricci_canonical)
-from twistorflow.coeff import Coeff, jet_symbol
-from twistorflow.connections import levi_civita
-from twistorflow.forms import curvature, mat_wedge
+import twistorflow
+from twistorflow import forms
+from twistorflow.coeff import Coeff, jet_cutoff, jet_symbol
+from twistorflow.connections import levi_civita, ricci_matrix
+from twistorflow.forms import curvature, mat_wedge, specialize
 from twistorflow.pointcurv import point_geometry
-from twistorflow.zmetric import z_geometry
+from twistorflow.zmetric import _z_point_geometry, ricci_z, z_geometry
 
 
 def test_point_geometry_reproduces_canonical_ricci():
@@ -80,3 +83,41 @@ def test_curvature_matches_full_structure_equation_canonical(s_ratio):
     want = _full_curvature_grade0(gamma, rules)
     assert curvature(gamma, rules).entries == want
     assert curvature_canonical(p).entries == want
+
+
+@pytest.mark.parametrize("n, cutoff", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("ambiguity", ["none", "grade1", "stripped", "grade0"])
+@pytest.mark.parametrize("free_gamma_fiber", [False, True])
+def test_direct_contraction_matches_ricci_of_curvature(n, cutoff, ambiguity, free_gamma_fiber):
+    with jet_cutoff(cutoff):
+        geo = z_geometry(MetricParams(n), ambiguity, free_gamma_fiber=free_gamma_fiber)
+        # geo.ricci() is ricci_from_gamma(geo.gamma, geo.rules)
+        assert geo.ricci() == ricci_matrix(curvature(geo.gamma, geo.rules), geo.frames)
+
+
+def test_ricci_z_never_builds_the_curvature(monkeypatch):
+    calls = []
+
+    def counted(gamma, rules):
+        calls.append(gamma.dim)
+        return curvature(gamma, rules)
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "twistorflow" and getattr(mod, "curvature", None) is curvature:
+            monkeypatch.setattr(mod, "curvature", counted)
+    assert forms.curvature is counted and twistorflow.pointcurv.curvature is counted
+    _z_point_geometry.cache_clear()
+    rd = ricci_z(MetricParams(2, lambda2=Fraction(3, 7)))
+    assert rd.fiber_at(Fraction(3, 7)) == Fraction(28, 3) and calls == []
+    # the lazy omega is built on first read only, and once
+    geo = z_geometry(MetricParams(2))
+    assert geo.omega is geo.omega and calls == [10]
+
+
+def test_specialized_geometry_reads_the_symbolic_omega():
+    mu = Fraction(3, 7)
+    sym = z_geometry(MetricParams(2))
+    num = z_geometry(MetricParams(2, lambda2=mu))
+    assert num.gamma == specialize(sym.gamma, mu)
+    assert num.omega.entries == specialize(curvature(sym.gamma, sym.rules), mu).entries
+    assert num.ricci() == ricci_matrix(num.omega, num.frames)
