@@ -152,6 +152,16 @@ def cmd_curvature(args) -> int:
     return 0
 
 
+def _export(path, write, *args) -> None:
+    """Stream write(*args, out) into the file at path, or to stdout when no
+    path is given."""
+    if path:
+        with open(path, "w") as fh:
+            write(*args, fh)
+    else:
+        write(*args, sys.stdout)
+
+
 def _initial_state(args) -> FlowState:
     from .flow import FlowState
     mu, _ = _parse_rational(args.lambda2)
@@ -160,7 +170,7 @@ def _initial_state(args) -> FlowState:
 
 
 def cmd_flow(args) -> int:
-    from .flow import classify, integrate, trajectory_to_csv, trajectory_to_json
+    from .flow import classify, integrate, write_trajectory
     try:
         init = _initial_state(args)
     except ValueError as ex:
@@ -174,12 +184,7 @@ def cmd_flow(args) -> int:
     else:
         t_end = float(args.t_end)
     traj = integrate(init, args.dt, t_end)
-    text = trajectory_to_csv(traj) if args.format == "csv" else trajectory_to_json(traj)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _export(args.out, write_trajectory, traj, args.format)
     summary = {"samples": len(traj.t),
                "max_invariant_drift": traj.max_invariant_drift()}
     if args.family == Z:
@@ -201,23 +206,27 @@ def cmd_flow(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    from .flow import entropy_series, entropy_to_csv, entropy_to_json
+    from .flow import entropy_records, write_entropy
     try:
         init = _initial_state(args)
-        records = entropy_series(init, args.samples)
+        records = entropy_records(init, args.samples)
     except ValueError as ex:
         sys.stderr.write(f"{ex}\n")
         return 2
-    text = (entropy_to_csv(init, records) if args.format == "csv"
-            else entropy_to_json(init, records))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-    ws = [r.w for r in records]
-    summary = {"samples": len(records),
-               "w_nondecreasing": all(a <= b + 1e-12 for a, b in zip(ws, ws[1:]))}
+    w_nondecreasing = True
+
+    def watched():
+        # each w against the one before it; -inf passes the first w unless it is nan
+        nonlocal w_nondecreasing
+        prev = -math.inf
+        for r in records:
+            if not prev <= r.w + 1e-12:
+                w_nondecreasing = False
+            prev = r.w
+            yield r
+
+    _export(args.out, write_entropy, init, watched(), args.format)
+    summary = {"samples": args.samples, "w_nondecreasing": w_nondecreasing}
     sys.stderr.write(json.dumps(summary) + "\n")
     return 0
 

@@ -6,18 +6,31 @@ classification and the entropy diagnostics live here.
 
 A `Trajectory` is stored by column (lists `t`, `rho`, `mu` and
 `invariant_series`); `Trajectory.samples` is a read-only view that builds a
-`FlowState` per sample on demand.  The CSV exports format each row once,
-with one "%.17g,...,%.17g" template; a row holding a non-float value (the
-exact initial state of a Fraction-valued library call) is formatted value
-by value through `_fmt`, which prints a Fraction as p/q.
+`FlowState` per sample on demand.
+
+The exports are written to a text stream as they are formatted, BLOCK_ROWS
+rows per write, so beyond the trajectory's columns their memory does not
+grow with the sample count; `entropy_records` computes each entropy record
+when it is read.  The CSV writer formats a row of floats with one
+"%.17g,...,%.17g" template and any other row (the exact initial state of a
+Fraction-valued library call) value by value through `_fmt`, which prints a
+Fraction as p/q.  The JSON writer gives the bytes of
+`json.dumps([...], separators=(",", ":"))`: a row of finite floats goes
+through one %r template, as json prints a float with `float.__repr__`, and
+any other row through `json.dumps`.  `trajectory_to_csv` and the other
+`*_to_*` functions return the same text as a string.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import mul
+from typing import Iterator
 
 __all__ = [
     "FlowState",
@@ -31,7 +44,10 @@ __all__ = [
     "invariant",
     "integrate",
     "classify",
+    "entropy_records",
     "entropy_series",
+    "write_trajectory",
+    "write_entropy",
     "trajectory_to_csv",
     "trajectory_to_json",
     "entropy_to_csv",
@@ -178,9 +194,9 @@ def invariant(state: FlowState):
 
 # integration stops once rho mu or rho falls to this fraction of its initial value
 FLOOR_RATIO = 1e-12
-# largest step count one integrate call, and largest sample count one
-# entropy_series call, accepts (every sample is kept); the flows in the tests
-# and the benchmark take at most about 31k steps
+# largest step count one integrate call (which keeps every sample), and
+# largest sample count one entropy_records call, accepts; the flows in the
+# tests and the benchmark take at most about 31k steps
 MAX_STEPS = 10 ** 6
 
 
@@ -203,8 +219,6 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
         raise ValueError(f"(t_end - t0)/dt = {span:.3g} exceeds the {MAX_STEPS} step budget")
 
     def deriv(v, rho):
-        if family == Z:
-            return -8.0, -8.0 * (n + 2)
         mu = v / rho
         return -8.0 * (1.0 + n * mu * mu), -8.0 * (n + 2 - mu)
 
@@ -222,13 +236,22 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
     c_base = (n * n + 3 * n + 1) / (n * (n + 1))
     log = math.log
     steps = max(0, int(round(span)))
+    if on_z:
+        # the Z right-hand side is constant, so every RK4 increment is the
+        # same float: the four stage values below, summed as in the general step
+        kv, kr = -8.0, -8.0 * (n + 2)
+        inc_v = step / 6.0 * (kv + 2 * kv + 2 * kv + kv)
+        inc_r = step / 6.0 * (kr + 2 * kr + 2 * kr + kr)
     for k in range(steps):
-        k1v, k1r = deriv(v, rho)
-        k2v, k2r = deriv(v + 0.5 * step * k1v, rho + 0.5 * step * k1r)
-        k3v, k3r = deriv(v + 0.5 * step * k2v, rho + 0.5 * step * k2r)
-        k4v, k4r = deriv(v + step * k3v, rho + step * k3r)
-        nv = v + step / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        nrho = rho + step / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
+        if on_z:
+            nv, nrho = v + inc_v, rho + inc_r
+        else:
+            k1v, k1r = deriv(v, rho)
+            k2v, k2r = deriv(v + 0.5 * step * k1v, rho + 0.5 * step * k1r)
+            k3v, k3r = deriv(v + 0.5 * step * k2v, rho + 0.5 * step * k2r)
+            k4v, k4r = deriv(v + step * k3v, rho + step * k3r)
+            nv = v + step / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+            nrho = rho + step / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
         if nv <= floor_v or nrho <= floor_rho:
             if nv <= 0 or nrho <= 0:
                 raise StepTooLarge(
@@ -291,14 +314,16 @@ def scalar_curvature(rho, mu, n: int):
     return 8 / (rho * mu) + 16 * n * (n + 2) / rho
 
 
-def entropy_series(initial: FlowState, samples: int) -> list[EntropyRecord]:
+def entropy_records(initial: FlowState, samples: int) -> Iterator[EntropyRecord]:
     """Entropy diagnostics along the ancient side (t < 0, tau = -t) of a
-    Z-trajectory with mu0 above the Einstein value.
+    Z-trajectory with mu0 above the Einstein value, equally spaced in t.
 
     u is spatially constant (1 over the coframe-normalized volume
     rho^(2n+1) mu), f comes from u = (4 pi tau)^-(2n+1) e^-f, and
-    w = tau Scal + f - (4n+2); w is nondecreasing in t.  A request for more
-    than MAX_STEPS samples is rejected.
+    w = tau Scal + f - (4n+2); w is nondecreasing in t.  The arguments are
+    checked when this is called and each record is computed when it is read.
+    A request for more than MAX_STEPS samples, or a start whose diagnostics
+    leave the float range, is rejected.
     """
     if initial.family != Z:
         raise ValueError("entropy diagnostics apply to the Z family")
@@ -309,78 +334,128 @@ def entropy_series(initial: FlowState, samples: int) -> list[EntropyRecord]:
         raise ValueError("need at least two samples")
     if samples > MAX_STEPS:
         raise ValueError(f"{samples} samples exceed the {MAX_STEPS} sample budget")
-    T = initial.rho / (8 * (n + 2))
+    rho0, mu0 = initial.rho, initial.mu
+    T = rho0 / (8 * (n + 2))
     tau_min, tau_max = T / 100.0, 10.0 * T
-    out = []
     dim = 4 * n + 2
-    for k in range(samples):
-        # equally spaced in t, increasing
+
+    def record(k: int) -> EntropyRecord:
         tau = tau_max + (tau_min - tau_max) * k / (samples - 1)
         t = -tau
-        rho, mu = _z_closed(initial.rho, initial.mu, n, t)
+        rho, mu = _z_closed(rho0, mu0, n, t)
         scal = scalar_curvature(rho, mu, n)
         vol = rho ** (2 * n + 1) * mu
         u = 1.0 / vol
         f = -math.log(u) - (2 * n + 1) * math.log(4 * math.pi * tau)
         w = tau * scal + f - dim
-        out.append(EntropyRecord(t=t, tau=tau, scal=scal, vol_ratio=vol, u=u, f=f, w=w))
-    return out
+        return EntropyRecord(t=t, tau=tau, scal=scal, vol_ratio=vol, u=u, f=f, w=w)
+
+    # rho and the volume fall as k grows, so if the first and the last record
+    # stay in float range every record does
+    try:
+        record(0)
+        record(samples - 1)
+    except ArithmeticError as ex:
+        raise ValueError(f"rho0 = {rho0} takes the entropy diagnostics out of float range") from ex
+    return map(record, range(samples))
+
+
+def entropy_series(initial: FlowState, samples: int) -> list[EntropyRecord]:
+    """The records of `entropy_records`, as a list."""
+    return list(entropy_records(initial, samples))
 
 
 _TRAJ_FIELDS = ["t", "rho", "mu", "rho_mu", "invariant"]
 _ENTROPY_FIELDS = ["t", "rho", "mu", "rho_mu", "invariant", "tau", "scal",
                    "vol_ratio", "u", "f", "w"]
 _FLOAT = {float}
+# rows formatted per write: the text held at once stays near BLOCK_ROWS rows
+BLOCK_ROWS = 2048
 
 
-def _csv(fields: list[str], rows) -> str:
+def _write_joined(parts, sep: str, out) -> None:
+    """Write sep.join(parts) to out, BLOCK_ROWS parts per write."""
+    parts = iter(parts)
+    lead = ""
+    while block := list(islice(parts, BLOCK_ROWS)):
+        out.write(lead)
+        out.write(sep.join(block))
+        lead = sep
+
+
+def _write_csv(fields: list[str], rows, out) -> None:
     """Header plus one line per row.  A row of floats is written by a single
     "%.17g,...\n" % row, which gives the bytes of `_fmt` on each value; a row
     holding anything else goes through `_fmt` value by value."""
     template = ",".join(["%.17g"] * len(fields)) + "\n"
-    lines = [",".join(fields) + "\n"]
-    for row in rows:
-        if set(map(type, row)) <= _FLOAT:
-            lines.append(template % row)
-        else:
-            lines.append(",".join(map(_fmt, row)) + "\n")
-    return "".join(lines)
+    out.write(",".join(fields) + "\n")
+    _write_joined((template % row if _FLOAT.issuperset(map(type, row))
+                   else ",".join(map(_fmt, row)) + "\n" for row in rows), "", out)
 
 
-def _json(fields: list[str], rows) -> str:
-    return json.dumps([dict(zip(fields, map(float, row))) for row in rows],
-                      indent=None, separators=(",", ":"))
+def _write_json(fields: list[str], rows, out) -> None:
+    """The bytes of json.dumps([dict(zip(fields, map(float, row))), ...],
+    separators=(",", ":")).  A row of finite floats is written by a single
+    %r template, as json prints a float with float.__repr__; any other row
+    (a non-float, or inf or nan, which json prints as Infinity and NaN) goes
+    through json.dumps."""
+    template = "{" + ",".join(json.dumps(f) + ":%r" for f in fields) + "}"
+    isfinite = math.isfinite
+    out.write("[")
+    _write_joined((template % row if _FLOAT.issuperset(map(type, row)) and isfinite(sum(row))
+                   else json.dumps(dict(zip(fields, map(float, row))), separators=(",", ":"))
+                   for row in rows), ",", out)
+    out.write("]")
+
+
+_WRITERS = {"csv": _write_csv, "json": _write_json}
 
 
 def _traj_rows(traj: Trajectory):
-    rho_mu = [r * m for r, m in zip(traj.rho, traj.mu)]
-    return zip(traj.t, traj.rho, traj.mu, rho_mu, traj.invariant_series)
+    return zip(traj.t, traj.rho, traj.mu, map(mul, traj.rho, traj.mu), traj.invariant_series)
+
+
+def _entropy_rows(initial: FlowState, records):
+    """One row per record, read as it is needed, its (rho, mu) from the
+    closed form at the record's (float) time, as entropy_records computed
+    them."""
+    n, rho0, mu0 = initial.n, initial.rho, initial.mu
+    z_shift = 1.0 / (n + 2)
+    for r in records:
+        rho, mu = _z_closed(rho0, mu0, n, r.t)
+        yield (r.t, rho, mu, rho * mu, rho * (mu - z_shift),
+               r.tau, r.scal, r.vol_ratio, r.u, r.f, r.w)
+
+
+def write_trajectory(traj: Trajectory, fmt: str, out) -> None:
+    """Write traj to the text stream out as fmt, "csv" or "json"."""
+    _WRITERS[fmt](_TRAJ_FIELDS, _traj_rows(traj), out)
+
+
+def write_entropy(initial: FlowState, records, fmt: str, out) -> None:
+    """Write the rows of records, an iterable of EntropyRecords read once in
+    order, to the text stream out as fmt, "csv" or "json"."""
+    _WRITERS[fmt](_ENTROPY_FIELDS, _entropy_rows(initial, records), out)
+
+
+def _text(write, *args) -> str:
+    """What write(*args, out) writes, as a string."""
+    buf = io.StringIO()
+    write(*args, buf)
+    return buf.getvalue()
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    return _csv(_TRAJ_FIELDS, _traj_rows(traj))
+    return _text(write_trajectory, traj, "csv")
 
 
 def trajectory_to_json(traj: Trajectory) -> str:
-    return _json(_TRAJ_FIELDS, _traj_rows(traj))
-
-
-def _entropy_rows(initial: FlowState, records: list[EntropyRecord]) -> list[tuple]:
-    """One row per record, its (rho, mu) from the closed form at the record's
-    (float) time, as entropy_series computed them."""
-    n, rho0, mu0 = initial.n, initial.rho, initial.mu
-    z_shift = 1.0 / (n + 2)
-    rows = []
-    for r in records:
-        rho, mu = _z_closed(rho0, mu0, n, r.t)
-        rows.append((r.t, rho, mu, rho * mu, rho * (mu - z_shift),
-                     r.tau, r.scal, r.vol_ratio, r.u, r.f, r.w))
-    return rows
+    return _text(write_trajectory, traj, "json")
 
 
 def entropy_to_csv(initial: FlowState, records: list[EntropyRecord]) -> str:
-    return _csv(_ENTROPY_FIELDS, _entropy_rows(initial, records))
+    return _text(write_entropy, initial, records, "csv")
 
 
 def entropy_to_json(initial: FlowState, records: list[EntropyRecord]) -> str:
-    return _json(_ENTROPY_FIELDS, _entropy_rows(initial, records))
+    return _text(write_entropy, initial, records, "json")

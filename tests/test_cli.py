@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -197,6 +198,32 @@ def test_domain_errors_exit_2():
 
 
 @pytest.mark.parametrize("argv", [
+    "entropy --n 2 --lambda2 1/2 --samples 1 --out {out}",
+    "entropy --n 2 --lambda2 1/8 --out {out}",
+    "entropy --n 2 --lambda2 1/2 --samples 1000001 --out {out}",
+    "entropy --n 2 --lambda2 1/2 --rho0 1e100 --out {out}",
+    "flow --family z --n 2 --lambda2 1/2 --dt 1e-300 --out {out}",
+])
+def test_rejected_export_writes_no_file(argv, tmp_path):
+    out = tmp_path / "x"
+    code, stdout = run_cli(argv.format(out=out).split())
+    assert (code, stdout, out.exists()) == (2, "", False)
+
+
+def test_entropy_summary_compares_each_w_with_the_one_before(monkeypatch, capsys):
+    from twistorflow import flow
+    for ws, verdict in (([0.0, 1.0, 1.0 - 1e-13, 2.0], True), ([0.0, 1.0, 0.5, 2.0], False),
+                        ([math.nan, 1.0], False), ([0.0, math.nan], False)):
+        recs = [flow.EntropyRecord(t=-1.0 + 0.1 * k, tau=1.0 - 0.1 * k, scal=1.0, vol_ratio=1.0,
+                                   u=1.0, f=0.0, w=w) for k, w in enumerate(ws)]
+        monkeypatch.setattr(flow, "entropy_records", lambda init, samples, recs=recs: iter(recs))
+        code, _ = run_cli(["entropy", "--n", "2", "--lambda2", "1/2", "--samples", str(len(ws))])
+        assert code == 0
+        assert json.loads(capsys.readouterr().err) == {"samples": len(ws),
+                                                       "w_nondecreasing": verdict}
+
+
+@pytest.mark.parametrize("argv", [
     "ricci --family z --n 2 --lambda2 1/0",
     "ricci --family z --n 2 --lambda2 inf",
     "ricci --family canonical --n 2 --lambda2 1e400",
@@ -212,6 +239,8 @@ def test_domain_errors_exit_2():
     "ricci --family z --n 7 --lambda2 1/2",
     "curvature --n 7",
     "entropy --n 2 --rho0 1 --lambda2 1/2 --samples 10000001",
+    "entropy --n 2 --rho0 1e100 --lambda2 1/2",
+    "entropy --n 2 --rho0 1e-300 --lambda2 1/2",
 ])
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     missing = tmp_path / "no-such-dir" / "out.csv"

@@ -1,16 +1,19 @@
+import io
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from twistorflow.canonical import MetricParams, ricci_canonical
-from twistorflow.flow import (CANONICAL, Z, Extinct, FlowState, OnEinsteinRay,
-                              StepTooLarge, classify, closed_form_z, entropy_series,
-                              entropy_to_csv, entropy_to_json, integrate, invariant,
-                              rhs, scalar_curvature, trajectory_to_csv,
-                              trajectory_to_json)
+from twistorflow.flow import (BLOCK_ROWS, CANONICAL, Z, Extinct, FlowState, OnEinsteinRay,
+                              StepTooLarge, Trajectory, classify, closed_form_z,
+                              entropy_records, entropy_series, entropy_to_csv,
+                              entropy_to_json, integrate, invariant, rhs, scalar_curvature,
+                              trajectory_to_csv, trajectory_to_json, write_entropy,
+                              write_trajectory)
 from twistorflow.zmetric import ricci_z
 
 
@@ -234,6 +237,13 @@ def test_entropy_series():
         entropy_series(FlowState(0.0, 1.0, 0.125, Z, 2), 10)
     with pytest.raises(ValueError):
         entropy_series(FlowState(0.0, 1.0, 0.5, CANONICAL, 2), 10)
+    # entropy_records checks its arguments when called, before any record is read
+    assert list(entropy_records(init, 200)) == recs
+    for bad in (FlowState(0.0, 1.0, 0.125, Z, 2), FlowState(0.0, 1.0, 0.5, CANONICAL, 2)):
+        with pytest.raises(ValueError):
+            entropy_records(bad, 10)
+    with pytest.raises(ValueError, match="out of float range"):
+        entropy_records(FlowState(0.0, 1e100, 0.5, Z, 2), 10)
 
 
 def test_serialization_schemas():
@@ -286,3 +296,74 @@ def test_backward_integration_ancient_canonical():
     trajz = integrate(initz, 1e-3, -40.0)
     assert abs(trajz.samples[-1].mu - 1 / (n + 2)) < 1e-3
     assert trajz.max_invariant_drift() < 1e-9
+
+
+# the join-based exports that the streamed writers replaced, kept as oracles
+def _oracle_fmt(x) -> str:
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    return format(float(x), ".17g")
+
+
+def _oracle_csv(fields, rows) -> str:
+    template = ",".join(["%.17g"] * len(fields)) + "\n"
+    lines = [",".join(fields) + "\n"]
+    for row in rows:
+        if set(map(type, row)) <= {float}:
+            lines.append(template % row)
+        else:
+            lines.append(",".join(map(_oracle_fmt, row)) + "\n")
+    return "".join(lines)
+
+
+def _oracle_json(fields, rows) -> str:
+    return json.dumps([dict(zip(fields, map(float, row))) for row in rows],
+                      indent=None, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("count", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS + 1])
+def test_streamed_writers_match_the_joined_exports(count):
+    rng = random.Random(count)
+    cols = [[rng.choice([1.0, -1.0]) * rng.random() * 10.0 ** rng.randint(-300, 300)
+             for _ in range(count)] for _ in range(4)]
+    if count:
+        # an exact initial row (p/q in csv), zeros, and a float subnormal
+        for col, x in zip(cols, (Fraction(0), Fraction(1, 3), Fraction(5, 2), -0.0)):
+            col[0] = x
+        cols[3][-1] = 5e-324
+    t, rho, mu, inv = cols
+    traj = Trajectory(t, rho, mu, inv, Z, 2)
+    rows = list(zip(t, rho, mu, [r * m for r, m in zip(rho, mu)], inv))
+    fields = ["t", "rho", "mu", "rho_mu", "invariant"]
+    for fmt, oracle in (("csv", _oracle_csv), ("json", _oracle_json)):
+        out = io.StringIO()
+        write_trajectory(traj, fmt, out)
+        assert out.getvalue() == oracle(fields, rows)
+    assert trajectory_to_csv(traj) == _oracle_csv(fields, rows)
+    if count > 2:
+        # json prints inf and nan as Infinity and NaN, through its fallback
+        mu[1], inv[count // 2], rho[-1] = math.inf, math.nan, -math.inf
+        rows = list(zip(t, rho, mu, [r * m for r, m in zip(rho, mu)], inv))
+        assert trajectory_to_json(traj) == _oracle_json(fields, rows)
+        assert "Infinity" in trajectory_to_json(traj) and "NaN" in trajectory_to_json(traj)
+
+
+def test_entropy_export_streams_in_bounded_memory():
+    class Discard:
+        def write(self, text):
+            pass
+
+    init = FlowState(0.0, 1.0, 0.5, Z, 2)
+    tracemalloc.start()
+    try:
+        write_entropy(init, entropy_records(init, 100_000), "csv", Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # entropy_to_csv(init, entropy_series(init, 100_000)) peaks near 100 MB
+    assert peak < 2_000_000
+    recs = entropy_series(init, 300)
+    out = io.StringIO()
+    write_entropy(init, iter(recs), "json", out)
+    assert out.getvalue() == entropy_to_json(init, recs)
