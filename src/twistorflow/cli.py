@@ -138,7 +138,7 @@ def cmd_curvature(args) -> int:
     if args.n > MAX_QUERY_N:
         sys.stderr.write(f"curvature supports n in 2..{MAX_QUERY_N}\n")
         return 2
-    T = hpn_curvature(args.n, route="both")
+    T = hpn_curvature(args.n)
     payload = {"n": args.n, "scalar": T.scalar()}
     if args.sectional:
         m = 4 * args.n
@@ -180,7 +180,12 @@ def cmd_flow(args) -> int:
         if args.family != Z:
             sys.stderr.write("--t-end auto needs the z family (classified singular time)\n")
             return 2
-        t_end = 0.99 * classify(init)["time"]
+        T = classify(init)["time"]
+        t_end = 0.99 * T
+        steps = T / args.dt if args.dt > 0 else math.nan
+        if 0 < steps < math.inf:
+            # integrate rounds to whole steps: end at least one step short of T
+            t_end = min(t_end, (math.ceil(steps) - 1) * args.dt)
     else:
         t_end = float(args.t_end)
     traj = integrate(init, args.dt, t_end)

@@ -108,7 +108,6 @@ class Basis:
             labels += [("G", m, a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
         self.labels = labels
         self.index = {lab: i for i, lab in enumerate(labels)}
-        assert len(labels) == (n + 1) * (2 * n + 3)
 
     def dim(self) -> int:
         return len(self.labels)
@@ -136,8 +135,54 @@ class Basis:
         return self.index[("G", m, b, a)], 1
 
 
-@dataclass(frozen=True)
-class OneForm:
+class _SparseForm:
+    """Arithmetic shared by OneForm and TwoForm over their coeffs map.
+
+    The subclasses are dataclasses with eq=False, so that they keep this
+    __eq__, which returns NotImplemented across the two types.
+    """
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            _add_into(out, key, c)
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: Coeff):
+        if c.is_zero():
+            return type(self)({})
+        out = {}
+        for k, v in self.coeffs.items():
+            nv = v * c
+            if not nv.is_zero():
+                out[k] = nv
+        return type(self)(out)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def grade_part(self, grade: int):
+        out = {}
+        for k, c in self.coeffs.items():
+            g = c.grade_part(grade)
+            if not g.is_zero():
+                out[k] = g
+        return type(self)(out)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+
+@dataclass(frozen=True, eq=False)
+class OneForm(_SparseForm):
     coeffs: dict[int, Coeff] = field(default_factory=dict)
 
     @staticmethod
@@ -154,47 +199,9 @@ class OneForm:
             return OneForm({})
         return OneForm({idx: coeff})
 
-    def __add__(self, other: "OneForm") -> "OneForm":
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            _add_into(out, idx, c)
-        return OneForm(out)
 
-    def __neg__(self) -> "OneForm":
-        return OneForm({i: -c for i, c in self.coeffs.items()})
-
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return self + (-other)
-
-    def scale(self, c: Coeff) -> "OneForm":
-        if c.is_zero():
-            return OneForm({})
-        out = {}
-        for i, v in self.coeffs.items():
-            nv = v * c
-            if not nv.is_zero():
-                out[i] = nv
-        return OneForm(out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def grade_part(self, grade: int) -> "OneForm":
-        out = {}
-        for i, c in self.coeffs.items():
-            g = c.grade_part(grade)
-            if not g.is_zero():
-                out[i] = g
-        return OneForm(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-
-@dataclass(frozen=True)
-class TwoForm:
+@dataclass(frozen=True, eq=False)
+class TwoForm(_SparseForm):
     coeffs: dict[tuple[int, int], Coeff] = field(default_factory=dict)
 
     @staticmethod
@@ -205,44 +212,6 @@ class TwoForm:
             if i >= 0 and j >= 0:
                 _add_pair(out, i, j, c)
         return TwoForm(out)
-
-    def __add__(self, other: "TwoForm") -> "TwoForm":
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            _add_into(out, key, c)
-        return TwoForm(out)
-
-    def __neg__(self) -> "TwoForm":
-        return TwoForm({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other: "TwoForm") -> "TwoForm":
-        return self + (-other)
-
-    def scale(self, c: Coeff) -> "TwoForm":
-        if c.is_zero():
-            return TwoForm({})
-        out = {}
-        for k, v in self.coeffs.items():
-            nv = v * c
-            if not nv.is_zero():
-                out[k] = nv
-        return TwoForm(out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def grade_part(self, grade: int) -> "TwoForm":
-        out = {}
-        for k, c in self.coeffs.items():
-            g = c.grade_part(grade)
-            if not g.is_zero():
-                out[k] = g
-        return TwoForm(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
 
 def wedge(a: OneForm, b: OneForm) -> TwoForm:

@@ -315,7 +315,8 @@ def _fraction_inverse(M: list[list[int]]) -> list[list[Fraction]]:
     return [row[d:] for row in aug]
 
 
-def structure_constants(L: LieAlgebraSpec, check_jacobi: bool = True) -> StructureConstants:
+def structure_constants(L: LieAlgebraSpec) -> StructureConstants:
+    """The bracket table of L; raises NotClosed or JacobiFailure."""
     d = L.dim()
     exp = _Expander(L.basis)
     table: dict[tuple[int, int], dict[int, int | Fraction]] = {}
@@ -326,10 +327,9 @@ def structure_constants(L: LieAlgebraSpec, check_jacobi: bool = True) -> Structu
             if row:
                 table[(i, j)] = row
     sc = StructureConstants(d, table)
-    if check_jacobi:
-        res = jacobi_residual(sc)
-        if res is not None:
-            raise JacobiFailure(f"Jacobi identity fails at {res}")
+    res = jacobi_residual(sc)
+    if res is not None:
+        raise JacobiFailure(f"Jacobi identity fails at {res}")
     return sc
 
 
@@ -570,23 +570,22 @@ def _hpn_blocks_maurer_cartan(basis: Basis, sc: StructureConstants) -> FormMatri
     return gamma.d(rules) + mat_wedge(gamma, gamma)
 
 
-def hpn_curvature(n: int, route: str = "both") -> CurvatureTensor:
+def hpn_curvature(n: int) -> CurvatureTensor:
     """Riemann tensor of HP^n in the quaternion orthonormal frame.
 
-    route "closed_form" transcribes the displayed blocks; "maurer_cartan"
-    recomputes them from the structure equations; "both" requires exact
-    agreement of the two.
+    The displayed blocks are transcribed (closed form) and recomputed from
+    the structure equations (Maurer-Cartan); the recomputed blocks must lie
+    in the X-quadratic span and the two must agree exactly, else ValueError.
     """
     if n < 2:
         raise ValueError("paper setting requires n > 1")
     basis = Basis(n)
-    comps: dict[tuple[int, int, int, int], Fraction] = {}
+    m = 4 * n
+    # frame index A = 1..4n is X^i_a with i = (A - 1) // n, a = (A - 1) % n + 1
+    index = frame_index([{basis.x(L // n, L % n + 1): ONE} for L in range(m)])
 
     def blocks_to_components(om: FormMatrix) -> dict:
         out = {}
-        m = 4 * n
-        # frame index A = 1..4n is X^i_a with i = (A - 1) // n, a = (A - 1) % n + 1
-        index = frame_index([{basis.x(L // n, L % n + 1): ONE} for L in range(m)])
         for A in range(1, m + 1):
             for B in range(1, m + 1):
                 for (L, M), v in pairing_table(om.entries[A - 1][B - 1], index).items():
@@ -595,18 +594,13 @@ def hpn_curvature(n: int, route: str = "both") -> CurvatureTensor:
                         out[(A, B, L + 1, M + 1)] = x
         return out
 
-    if route in ("closed_form", "both"):
-        comps = blocks_to_components(_hpn_blocks_closed_form(basis))
-    if route in ("maurer_cartan", "both"):
-        om = _hpn_blocks_maurer_cartan(basis, _sp_structure(n))
-        for row in om.entries:
-            for e in row:
-                for (i, j) in e.coeffs:
-                    if basis.labels[i][0] != "X" or basis.labels[j][0] != "X":
-                        raise ValueError("curvature entry leaves the X-quadratic span")
-        comps_mc = blocks_to_components(om)
-        if route == "both" and comps != comps_mc:
-            raise ValueError("closed-form and Maurer-Cartan curvature disagree")
-        if route == "maurer_cartan":
-            comps = comps_mc
+    comps = blocks_to_components(_hpn_blocks_closed_form(basis))
+    om = _hpn_blocks_maurer_cartan(basis, _sp_structure(n))
+    for row in om.entries:
+        for e in row:
+            for (i, j) in e.coeffs:
+                if basis.labels[i][0] != "X" or basis.labels[j][0] != "X":
+                    raise ValueError("curvature entry leaves the X-quadratic span")
+    if comps != blocks_to_components(om):
+        raise ValueError("closed-form and Maurer-Cartan curvature disagree")
     return CurvatureTensor(n, comps)

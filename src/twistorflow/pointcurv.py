@@ -19,7 +19,7 @@ from functools import cached_property
 from .coeff import ONE, ZERO, Coeff, jet_symbol
 from .connections import coframe_expansion, levi_civita, ricci_from_gamma
 from .forms import (DerivativeRules, FormMatrix, OneForm, TwoForm, _add_into, _wedge_into,
-                    curvature, exterior_derivative, frame_index, pairing_table, specialize)
+                    curvature, exterior_derivative, frame_index, pairing_table)
 
 __all__ = ["SlotBasis", "PointGeometry", "point_geometry"]
 
@@ -48,11 +48,8 @@ class PointGeometry:
     on first read, then cached.  ricci() never reads it; it contracts Gamma
     over the unit slot frames directly (connections.ricci_from_gamma), which
     computes of each Omega^i_j (i < j) only the components with an index in
-    {i, j}.  A geometry specialised at a numeric lambda^2 carries the symbolic
-    geometry and lambda^2 in specialized_from, and its omega and Ricci are
-    the specialised ones of that geometry.  A PointGeometry returned by
-    zmetric.z_geometry is a cached object shared by every caller and must
-    not be mutated.
+    {i, j}.  A PointGeometry returned by zmetric.z_geometry is a cached
+    object shared by every caller and must not be mutated.
     """
 
     slot_basis: SlotBasis
@@ -61,20 +58,13 @@ class PointGeometry:
     frames: list[dict]
     gamma: FormMatrix
     extras_expansion: dict[int, OneForm]
-    specialized_from: tuple["PointGeometry", Fraction] | None = None
 
     @cached_property
     def omega(self) -> FormMatrix:
-        if self.specialized_from is None:
-            return curvature(self.gamma, self.rules)
-        geo, mu = self.specialized_from
-        return specialize(geo.omega, mu)
+        return curvature(self.gamma, self.rules)
 
     def ricci(self) -> list[list[Coeff]]:
-        if self.specialized_from is None:
-            return ricci_from_gamma(self.gamma, self.rules)
-        geo, mu = self.specialized_from
-        return [[c.specialize(mu) for c in row] for row in geo.ricci()]
+        return ricci_from_gamma(self.gamma, self.rules)
 
 
 def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRules,
@@ -103,31 +93,21 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
             c = val(e, K) + Coeff.symbol(fjets[e][K])
             items.append((K, c))
         extras_expansion[e] = OneForm.build(items)
+    # the slot expansion of each ambient basis form, read by conv1 and conv2
+    expansion = [extras_expansion[i] if i in extras else OneForm(expans[i])
+                 for i in range(ambient_basis.dim())]
 
     def conv1(a: OneForm) -> OneForm:
         acc: dict[int, Coeff] = {}
         for i, c in a.coeffs.items():
-            exp = extras_expansion[i].coeffs if i in extras else expans[i]
-            for L, cl in exp.items():
+            for L, cl in expansion[i].coeffs.items():
                 _add_into(acc, L, cl * c)
         return OneForm(acc)
 
     def conv2(w: TwoForm) -> TwoForm:
         acc: dict[tuple[int, int], Coeff] = {}
-        cache: dict[int, OneForm] = {}
-
-        def exp1(i: int) -> OneForm:
-            f = cache.get(i)
-            if f is None:
-                if i in extras:
-                    f = extras_expansion[i]
-                else:
-                    f = OneForm({L: cl for L, cl in expans[i].items()})
-                cache[i] = f
-            return f
-
         for (i, j), c in w.coeffs.items():
-            _wedge_into(acc, exp1(i), exp1(j).scale(c))
+            _wedge_into(acc, expansion[i], expansion[j].scale(c))
         return TwoForm(acc)
 
     d_slot = [conv2(dt) for dt in dth_amb]

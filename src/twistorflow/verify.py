@@ -102,7 +102,7 @@ def _check_blocks(n: int, tamper=None) -> tuple[bool, str]:
 
 
 def _check_hpn(n: int) -> tuple[bool, str]:
-    T = hpn_curvature(n, route="both")
+    T = hpn_curvature(n)
     if not T.check_symmetries():
         return False, "Riemann symmetries fail"
     m = 4 * n

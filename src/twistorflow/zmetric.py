@@ -13,22 +13,18 @@ Ricci values are asserted to be independent of every one of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .canonical import MetricParams, RicciDiag, _ricci_diag, _sp_structure
 from .coeff import ONE, Coeff, active_cutoff, jet_symbol
-from .forms import (Basis, FormMatrix, OneForm, TwoForm, _wedge_into, exterior_derivative,
-                    specialize, wedge)
+from .forms import Basis, OneForm, TwoForm, _wedge_into, exterior_derivative, wedge
 from .liealg import make_rules
 
 __all__ = [
-    "ZFrame",
     "z_setup",
     "hat_alpha",
     "hat_alpha_derivatives",
-    "connection_z",
     "ricci_z",
     "einstein_solve_z",
     "ricci_map_z",
@@ -38,12 +34,6 @@ __all__ = [
 
 # prefixes of every formal unknown that must cancel from physical outputs
 FORMAL_UNKNOWN_PREFIXES = ("P", "Q", "R", "S", "U", "GF")
-
-# shorthand scalars of the Gamma_0 / Gamma_2 decomposition (paper notation)
-P_SYM = jet_symbol("P", 0)
-Q_SYM = jet_symbol("Q", 0)
-R_SYM = jet_symbol("R", 0)
-S_SYM = jet_symbol("S", 0)
 
 # X-parts of d(alpha_i(xi_j)): the jet differentiation table
 _T1 = {0: (1, 1), 1: (0, -1), 2: (3, -1), 3: (2, 1)}
@@ -130,35 +120,14 @@ def hat_alpha(i: int, n: int, basis: Basis) -> OneForm:
     return OneForm.build(items)
 
 
-@dataclass
-class ZFrame:
-    """The hatted fiber coframe plus the jet shorthand of the paper."""
-
-    n: int
-    hat_alpha1: OneForm
-    hat_alpha3: OneForm
-    abcd: dict
-
-    @staticmethod
-    def build(n: int) -> "ZFrame":
-        basis = Basis(n)
-        half = Fraction(1, 2)
-
-        def combo(i, a, s0, s2):
-            return (Coeff.symbol(_a_jet(i, 0, a)) * Coeff.symbol(s0)
-                    + Coeff.symbol(_a_jet(i, 2, a)) * Coeff.symbol(s2)).scale(half)
-
-        abcd = {}
-        for i in (1, 3):
-            for a in range(1, n + 1):
-                abcd[("a", i, a)] = combo(i, a, P_SYM, R_SYM)
-                abcd[("b", i, a)] = combo(i, a, Q_SYM, S_SYM)
-                abcd[("c", i, a)] = combo(i, a, R_SYM, P_SYM)
-                abcd[("d", i, a)] = combo(i, a, S_SYM, Q_SYM)
-        return ZFrame(n, hat_alpha(1, n, basis), hat_alpha(3, n, basis), abcd)
+def _z_rules(n: int, ambiguity: str):
+    """Basis and rules (Maurer-Cartan + jets) of the Z-coframe."""
+    basis = Basis(n)
+    rules = make_rules(_sp_structure(n), basis)
+    return basis, rules.with_jets(jet_rules_z(n, basis, ambiguity))
 
 
-def z_setup(p: MetricParams, ambiguity: str = "none", free_gamma_fiber: bool = False):
+def z_setup(n: int, ambiguity: str = "none", free_gamma_fiber: bool = False):
     """Basis, rules (Maurer-Cartan + jets), Z-coframe and frame value table,
     symbolic in lambda.
 
@@ -167,10 +136,7 @@ def z_setup(p: MetricParams, ambiguity: str = "none", free_gamma_fiber: bool = F
     the fiber directions; free_gamma_fiber leaves those values as unknowns
     instead, for independence diagnostics.
     """
-    n = p.n
-    basis = Basis(n)
-    rules = make_rules(_sp_structure(n), basis)
-    rules = rules.with_jets(jet_rules_z(n, basis, ambiguity))
+    basis, rules = _z_rules(n, ambiguity)
     lam = Coeff.lam_power(1)
     lam_inv = Coeff.lam_power(-1)
     coframe = [hat_alpha(1, n, basis).scale(lam), hat_alpha(3, n, basis).scale(lam)]
@@ -218,9 +184,7 @@ def hat_alpha_derivatives(n: int) -> dict:
     correction list itself reflects a different intermediate bookkeeping;
     the term-by-term difference is reported as data.
     """
-    basis = Basis(n)
-    rules = make_rules(_sp_structure(n), basis)
-    rules = rules.with_jets(jet_rules_z(n, basis, ambiguity="none"))
+    basis, rules = _z_rules(n, "none")
     ah1 = hat_alpha(1, n, basis)
     ah3 = hat_alpha(3, n, basis)
     a2 = OneForm.basis(basis.a(2), ONE)
@@ -280,31 +244,20 @@ def _z_point_geometry(n: int, ambiguity: str, free_gamma_fiber: bool, cutoff: in
     """The symbolic Z point geometry; cutoff is the active jet cutoff, part of
     the key only."""
     from .pointcurv import point_geometry
-    basis, rules, coframe, frames = z_setup(MetricParams(n), ambiguity, free_gamma_fiber)
+    basis, rules, coframe, frames = z_setup(n, ambiguity, free_gamma_fiber)
     return point_geometry(coframe, rules, frames)
 
 
-def z_geometry(p: MetricParams, ambiguity: str = "none", free_gamma_fiber: bool = False):
-    """Connection and curvature of the Z-metric in coframe coordinates.
+def z_geometry(n: int, ambiguity: str = "none", free_gamma_fiber: bool = False):
+    """Connection and curvature of the Z-metric in coframe coordinates,
+    symbolic in lambda.
 
     omega is the curvature at the base point (its grade-0 part), computed on
-    first read; the Ricci contraction does not read it.  The symbolic
-    geometry is built once per (n, ambiguity, free_gamma_fiber, active jet
-    cutoff) and shared by every caller, so callers must not mutate it.  gamma
-    is specialized at a numeric p.lambda2, and omega and ricci() are those of
-    the symbolic geometry specialized; the coframe-level data (rules,
-    extras_expansion) stay symbolic in lambda.
+    first read; the Ricci contraction does not read it.  The geometry is
+    built once per (n, ambiguity, free_gamma_fiber, active jet cutoff) and
+    shared by every caller, so callers must not mutate it.
     """
-    geo = _z_point_geometry(p.n, ambiguity, free_gamma_fiber, active_cutoff())
-    if p.lambda2 is None:
-        return geo
-    return replace(geo, gamma=specialize(geo.gamma, p.lambda2),
-                   specialized_from=(geo, p.lambda2))
-
-
-def connection_z(p: MetricParams, ambiguity: str = "none") -> FormMatrix:
-    """Levi-Civita connection of the Z-metric over the Z-coframe slots."""
-    return z_geometry(p, ambiguity).gamma
+    return _z_point_geometry(n, ambiguity, free_gamma_fiber, active_cutoff())
 
 
 def _assert_unknown_free(c: Coeff, where: str) -> None:
@@ -323,7 +276,7 @@ def ricci_z(p: MetricParams, ambiguity: str = "none") -> RicciDiag:
     the ambiguity terms.
     """
     # contract the symbolic curvature, then specialize only the Ricci matrix
-    ric = z_geometry(replace(p, lambda2=None), ambiguity).ricci()
+    ric = z_geometry(p.n, ambiguity).ricci()
     if p.lambda2 is not None:
         ric = [[c.specialize(p.lambda2) for c in row] for row in ric]
     for i, row in enumerate(ric):
@@ -348,7 +301,7 @@ def ricci_map_z(p: MetricParams) -> MetricParams:
 def integrability_witness(n: int) -> bool:
     """Every monomial of d X^i (via the first structure equation of the
     Z-coframe) contains an X factor, so {X^i = 0} is integrable."""
-    geo = z_geometry(MetricParams(n))
+    geo = z_geometry(n)
     # slots 0,1 are the fiber directions; 2.. are the X slots
     for row in range(2, 4 * n + 2):
         acc: dict[tuple[int, int], Coeff] = {}

@@ -43,7 +43,7 @@ def test_criterion_1_lie_algebra():
 def test_criterion_2_hpn_constants():
     ok = True
     for n in (2, 3):
-        T = hpn_curvature(n, route="both")
+        T = hpn_curvature(n)
         m = 4 * n
         secs = {sectional(T, A, B) for A in range(1, m + 1)
                 for B in range(1, m + 1) if A != B}
@@ -96,7 +96,7 @@ def test_criterion_5_z_ricci():
         ok = ok and rep["holds"]
     # independence diagnostics at n=2: free p,q,r,s/fiber values and nilpotent
     # rule ambiguity leave the values untouched
-    geo = z_geometry(MetricParams(2), free_gamma_fiber=True)
+    geo = z_geometry(2, free_gamma_fiber=True)
     ric = geo.ricci()
     ok = ok and ric[0][0].grade_part(0) == Coeff({(-2, ()): Fraction(4)})
     rd1 = ricci_z(MetricParams(2), ambiguity="grade1")

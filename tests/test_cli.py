@@ -175,6 +175,19 @@ def test_flow_command_files(tmp_path):
     assert header == "t,rho,mu,rho_mu,invariant"
 
 
+# dt above about 2 % of the singular time T: 0.99 T rounded to whole steps
+# would land the last step on or past T
+@pytest.mark.parametrize("lambda2, dt, samples", [("1/5", "1e-3", 25), ("1/5", "5e-3", 5),
+                                                  ("1/2", "0.02", 2)])
+def test_flow_auto_ends_before_the_singular_time(lambda2, dt, samples, capsys):
+    code, out = run_cli(["flow", "--family", "z", "--n", "2", "--lambda2", lambda2,
+                         "--dt", dt])
+    summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    ts = [float(row.split(",")[0]) for row in out.splitlines()[1:]]
+    assert code == 0 and summary["samples"] == len(ts) == samples
+    assert ts[-1] < summary["time"]
+
+
 def test_entropy_command(tmp_path):
     out = tmp_path / "e.csv"
     code, _ = run_cli(["entropy", "--n", "2", "--rho0", "1", "--lambda2", "1/2",

@@ -147,7 +147,7 @@ def test_d_squared_zero():
 def test_d_squared_fails_for_tampered_constants():
     n = 2
     b = Basis(n)
-    sc = structure_constants(build_sp_basis(n), check_jacobi=True)
+    sc = structure_constants(build_sp_basis(n))
     bad = sc.tampered(0, 1, 2)
     rules = make_rules(bad, b)
     assert any(d2_residual(idx, rules) for idx in range(b.dim()))
@@ -347,3 +347,27 @@ def test_pairing_table_equals_eval_pair(cutoff, raw, frames):
         for L in range(len(fs)):
             for M in range(len(fs)):
                 assert table.get((L, M), ZERO) == eval_pair(w, fs[L], fs[M])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cutoff=st.sampled_from([2, 3]),
+       raw_a=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), _coeff_spec), max_size=6),
+       raw_b=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), _coeff_spec), max_size=6),
+       scalar=_coeff_spec, grade=st.integers(0, 2))
+def test_one_and_two_forms_keep_their_algebra(cutoff, raw_a, raw_b, scalar, grade):
+    with jet_cutoff(cutoff):
+        c = _make_coeff(scalar)
+        forms = []
+        for raw in (raw_a, raw_b):
+            items = [(i, j, _make_coeff(spec)) for i, j, spec in raw]
+            forms.append((OneForm.build((i, x) for i, _, x in items), TwoForm.build(items)))
+        for a, b in zip(*forms):
+            kind = type(a)
+            assert a + (-a) == kind({}) and (a - a).is_zero()
+            assert a - b == a + (-b)
+            assert (a + b).scale(c) == a.scale(c) + b.scale(c)
+            assert (a + b).grade_part(grade) == a.grade_part(grade) + b.grade_part(grade)
+            for f in (a + b, -a, a - b, a.scale(c), a.grade_part(grade)):
+                assert type(f) is kind and _no_zero(f.coeffs)
+    assert OneForm({}) != TwoForm({}) and TwoForm({}) != OneForm({})
+    assert OneForm({}).__eq__(TwoForm({})) is NotImplemented

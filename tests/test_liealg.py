@@ -10,8 +10,10 @@ from twistorflow.liealg import (EqualIndices, NotClosed,
                                 bracket, build_sp_basis, build_sp_sp1_basis, exact_rank,
                                 hpn_curvature, jacobi_residual, right_action_matrices,
                                 sectional, structure_constants, verify_block_equations)
+from twistorflow import liealg
+from twistorflow.coeff import ONE
 from twistorflow.liealg import IntMatrix, LieAlgebraSpec, _Expander, _sp_structure
-from twistorflow.forms import DimensionMismatch
+from twistorflow.forms import DimensionMismatch, TwoForm
 
 
 def test_dimensions_and_rank():
@@ -263,7 +265,7 @@ def test_int_matrix_sizes_must_agree(size, extra, data):
 
 def test_hpn_curvature_constants():
     for n in (2, 3):
-        T = hpn_curvature(n, route="both")
+        T = hpn_curvature(n)
         assert T.check_symmetries()
         m = 4 * n
         # pinching: frame-pair sectional curvatures lie in {1, 4}
@@ -295,10 +297,31 @@ def test_sectional_symmetry_and_contraction():
         sectional(T, 3, 3)
 
 
-def test_hpn_routes_agree_and_are_checked():
-    a = hpn_curvature(2, route="closed_form")
-    b = hpn_curvature(2, route="maurer_cartan")
-    assert a.components == b.components
+def _tampered(monkeypatch, name, extra):
+    """Replace liealg.<name> by the real blocks with extra(basis) added to entry (0, 1)."""
+    real = getattr(liealg, name)
+
+    def tampered(basis, *args):
+        om = real(basis, *args)
+        om.entries[0][1] = om.entries[0][1] + extra(basis)
+        return om
+
+    monkeypatch.setattr(liealg, name, tampered)
+
+
+def test_hpn_routes_agree_and_are_checked(monkeypatch):
+    # a closed-form block that the structure equations do not reproduce
+    _tampered(monkeypatch, "_hpn_blocks_closed_form",
+              lambda b: TwoForm.build([(b.x(0, 1), b.x(1, 1), ONE)]))
+    with pytest.raises(ValueError, match="disagree"):
+        hpn_curvature(2)
+
+
+def test_hpn_maurer_cartan_blocks_must_stay_x_quadratic(monkeypatch):
+    _tampered(monkeypatch, "_hpn_blocks_maurer_cartan",
+              lambda b: TwoForm.build([(b.a(1), b.x(0, 1), ONE)]))
+    with pytest.raises(ValueError, match="leaves the X-quadratic span"):
+        hpn_curvature(2)
 
 
 def test_verify_builds_the_structure_constants_once(monkeypatch):

@@ -16,7 +16,7 @@ import twistorflow
 from twistorflow import forms
 from twistorflow.coeff import Coeff, jet_cutoff, jet_symbol
 from twistorflow.connections import levi_civita, ricci_matrix
-from twistorflow.forms import curvature, mat_wedge, specialize
+from twistorflow.forms import curvature, mat_wedge
 from twistorflow.pointcurv import point_geometry
 from twistorflow.zmetric import _z_point_geometry, ricci_z, z_geometry
 
@@ -69,7 +69,7 @@ def _full_curvature_grade0(gamma, rules):
 @pytest.mark.parametrize("ambiguity, free_gamma_fiber",
                          [("none", False), ("grade1", False), ("none", True)])
 def test_curvature_matches_full_structure_equation_z(ambiguity, free_gamma_fiber):
-    geo = z_geometry(MetricParams(2), ambiguity, free_gamma_fiber=free_gamma_fiber)
+    geo = z_geometry(2, ambiguity, free_gamma_fiber=free_gamma_fiber)
     want = _full_curvature_grade0(geo.gamma, geo.rules)
     assert curvature(geo.gamma, geo.rules).entries == want
     assert geo.omega.entries == want
@@ -90,7 +90,7 @@ def test_curvature_matches_full_structure_equation_canonical(s_ratio):
 @pytest.mark.parametrize("free_gamma_fiber", [False, True])
 def test_direct_contraction_matches_ricci_of_curvature(n, cutoff, ambiguity, free_gamma_fiber):
     with jet_cutoff(cutoff):
-        geo = z_geometry(MetricParams(n), ambiguity, free_gamma_fiber=free_gamma_fiber)
+        geo = z_geometry(n, ambiguity, free_gamma_fiber=free_gamma_fiber)
         # geo.ricci() is ricci_from_gamma(geo.gamma, geo.rules)
         assert geo.ricci() == ricci_matrix(curvature(geo.gamma, geo.rules), geo.frames)
 
@@ -110,14 +110,5 @@ def test_ricci_z_never_builds_the_curvature(monkeypatch):
     rd = ricci_z(MetricParams(2, lambda2=Fraction(3, 7)))
     assert rd.fiber_at(Fraction(3, 7)) == Fraction(28, 3) and calls == []
     # the lazy omega is built on first read only, and once
-    geo = z_geometry(MetricParams(2))
+    geo = z_geometry(2)
     assert geo.omega is geo.omega and calls == [10]
-
-
-def test_specialized_geometry_reads_the_symbolic_omega():
-    mu = Fraction(3, 7)
-    sym = z_geometry(MetricParams(2))
-    num = z_geometry(MetricParams(2, lambda2=mu))
-    assert num.gamma == specialize(sym.gamma, mu)
-    assert num.omega.entries == specialize(curvature(sym.gamma, sym.rules), mu).entries
-    assert num.ricci() == ricci_matrix(num.omega, num.frames)

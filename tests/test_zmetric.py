@@ -4,33 +4,9 @@ import pytest
 
 from twistorflow.canonical import MetricParams, connection_canonical
 from twistorflow.coeff import Coeff, jet_cutoff
-from twistorflow.forms import Basis
-from twistorflow.zmetric import (ZFrame, einstein_solve_z,
-                                 hat_alpha, hat_alpha_derivatives, integrability_witness,
-                                 ricci_map_z, ricci_z, z_geometry)
-
-
-def test_zframe_jet_shorthand():
-    zf = ZFrame.build(2)
-    # a_1 = (A10 P + A12 R)/2 per component, and all shorthand jets have grade 1
-    for (kind, i, a), val in zf.abcd.items():
-        assert val.max_grade() == 1
-        assert not val.grade_part(1).is_zero()
-        assert val.grade_part(0).is_zero()
-    from twistorflow.coeff import jet_symbol
-
-    def sym(name, grade=0):
-        return Coeff.symbol(jet_symbol(name, grade))
-
-    half = Fraction(1, 2)
-    for i in (1, 3):
-        for a in (1, 2):
-            A0 = sym(f"A[{i},0,{a}]", 1)
-            A2 = sym(f"A[{i},2,{a}]", 1)
-            assert zf.abcd[("a", i, a)] == (A0 * sym("P") + A2 * sym("R")).scale(half)
-            assert zf.abcd[("b", i, a)] == (A0 * sym("Q") + A2 * sym("S")).scale(half)
-            assert zf.abcd[("c", i, a)] == (A2 * sym("P") + A0 * sym("R")).scale(half)
-            assert zf.abcd[("d", i, a)] == (A2 * sym("Q") + A0 * sym("S")).scale(half)
+from twistorflow.forms import Basis, specialize
+from twistorflow.zmetric import (einstein_solve_z, hat_alpha, hat_alpha_derivatives,
+                                 integrability_witness, ricci_map_z, ricci_z, z_geometry)
 
 
 def test_hat_alpha_structure():
@@ -76,7 +52,7 @@ def test_negative_control_dropping_leibniz_term():
 
 
 def test_connection_z_fiber_entries():
-    geo = z_geometry(MetricParams(2))
+    geo = z_geometry(2)
     G = geo.gamma
     assert G.is_skew()
     # entry (1,2) of the display: -2 alpha_2, here in coframe coordinates
@@ -93,7 +69,7 @@ def test_connection_z_base_blocks_vs_displayed():
     # Gamma_1/Gamma_3 vanish at the point, and the displayed -alpha_1/+alpha_3
     # corrections of the (X^0,X^1) and (X^1,X^2) slots appear exactly
     n = 2
-    geo = z_geometry(MetricParams(n))
+    geo = z_geometry(n)
     G = geo.gamma
     e = G.entries[2][4].grade_part(0)  # X^0_1 row, X^1_1 col
     assert e.coeffs == {0: Coeff.lam_power(-1, -1)}  # = -ahat_1
@@ -111,8 +87,7 @@ def test_connection_z_at_lambda_one_vs_canonical():
     # -+lambda tX entries have no Z counterpart, and the displayed -+alpha
     # corrections remain at lambda = 1
     mu = Fraction(1)
-    geo = z_geometry(MetricParams(2, lambda2=mu))
-    Gz = geo.gamma
+    Gz = specialize(z_geometry(2).gamma, mu)
     Gc = connection_canonical(MetricParams(2, lambda2=mu))
     b = Basis(2)
     for f in (0, 1):
@@ -141,7 +116,7 @@ def test_ricci_z_values():
 
 def test_ricci_z_unknown_independence():
     # diagonals survive with the Gamma-fiber values left free
-    geo = z_geometry(MetricParams(2), free_gamma_fiber=True)
+    geo = z_geometry(2, free_gamma_fiber=True)
     ric = geo.ricci()
     assert ric[0][0].grade_part(0) == Coeff({(-2, ()): Fraction(4)})
     assert ric[2][2].grade_part(0) == Coeff.rational(16)
@@ -197,15 +172,15 @@ def test_integrability_witness():
 
 
 def test_geometry_memo_is_keyed_on_the_jet_cutoff():
-    geo2 = z_geometry(MetricParams(2))
-    assert z_geometry(MetricParams(2)) is geo2
+    geo2 = z_geometry(2)
+    assert z_geometry(2) is geo2
     with jet_cutoff(3):
-        geo3 = z_geometry(MetricParams(2))
+        geo3 = z_geometry(2)
         assert geo3 is not geo2
-        assert z_geometry(MetricParams(2)) is geo3
+        assert z_geometry(2) is geo3
         assert any(c.max_grade() == 2 for row in geo3.gamma.entries
                    for e in row for c in e.coeffs.values())
-    assert z_geometry(MetricParams(2)) is geo2
+    assert z_geometry(2) is geo2
 
 
 def test_verify_builds_each_z_geometry_once(monkeypatch):
