@@ -57,17 +57,13 @@ def coframe_expansion(coframe: list[OneForm], ambient_dim: int):
         for lead, (K, u, rest) in covered.items():
             uinv = u.inverse()
             acc: dict[int, Coeff] = {K: uinv}
-            ok = True
             for idx, c in rest.items():
                 sub = expans.get(idx)
                 if sub is None:
-                    if idx in covered:
-                        ok = False
-                        break
                     raise ValueError("coframe rest touches an uncovered extra form")
                 for slot, sc in sub.items():
                     _add_into(acc, slot, -(uinv * c * sc))
-            if ok and acc != expans[lead]:
+            if acc != expans[lead]:
                 expans[lead] = acc
                 changed = True
         if not changed:
@@ -110,7 +106,7 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules) -> FormMatrix:
     """Solve the first structure equation; the solution is checked to be skew
     and to satisfy the equation exactly."""
     m = len(coframe)
-    expans, extras = coframe_expansion(coframe, rules.basis.dim())
+    expans, extras = coframe_expansion(coframe, len(rules.d_basis))
 
     dths = [exterior_derivative(th, rules) for th in coframe]
     decomposed = [_decompose(dt, expans, extras) for dt in dths]

@@ -270,9 +270,11 @@ def pairing_table(w: TwoForm,
 
 @dataclass
 class DerivativeRules:
-    """d on basis forms (from structure constants) plus jet-symbol rules."""
+    """d on basis forms (from structure constants) plus jet-symbol rules.
 
-    basis: Basis
+    The forms are indexed 0..len(d_basis)-1; d_basis[k] is d e^k.
+    """
+
     d_basis: list[TwoForm]
     jet_rules: dict[int, OneForm] = field(default_factory=dict)
 
@@ -280,7 +282,7 @@ class DerivativeRules:
         jr = dict(self.jet_rules)
         for sym, rule in rules.items():
             jr[sym.sid] = rule
-        return DerivativeRules(self.basis, self.d_basis, jr)
+        return DerivativeRules(self.d_basis, jr)
 
     def d_coeff(self, c: Coeff) -> OneForm:
         """d of a scalar: Leibniz over grade-1 jet factors (grade-0 are constants)."""
@@ -426,7 +428,7 @@ def _curvature_entries(gamma: FormMatrix, rules: DerivativeRules, touching: bool
     {i, j}: over unit frames, those are all a Ricci contraction reads.
     """
     m = gamma.dim
-    rules0 = DerivativeRules(rules.basis, [w.grade_part(0) for w in rules.d_basis],
+    rules0 = DerivativeRules([w.grade_part(0) for w in rules.d_basis],
                              {sid: r.grade_part(0) for sid, r in rules.jet_rules.items()})
     g0 = [[e.grade_part(0) for e in row] for row in gamma.entries]
     for i in range(m):

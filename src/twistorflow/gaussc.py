@@ -15,7 +15,7 @@ __all__ = ["CForm", "complex_transform", "mixing_blocks_zero", "hol_block_skew_h
 
 @dataclass(frozen=True)
 class CForm:
-    """Complex 1-form: re + i im, both real OneForms."""
+    """Complex form: re + i im, both real OneForms or both real TwoForms."""
 
     re: OneForm
     im: OneForm
@@ -23,73 +23,30 @@ class CForm:
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
 
-    def conj(self) -> "CForm":
-        return CForm(self.re, -self.im)
-
 
 def complex_transform(gamma: FormMatrix, n: int) -> list[list[CForm]]:
     """Transform a real (4n+2) form matrix to the basis
     (lambda zeta^0, Z^1_a, Z^2_a, conjugates), zeta^0 = alpha_1 + i alpha_3,
     Z^1 = X^0 + i X^2, Z^2 = X^1 + i X^3.
 
-    U has one +-1/+-i per slot, so U M U^{-1} is assembled sparsely; entries
-    may be one- or two-forms (both support add and scale).
+    U pairs each real slot with one other: complex slot p is the real pair
+    (r1, r2) with sign s_p, +1 for the 2n+1 holomorphic slots and -1 for
+    their conjugates, in the same order.  Entry (p, q) of U M U^{-1}, for q
+    the pair (t1, t2) with sign s_q, is
+        re = (M[r1][t1] + s_p s_q M[r2][t2]) / 2
+        im = (s_p M[r2][t1] - s_q M[r1][t2]) / 2.
+    Entries may be one- or two-forms (both support +, - and scale).
     """
-    dim = 4 * n + 2
-    m = 2 * n + 1
-
-    def xi(i, a):
-        return 2 + i * n + (a - 1)
-
-    # complex row p is built from real rows: list of (real row, re, im)
-    rows: list[list[tuple[int, Fraction, Fraction]]] = []
-    rows.append([(0, Fraction(1), Fraction(0)), (1, Fraction(0), Fraction(1))])
-    for a in range(1, n + 1):
-        rows.append([(xi(0, a), Fraction(1), Fraction(0)),
-                     (xi(2, a), Fraction(0), Fraction(1))])
-    for a in range(1, n + 1):
-        rows.append([(xi(1, a), Fraction(1), Fraction(0)),
-                     (xi(3, a), Fraction(0), Fraction(1))])
-    for combo in list(rows):
-        rows.append([(r, re, -im) for (r, re, im) in combo])
-
-    # real column s decomposes over complex columns: real = sum (re+i im) z_q
-    cols: list[list[tuple[int, Fraction, Fraction]]] = [[] for _ in range(dim)]
-
-    def set_col(real_idx, q, re, im):
-        cols[real_idx].append((q, re, im))
-
-    h = Fraction(1, 2)
-    set_col(0, 0, h, Fraction(0))
-    set_col(0, m, h, Fraction(0))
-    set_col(1, 0, Fraction(0), -h)
-    set_col(1, m, Fraction(0), h)
-    for a in range(1, n + 1):
-        set_col(xi(0, a), a, h, Fraction(0))
-        set_col(xi(0, a), m + a, h, Fraction(0))
-        set_col(xi(2, a), a, Fraction(0), -h)
-        set_col(xi(2, a), m + a, Fraction(0), h)
-        set_col(xi(1, a), n + a, h, Fraction(0))
-        set_col(xi(1, a), m + n + a, h, Fraction(0))
-        set_col(xi(3, a), n + a, Fraction(0), -h)
-        set_col(xi(3, a), m + n + a, Fraction(0), h)
-
-    # the re and im coefficient maps of each complex entry, summed in place
-    acc = [[({}, {}) for _ in range(dim)] for _ in range(dim)]
-    for p in range(dim):
-        for (r, pre, pim) in rows[p]:
-            for s in range(dim):
-                entry = gamma.entries[r][s]
-                if entry.is_zero():
-                    continue
-                for (q, cre, cim) in cols[s]:
-                    for part, x in zip(acc[p][q], (pre * cre - pim * cim, pre * cim + pim * cre)):
-                        if x:
-                            c = ONE.scale(x)
-                            for key, v in entry.coeffs.items():
-                                _add_into(part, key, v * c)
-    form = type(gamma.entries[0][0])
-    return [[CForm(form(re), form(im)) for re, im in row] for row in acc]
+    # real slots: alpha_1, alpha_3, then X^i_a at 2 + i n + a - 1
+    hol = [(0, 1)] + [(1 + a, 1 + 2 * n + a) for a in range(1, n + 1)]
+    hol += [(1 + n + a, 1 + 3 * n + a) for a in range(1, n + 1)]
+    slots = [(r1, r2, 1) for r1, r2 in hol] + [(r1, r2, -1) for r1, r2 in hol]
+    half = {1: ONE.scale(Fraction(1, 2)), -1: ONE.scale(Fraction(-1, 2))}
+    M = gamma.entries
+    return [[CForm(M[r1][t1].scale(half[1]) + M[r2][t2].scale(half[sp * sq]),
+                   M[r2][t1].scale(half[sp]) - M[r1][t2].scale(half[sq]))
+             for t1, t2, sq in slots]
+            for r1, r2, sp in slots]
 
 
 def mixing_blocks_zero(cmat: list[list[CForm]], n: int) -> bool:

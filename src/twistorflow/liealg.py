@@ -343,13 +343,8 @@ def _sp_structure(n: int) -> StructureConstants:
 def jacobi_residual(sc: StructureConstants):
     """First violated triple of the Jacobi identity, or None when exact."""
     d = sc.dim
-    pairs = {}
-    for (i, j), row in sc.c.items():
-        pairs.setdefault(i, set()).add(j)
-        pairs.setdefault(j, set()).add(i)
     for i in range(d):
         for j in range(i + 1, d):
-            cij = sc.get(i, j)
             for k in range(j + 1, d):
                 acc: dict[int, int | Fraction] = {}
                 for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
@@ -391,7 +386,7 @@ def make_rules(sc: StructureConstants, basis: Basis,
             if not c.is_zero():
                 coeffs[(i, j)] = c
         out.append(TwoForm(coeffs))
-    return DerivativeRules(basis, out)
+    return DerivativeRules(out)
 
 
 def _tx_wedge_x(basis: Basis, i: int, j: int) -> TwoForm:

@@ -21,18 +21,7 @@ from .connections import coframe_expansion, levi_civita, ricci_from_gamma
 from .forms import (DerivativeRules, FormMatrix, OneForm, TwoForm, _add_into, _wedge_into,
                     curvature, exterior_derivative, frame_index, pairing_table)
 
-__all__ = ["SlotBasis", "PointGeometry", "point_geometry"]
-
-
-class SlotBasis:
-    """Synthetic basis indexing the coframe slots themselves."""
-
-    def __init__(self, m: int):
-        self.labels = [("TH", K) for K in range(m)]
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
-
-    def dim(self) -> int:
-        return len(self.labels)
+__all__ = ["PointGeometry", "point_geometry"]
 
 
 def _label_str(label: tuple) -> str:
@@ -43,6 +32,10 @@ def _label_str(label: tuple) -> str:
 class PointGeometry:
     """Coframe-coordinate model of a metric germ at the base point.
 
+    Every form is written over the coframe slots 0..m-1: rules holds d of
+    each slot and the rules of the expansion jets, coframe[K] is e^K and
+    frames[K] is the unit frame {K: 1}.
+
     omega is the curvature at the point (the grade-0 part of the second
     structure equation), not the full curvature germ.  It is lazy: computed
     on first read, then cached.  ricci() never reads it; it contracts Gamma
@@ -52,7 +45,6 @@ class PointGeometry:
     object shared by every caller and must not be mutated.
     """
 
-    slot_basis: SlotBasis
     rules: DerivativeRules
     coframe: list[OneForm]
     frames: list[dict]
@@ -67,23 +59,24 @@ class PointGeometry:
         return ricci_from_gamma(self.gamma, self.rules)
 
 
-def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRules,
-                   value_frames: list[dict]) -> PointGeometry:
+def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
+                   ambient_rules: DerivativeRules, value_frames: list[dict]) -> PointGeometry:
     """Build connection and curvature of the coframe metric at the point.
 
+    ambient_labels[i] labels ambient basis form i; the fresh jets of an
+    uncovered form e are named after its label, F[label|K] and SYM[label|k,m].
     value_frames[K] is the pairing table of the dual orthonormal frame
     against every ambient basis form (values at the point; unknown values
     enter as grade-0 symbols and must cancel from physical outputs).
     """
     m = len(ambient_coframe)
-    ambient_basis = ambient_rules.basis
-    expans, extras = coframe_expansion(ambient_coframe, ambient_basis.dim())
+    expans, extras = coframe_expansion(ambient_coframe, len(ambient_labels))
     dth_amb = [exterior_derivative(th, ambient_rules) for th in ambient_coframe]
 
     def val(e: int, K: int) -> Coeff:
         return value_frames[K].get(e, ZERO)
 
-    fjets = {e: [jet_symbol(f"F[{_label_str(ambient_basis.labels[e])}|{K}]", 1)
+    fjets = {e: [jet_symbol(f"F[{_label_str(ambient_labels[e])}|{K}]", 1)
                  for K in range(m)] for e in extras}
 
     extras_expansion: dict[int, OneForm] = {}
@@ -95,7 +88,7 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
         extras_expansion[e] = OneForm.build(items)
     # the slot expansion of each ambient basis form, read by conv1 and conv2
     expansion = [extras_expansion[i] if i in extras else OneForm(expans[i])
-                 for i in range(ambient_basis.dim())]
+                 for i in range(len(ambient_labels))]
 
     def conv1(a: OneForm) -> OneForm:
         acc: dict[int, Coeff] = {}
@@ -126,7 +119,7 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
             if not v.is_zero():
                 for LM, t in dtheta_pair[K].items():
                     _add_into(W, LM, -(v * t))
-        lab = _label_str(ambient_basis.labels[e])
+        lab = _label_str(ambient_labels[e])
         half = Fraction(1, 2)
         for K in range(m):
             items = []
@@ -141,9 +134,8 @@ def point_geometry(ambient_coframe: list[OneForm], ambient_rules: DerivativeRule
     for sid, rule in ambient_rules.jet_rules.items():
         slot_jet_rules[sid] = conv1(rule)
 
-    slot_basis = SlotBasis(m)
-    slot_rules = DerivativeRules(slot_basis, d_slot, slot_jet_rules)
+    slot_rules = DerivativeRules(d_slot, slot_jet_rules)
     slot_coframe = [OneForm.basis(K, ONE) for K in range(m)]
     gamma = levi_civita(slot_coframe, slot_rules)
     frames = [{K: ONE} for K in range(m)]
-    return PointGeometry(slot_basis, slot_rules, slot_coframe, frames, gamma, extras_expansion)
+    return PointGeometry(slot_rules, slot_coframe, frames, gamma, extras_expansion)

@@ -245,7 +245,7 @@ def _z_point_geometry(n: int, ambiguity: str, free_gamma_fiber: bool, cutoff: in
     the key only."""
     from .pointcurv import point_geometry
     basis, rules, coframe, frames = z_setup(n, ambiguity, free_gamma_fiber)
-    return point_geometry(coframe, rules, frames)
+    return point_geometry(basis.labels, coframe, rules, frames)
 
 
 def z_geometry(n: int, ambiguity: str = "none", free_gamma_fiber: bool = False):
@@ -273,8 +273,11 @@ def ricci_z(p: MetricParams, ambiguity: str = "none") -> RicciDiag:
     The value at the base point (the contraction of the grade-0 curvature
     over the jet-free slot frames) must be exactly free of every formal
     unknown: the p,q,r,s values, the expansion unknowns and, when enabled,
-    the ambiguity terms.
+    the ambiguity terms.  z_setup builds the rules at S/S~ = 1, so any
+    other ratio, or a symbolic one, raises ValueError.
     """
+    if p.s_ratio != 1:
+        raise ValueError("the Z family is built at S/S~ = 1 only")
     # contract the symbolic curvature, then specialize only the Ricci matrix
     ric = z_geometry(p.n, ambiguity).ricci()
     if p.lambda2 is not None:
@@ -293,9 +296,11 @@ def einstein_solve_z(n: int) -> Fraction:
 
 def ricci_map_z(p: MetricParams) -> MetricParams:
     """Ric sends every Z-metric to the (scaled) Einstein point of the family;
-    homothety invariance of Ric makes the image independent of rho."""
-    return MetricParams(p.n, lambda2=Fraction(1, p.n + 2),
-                        rho=Fraction(4 * p.n + 8), s_ratio=p.s_ratio)
+    homothety invariance of Ric makes the image independent of rho.  Like
+    ricci_z, it raises ValueError unless S/S~ = 1."""
+    if p.s_ratio != 1:
+        raise ValueError("the Z family is built at S/S~ = 1 only")
+    return MetricParams(p.n, lambda2=Fraction(1, p.n + 2), rho=Fraction(4 * p.n + 8))
 
 
 def integrability_witness(n: int) -> bool:

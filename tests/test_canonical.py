@@ -308,3 +308,63 @@ def test_complex_structure_equation_matrix_at_lambda_one():
         for q in range(m):
             assert cmat[m + p][m + q].re == cmat[p][q].re
             assert cmat[m + p][m + q].im == -cmat[p][q].im
+
+
+def _gmul(a, b):
+    """Product of two Gaussian rationals given as (re, im) pairs."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _complex_unit_table(n):
+    """U[p] = {real slot: (re, im)} of each complex coframe form and
+    Uinv[s] = {complex slot: (re, im)} of each real one, over the real slots
+    (alpha_1, alpha_3, X^i_a at 2 + i n + a - 1): zeta^0 = alpha_1 + i alpha_3,
+    Z^1_a = X^0_a + i X^2_a, Z^2_a = X^1_a + i X^3_a, then the conjugates."""
+    def x(i, a):
+        return 2 + i * n + a - 1
+
+    hol = [(0, 1)] + [(x(0, a), x(2, a)) for a in range(1, n + 1)]
+    hol += [(x(1, a), x(3, a)) for a in range(1, n + 1)]
+    m, h = len(hol), Fraction(1, 2)
+    U, Uinv = [None] * (2 * m), [None] * (2 * m)
+    for p, (r1, r2) in enumerate(hol):
+        U[p] = {r1: (1, 0), r2: (0, 1)}
+        U[m + p] = {r1: (1, 0), r2: (0, -1)}
+        # e^r1 = (z + conj z) / 2, e^r2 = (z - conj z) / 2i
+        Uinv[r1] = {p: (h, 0), m + p: (h, 0)}
+        Uinv[r2] = {p: (0, -h), m + p: (0, h)}
+    return U, Uinv
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("build, mu", [
+    (connection_canonical, Fraction(1)), (connection_canonical, Fraction(1, 3)),
+    (connection_canonical, Fraction(2)), (connection_canonical, None),
+    (curvature_canonical, Fraction(1)), (curvature_canonical, Fraction(2)),
+])
+def test_complex_transform_is_u_m_u_inverse(n, build, mu):
+    # every entry of every block, mixing blocks included, against the
+    # definition sum_{r,s} U[p][r] M[r][s] Uinv[s][q]
+    from twistorflow.gaussc import complex_transform
+    U, Uinv = _complex_unit_table(n)
+    dim = len(U)
+    for p in range(dim):
+        for q in range(dim):
+            prod = (0, 0)
+            for r, u in U[p].items():
+                v = Uinv[r].get(q, (0, 0))
+                prod = tuple(a + b for a, b in zip(prod, _gmul(u, v)))
+            assert prod == (int(p == q), 0)
+    real = build(MetricParams(n, lambda2=mu))
+    cmat, M = complex_transform(real, n), real.entries
+    zero = type(M[0][0])({})
+    for p in range(dim):
+        for q in range(dim):
+            re = im = zero
+            for r, u in U[p].items():
+                for s in range(dim):
+                    if q in Uinv[s]:
+                        wr, wi = _gmul(u, Uinv[s][q])
+                        re = re + M[r][s].scale(ONE.scale(wr))
+                        im = im + M[r][s].scale(ONE.scale(wi))
+            assert (cmat[p][q].re, cmat[p][q].im) == (re, im)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistorflow.cli import main
 
@@ -380,3 +381,56 @@ def test_queries_load_neither_verify_nor_flow(argv):
 def test_family_names_match_flow():
     from twistorflow import cli, flow
     assert (cli.CANONICAL, cli.Z) == (flow.CANONICAL, flow.Z)
+
+
+# accepted and rejected values of a rational option
+_GOOD = ("1/2", "2/7", "3", "1", "0.3", "1/4")
+_BAD = ("0", "-1", "-2/3", "1/0", "inf", "nan", "-inf", "1e400", "junk", "", "1/x")
+
+
+@st.composite
+def _command_line(draw):
+    """An einstein, ricci, curvature, flow or entropy command line: all valid
+    values, or a mix of valid and malformed ones.  A valid run stays cheap:
+    n <= 3, at most 1000 flow steps and 200 entropy samples, no --out."""
+    mixed = draw(st.booleans())
+
+    def pick(good, bad=()):
+        return draw(st.sampled_from(good + bad if mixed else good))
+
+    cmd = draw(st.sampled_from(["einstein", "ricci", "curvature", "flow", "entropy"]))
+    family = f"--family={pick(('canonical', 'z'), ('junk',))}"
+    fmt = f"--format={pick(('json', 'csv', 'table'), ('xml',))}"
+    if cmd == "einstein":
+        return [cmd, family, f"--n={pick(('2', '3', '1000'), ('-1', '0', '1', 'x'))}", fmt]
+    if cmd == "ricci":
+        n = draw(st.integers(1, 8) if mixed else st.integers(2, 3))
+        # a valid value at n in 4..6 would run at full cost
+        lam = draw(st.sampled_from(_BAD)) if 4 <= n <= 6 else pick(_GOOD, _BAD)
+        return [cmd, family, f"--n={n}", f"--lambda2={lam}", fmt]
+    if cmd == "curvature":
+        n = pick(("2", "3"), ("-1", "0", "1", "7", "8", "x"))
+        return [cmd, f"--n={n}", fmt] + (["--sectional"] if draw(st.booleans()) else [])
+    n = f"--n={pick(('2', '3'), ('0', '1', 'x'))}"
+    lam, rho0 = (f"--{opt}={pick(_GOOD, _BAD)}" for opt in ("lambda2", "rho0"))
+    fmt = f"--format={pick(('csv', 'json'), ('xml',))}"
+    if cmd == "flow":
+        # |t_end| / dt <= 1000; an auto end, at rho0 <= 3, is under 100 steps
+        dt = pick(("0.01", "0.001"), ("0", "-0.01", "nan", "inf", "1e-300", "x"))
+        t_end = pick(("0.5", "-1", "0", "auto"), ("nan", "inf", "x"))
+        return [cmd, family, n, lam, rho0, f"--dt={dt}", f"--t-end={t_end}", fmt]
+    samples = pick(("2", "50", "200"), ("-5", "0", "1", "x"))
+    return [cmd, n, lam, rho0, f"--samples={samples}", fmt]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(argv=_command_line())
+def test_every_command_line_exits_0_1_or_2(argv):
+    from contextlib import redirect_stderr, redirect_stdout
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as ex:  # argparse rejects the command line
+            code = ex.code
+    assert code in (0, 1, 2), (argv, err.getvalue())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistorflow.coeff import Coeff, ONE, ZERO, jet_cutoff, jet_symbol
-from twistorflow.forms import Basis, DerivativeRules, OneForm, specialize
+from twistorflow.forms import DerivativeRules, OneForm, specialize
 
 
 A = jet_symbol("tA", 1)
@@ -113,7 +113,7 @@ def test_specialize_is_a_ring_map(tx, ty, mu, k, u0, q, cutoff):
         assert sp(unit.inverse()) == sp(sp(unit).inverse())
         assert sp(sp(unit) * sp(unit.inverse())) == ONE
         # lambda is a constant, so specialize commutes with d
-        rules = DerivativeRules(Basis(2), []).with_jets({
+        rules = DerivativeRules([]).with_jets({
             A: OneForm.build([(0, Coeff.lam_power(-1, 2) + Coeff.symbol(B)),
                               (3, Coeff.lam_power(3))]),
             B: OneForm.build([(1, Coeff.lam_power(1)), (4, Coeff.symbol(P, -1))]),

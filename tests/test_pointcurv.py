@@ -35,7 +35,7 @@ def test_point_geometry_reproduces_canonical_ricci():
                 name = "GV[" + ",".join(map(str, lab[1:])) + "|" + tags[K] + "]"
                 f[idx] = Coeff.symbol(jet_symbol(name, 0)) * scale
         vf.append(f)
-    geo = point_geometry(coframe, rules, vf)
+    geo = point_geometry(basis.labels, coframe, rules, vf)
     ric = geo.ricci()
     dim = 10
     want = ricci_canonical(p)
@@ -55,7 +55,7 @@ def test_point_geometry_structure_equation_is_checked():
     # the shared solver; reaching here without exceptions is the assertion
     p = MetricParams(2, lambda2=Fraction(1, 3))
     basis, rules, coframe, frames = canonical_setup(p)
-    geo = point_geometry(coframe, rules, frames)
+    geo = point_geometry(basis.labels, coframe, rules, frames)
     assert geo.gamma.is_skew()
     assert geo.omega.dim == 10
 

@@ -167,6 +167,16 @@ def test_ricci_map_z():
     assert again.lambda2 == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("s_ratio", [Fraction(2), None])
+def test_z_family_rejects_a_ratio_other_than_one(s_ratio):
+    # the Z rules are built at S/S~ = 1: another ratio must not get that answer
+    p = MetricParams(2, lambda2=Fraction(1, 2), s_ratio=s_ratio)
+    with pytest.raises(ValueError):
+        ricci_z(p)
+    with pytest.raises(ValueError):
+        ricci_map_z(p)
+
+
 def test_integrability_witness():
     assert integrability_witness(2)
 
