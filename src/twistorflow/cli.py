@@ -16,17 +16,12 @@ from fractions import Fraction
 
 from .canonical import (MetricParams, OutOfDomain, einstein_solve_canonical,
                         ricci_canonical)
-from .liealg import hpn_curvature, sectional
+from .liealg import MAX_QUERY_N, hpn_curvature, sectional
 from .zmetric import einstein_solve_z, ricci_z
 
 # flow.CANONICAL and flow.Z: verify and flow are imported only by the
 # commands that use them, so ricci, einstein and curvature load neither
 CANONICAL, Z = "canonical", "z"
-
-# largest n that ricci and curvature accept: their cost grows geometrically
-# in n (ricci --family z about 2.7x per step); n < 2 is rejected by the
-# model itself
-MAX_QUERY_N = 6
 
 
 def _parse_rational(text: str):
@@ -75,8 +70,8 @@ def _emit(payload, fmt: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    if not (2 <= args.n <= 4):
-        sys.stderr.write("verify supports n in 2..4 (the paper assumes n > 1)\n")
+    if not (2 <= args.n <= MAX_QUERY_N):
+        sys.stderr.write(f"verify supports n in 2..{MAX_QUERY_N} (the paper assumes n > 1)\n")
         return 2
     tamper = None
     if args.tamper:
@@ -102,7 +97,15 @@ def cmd_ricci(args) -> int:
         sys.stderr.write(f"ricci supports n in 2..{MAX_QUERY_N}\n")
         return 2
     mu, exact = _parse_rational(args.lambda2)
-    mu_frac = mu if exact else Fraction(mu).limit_denominator(10 ** 12)
+    if exact:
+        mu_frac = mu
+    elif mu:
+        # a decimal is exactly the rational its text spells: 1e-13 is 1/10^13
+        mu_frac = Fraction(args.lambda2.strip())
+    else:
+        # zero, or below the float range: no float Ricci value to report
+        sys.stderr.write(f"lambda^2 = {args.lambda2} rounds to 0 as a float\n")
+        return 2
     try:
         p = MetricParams(args.n, lambda2=mu_frac)
     except ValueError as ex:
@@ -111,7 +114,11 @@ def cmd_ricci(args) -> int:
     rd = ricci_canonical(p) if args.family == CANONICAL else ricci_z(p)
     fiber, base = rd.fiber_at(mu_frac), rd.base_at(mu_frac)
     if not exact:
-        fiber, base = float(fiber), float(base)
+        try:
+            fiber, base = float(fiber), float(base)
+        except OverflowError:
+            sys.stderr.write(f"lambda^2 = {args.lambda2}: the Ricci values overflow a float\n")
+            return 2
     payload = {
         "family": args.family, "n": args.n, "lambda2": mu if not exact else mu_frac,
         "fiber": fiber, "base": base,

@@ -104,9 +104,11 @@ def _monomial_grade(mono: tuple[int, ...]) -> int:
 
 def ring_value(x) -> int | Fraction:
     """x in the ring's stored form: an int when integral, else a Fraction."""
-    if x.__class__ is int:
+    cls = x.__class__
+    if cls is int:
         return x
-    x = Fraction(x)
+    if cls is not Fraction:
+        x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
@@ -118,11 +120,16 @@ def _canonical(terms: dict) -> dict:
     return terms
 
 
+_UNIT_TERMS = {(0, ()): 1}
+
+
 class Coeff:
     """Element of Q[lambda, lambda^-1] (x) jet algebra.
 
     terms maps (lambda exponent, sorted jet-id tuple) -> nonzero value, an
-    int when integral and a Fraction otherwise (see ring_value).
+    int when integral and a Fraction otherwise (see ring_value).  Values are
+    immutable: terms is never changed after construction, by this class or
+    any caller, so a result may be an operand itself.
     """
 
     __slots__ = ("terms",)
@@ -172,6 +179,12 @@ class Coeff:
         return self + (-other)
 
     def __mul__(self, other: "Coeff") -> "Coeff":
+        # a unit factor returns the other factor: the loop below would copy
+        # it term for term (a jet-free factor never truncates)
+        if other.terms == _UNIT_TERMS:
+            return self
+        if self.terms == _UNIT_TERMS:
+            return other
         cutoff = _CUTOFF
         out: dict = {}
         for (k1, m1), v1 in self.terms.items():

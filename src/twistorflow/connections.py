@@ -104,7 +104,12 @@ def _decompose(two: TwoForm, expans, extras):
 
 def levi_civita(coframe: list[OneForm], rules: DerivativeRules) -> FormMatrix:
     """Solve the first structure equation; the solution is checked to be skew
-    and to satisfy the equation exactly."""
+    and to satisfy the equation exactly.
+
+    The coframe-quadratic part is the Koszul combination of the dtheta
+    coefficients, summed as 2 Gamma and halved once per coefficient, so
+    integral structure functions keep the whole solve in int arithmetic.
+    """
     m = len(coframe)
     expans, extras = coframe_expansion(coframe, len(rules.d_basis))
 
@@ -127,33 +132,32 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules) -> FormMatrix:
                     raise NonMetricStructure(
                         f"forced part not skew at rows {K},{L}, extra {e}")
 
-    # coframe-quadratic part: d theta^K = -(1/2) C^K_{LM} theta^L ^ theta^M
-    def Cget(K, L, M_):
-        CK = decomposed[K][0]
-        if L == M_:
-            return ZERO
-        if L < M_:
-            d = CK.get((L, M_))
-            return -d if d is not None else ZERO
-        return CK.get((M_, L), ZERO)
-
+    # coframe-quadratic part: d theta^P = -(1/2) c^P_{AB} theta^A ^ theta^B, and
+    # 2 Gamma^K_L(e_M) = -(c^K_{LM} + c^L_{MK} - c^M_{KL}).  Each stored
+    # coefficient x of theta^A ^ theta^B (A < B, so c^P_{AB} = -x) feeds six
+    # entries of 2 Gamma; those with K = L cancel and are skipped.  The sums
+    # are halved once, after the last term.
+    twice: list[list[dict[int, Coeff]]] = [[{} for _ in range(m)] for _ in range(m)]
+    for P, (CP, _, _) in enumerate(decomposed):
+        for (A, B), x in CP.items():
+            nx = -x
+            if P != A:
+                _add_into(twice[P][A], B, x)
+                _add_into(twice[A][P], B, nx)
+            if P != B:
+                _add_into(twice[P][B], A, nx)
+                _add_into(twice[B][P], A, x)
+            _add_into(twice[A][B], P, nx)
+            _add_into(twice[B][A], P, x)
     half = Fraction(1, 2)
-    gamma_cof: list[list[dict[int, Coeff]]] = [[{} for _ in range(m)] for _ in range(m)]
-    for K in range(m):
-        for L in range(m):
-            if K == L:
-                continue
-            for Mi in range(m):
-                g = (Cget(K, L, Mi) + Cget(L, Mi, K) - Cget(Mi, K, L)).scale(-half)
-                if not g.is_zero():
-                    gamma_cof[K][L][Mi] = g
 
     entries: list[list[OneForm]] = []
     for K in range(m):
         row = []
         for L in range(m):
             acc: dict[int, Coeff] = dict(forced[K][L])
-            for Mi, g in gamma_cof[K][L].items():
+            for Mi, g2 in twice[K][L].items():
+                g = g2.scale(half)
                 for idx, c in coframe[Mi].coeffs.items():
                     _add_into(acc, idx, g * c)
             row.append(OneForm(acc))

@@ -33,7 +33,13 @@ __all__ = [
     "verify_block_equations",
     "hpn_curvature",
     "sectional",
+    "MAX_QUERY_N",
 ]
+
+# largest n that verify, ricci and curvature accept: their cost grows
+# geometrically in n (ricci --family z about 2.7x per step); n < 2 is
+# rejected by the model itself
+MAX_QUERY_N = 6
 
 
 class NotClosed(ValueError):
@@ -343,13 +349,19 @@ def _sp_structure(n: int) -> StructureConstants:
 def jacobi_residual(sc: StructureConstants):
     """First violated triple of the Jacobi identity, or None when exact."""
     d = sc.dim
+    # sc.get(a, b) as an item list for every ordered pair with a bracket,
+    # built once: get copies and negates a row on each call with a > b
+    rows: dict[tuple[int, int], list] = {}
+    for (a, b), row in sc.c.items():
+        rows[(a, b)] = list(row.items())
+        rows[(b, a)] = [(k, -v) for k, v in row.items()]
     for i in range(d):
         for j in range(i + 1, d):
             for k in range(j + 1, d):
                 acc: dict[int, int | Fraction] = {}
                 for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, v in sc.get(a, b).items():
-                        for l, w in sc.get(m, cc).items():
+                    for m, v in rows.get((a, b), ()):
+                        for l, w in rows.get((m, cc), ()):
                             nv = acc.get(l)
                             nv = v * w if nv is None else nv + v * w
                             if nv:
@@ -418,8 +430,8 @@ def verify_block_equations(n: int, tamper: tuple[int, int, int] | None = None) -
     also Jacobi-checked (report key "jacobi"); the untampered table was
     checked when it was built.
     """
-    if not (2 <= n <= 4):
-        raise ValueError("block verification supported for n in 2..4")
+    if not (2 <= n <= MAX_QUERY_N):
+        raise ValueError(f"block verification supported for n in 2..{MAX_QUERY_N}")
     sc = _sp_structure(n)
     jacobi_ok = True
     if tamper is not None:

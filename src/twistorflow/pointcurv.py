@@ -13,7 +13,6 @@ unknown must cancel from any physical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .coeff import ONE, ZERO, Coeff, jet_symbol
@@ -68,6 +67,20 @@ def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
     value_frames[K] is the pairing table of the dual orthonormal frame
     against every ambient basis form (values at the point; unknown values
     enter as grade-0 symbols and must cancel from physical outputs).
+
+    The rule of the jet F[e|K] is d F[e|K] = sum_M D[K][M] e^M.  Its
+    antisymmetric part D[K][M] - D[M][K] = W[(M, K)] is fixed by the
+    structure equation of e, where W[(L, M)] is de(e_L, e_M) minus
+    sum_K val(e, K) dtheta^K(e_L, e_M).  The rest is free: one grade-0
+    unknown S[a, b] = SYM[label|a,b] per slot pair a <= b, with
+
+        D[K][M] = S[K, M]              for K <= M,
+        D[K][M] = S[M, K] + W[(M, K)]  for K > M.
+
+    Against a symmetric unknown Y, with D[K][M] = Y[min, max] + W[(M, K)]/2,
+    this is the shift S[K, M] = Y[K, M] + W[(M, K)]/2 (K <= M): a bijection
+    of the unknowns, so Ricci is free of S exactly when it is free of Y, and
+    every rule is integral.
     """
     m = len(ambient_coframe)
     expans, extras = coframe_expansion(ambient_coframe, len(ambient_labels))
@@ -106,7 +119,7 @@ def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
     d_slot = [conv2(dt) for dt in dth_amb]
 
     # derivative rules of the expansion jets: antisymmetric part pinned by
-    # the known d of the ambient form, symmetric part a fresh unknown
+    # the known d of the ambient form, the rest a fresh unknown per slot pair
     index = frame_index(value_frames)
     dtheta_pair = [pairing_table(dt, index) for dt in dth_amb]
 
@@ -120,13 +133,18 @@ def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
                 for LM, t in dtheta_pair[K].items():
                     _add_into(W, LM, -(v * t))
         lab = _label_str(ambient_labels[e])
-        half = Fraction(1, 2)
+        sym = {(a, b): Coeff.symbol(jet_symbol(f"SYM[{lab}|{a},{b}]", 0))
+               for a in range(m) for b in range(a, m)}
         for K in range(m):
             items = []
             for M in range(m):
-                kk, mm = (K, M) if K <= M else (M, K)
-                sym = Coeff.symbol(jet_symbol(f"SYM[{lab}|{kk},{mm}]", 0))
-                d_km = sym + W.get((M, K), ZERO).scale(half)
+                if K <= M:
+                    d_km = sym[(K, M)]
+                else:
+                    d_km = sym[(M, K)]
+                    w = W.get((M, K))
+                    if w is not None:
+                        d_km = d_km + w
                 items.append((M, d_km))
             slot_jet_rules[fjets[e][K].sid] = OneForm.build(items)
 

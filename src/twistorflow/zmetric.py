@@ -68,7 +68,8 @@ def jet_rules_z(n: int, basis: Basis, ambiguity: str = "none") -> dict:
 
     Exact modulo grade-2 terms.  ambiguity controls the alpha_1/alpha_3
     components the displayed table leaves open: "grade1" adds fresh nilpotent
-    unknowns U1(k) there; "stripped" deletes the invisible components
+    unknowns there, as 2 U1(k) (as free as U1(k), and the Koszul 1/2 then
+    leaves the connection integral); "stripped" deletes the invisible components
     entirely (the literal displayed table); "grade0" adds free first-order
     unknowns U(k), which changes the metric germ itself and is kept only as
     a diagnostic counterexample.
@@ -102,8 +103,8 @@ def jet_rules_z(n: int, basis: Basis, ambiguity: str = "none") -> dict:
                     ucount += 2
                 elif ambiguity == "grade1":
                     u1, u2 = _u_sym(ucount, 1), _u_sym(ucount + 1, 1)
-                    items.append((basis.a(1), Coeff.symbol(u1)))
-                    items.append((basis.a(3), Coeff.symbol(u2)))
+                    items.append((basis.a(1), Coeff.symbol(u1, 2)))
+                    items.append((basis.a(3), Coeff.symbol(u2, 2)))
                     rules[u1] = OneForm({})
                     rules[u2] = OneForm({})
                     ucount += 2

@@ -201,6 +201,15 @@ def test_entropy_command(tmp_path):
     assert all(a <= b + 1e-12 for a, b in zip(ws, ws[1:]))
 
 
+def test_small_decimal_lambda2_is_read_exactly():
+    # 1e-13 is 1/10^13, not a rational rounded to denominator 10^12 (which is 0)
+    code, out = run_cli(["ricci", "--family", "z", "--n", "2", "--lambda2", "1e-13",
+                         "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["fiber"], payload["base"], payload["lambda2"]) == (4e13, 16.0, 1e-13)
+
+
 def test_domain_errors_exit_2():
     code, _ = run_cli(["entropy", "--n", "2", "--rho0", "1", "--lambda2", "1/8",
                        "--samples", "10"])
@@ -251,7 +260,11 @@ def test_entropy_summary_compares_each_w_with_the_one_before(monkeypatch, capsys
     "verify --n 2 --tamper 0,0,5",
     "verify --n 2 --tamper 3,3,0",
     "ricci --family z --n 7 --lambda2 1/2",
+    "ricci --family canonical --n 2 --lambda2 1e308",
+    "ricci --family z --n 2 --lambda2 1e-320",
+    "ricci --family z --n 2 --lambda2 1e-999999999",
     "curvature --n 7",
+    "verify --n 7",
     "entropy --n 2 --rho0 1 --lambda2 1/2 --samples 10000001",
     "entropy --n 2 --rho0 1e100 --lambda2 1/2",
     "entropy --n 2 --rho0 1e-300 --lambda2 1/2",
@@ -423,14 +436,41 @@ def _command_line(draw):
     return [cmd, n, lam, rho0, f"--samples={samples}", fmt]
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(argv=_command_line())
-def test_every_command_line_exits_0_1_or_2(argv):
+def _exit_code(argv):
+    """cli.main's exit code, or argparse's when it rejects the command line,
+    with the stderr text."""
     from contextlib import redirect_stderr, redirect_stdout
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as ex:  # argparse rejects the command line
+        except SystemExit as ex:
             code = ex.code
-    assert code in (0, 1, 2), (argv, err.getvalue())
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(argv=_command_line())
+def test_every_command_line_exits_0_1_or_2(argv):
+    code, err = _exit_code(argv)
+    assert code in (0, 1, 2), (argv, err)
+
+
+@st.composite
+def _verify_command_line(draw):
+    """A verify command line with a valid or malformed --n and --tamper; a
+    valid --n is 2 only, where a whole run takes well under a second."""
+    n = "2" if draw(st.booleans()) else draw(st.sampled_from(["-1", "0", "1", "7", "junk"]))
+    argv = ["verify", f"--n={n}"]
+    tamper = draw(st.sampled_from([None, "", "1,2", "0,0,3", "a,b,c", "999,1,2", "0,1,2"]))
+    if tamper is not None:
+        argv.append(f"--tamper={tamper}")
+    return argv + [f"--format={draw(st.sampled_from(['json', 'table']))}"]
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(argv=_verify_command_line())
+def test_every_verify_command_line_exits_0_1_or_2(argv):
+    code, err = _exit_code(argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -169,22 +168,41 @@ def test_inverse():
         (rational(1) + Coeff.lam_power(1)).inverse()
 
 
-def test_random_ring_axioms():
-    rng = random.Random(7)
-    syms = [Coeff.symbol(A), Coeff.symbol(B), Coeff.symbol(P)]
-
-    def rand_coeff():
-        total = ZERO
-        for _ in range(rng.randint(1, 4)):
-            c = Coeff.lam_power(rng.randint(-2, 2), Fraction(rng.randint(-3, 3)))
-            if rng.random() < 0.5:
-                c = c * syms[rng.randrange(3)]
-            total = total + c
-        return total
-
-    for _ in range(60):
-        x, y, z = rand_coeff(), rand_coeff(), rand_coeff()
+@settings(max_examples=150, deadline=None)
+@given(_terms, _terms, _terms, st.sampled_from([2, 3]))
+def test_random_ring_axioms(tx, ty, tz, cutoff):
+    with jet_cutoff(cutoff):
+        x, y, z = _build(tx), _build(ty), _build(tz)
         assert x + y == y + x
         assert x * y == y * x
-        assert (x + y) * z == x * z + y * z
+        assert (x + y) + z == x + (y + z)
         assert x * (y * z) == (x * y) * z
+        assert (x + y) * z == x * z + y * z
+        assert x * (y - z) == x * y - x * z
+
+
+def _snapshot(*cs):
+    return [dict(c.terms) for c in cs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_terms, _terms, st.fractions(-5, 5, max_denominator=6),
+       st.fractions(Fraction(1, 9), 9, max_denominator=9), st.sampled_from([2, 3]))
+def test_unit_law_and_operands_are_never_changed(tx, ty, q, mu, cutoff):
+    # Coeff values are immutable: a product by exactly 1 may return the other
+    # factor itself, so no later operation may change the terms of anything
+    with jet_cutoff(cutoff):
+        x, y = _build(tx), _build(ty)
+        before = _snapshot(x, y, ONE)
+        ux, xu = ONE * x, x * ONE
+        assert ux == x and xu == x
+        results = [x + y, x - y, x * y, -x, x.scale(q), x.grade_part(0), x.grade_part(1),
+                   x.specialize(mu), ux + y, xu * y, ux - ux, xu.scale(q), ONE * ONE]
+        assert _snapshot(x, y, ONE) == before
+        assert ux == x and xu == x and ONE.terms == {(0, ()): 1}
+        # results are equal to, not entangled with, each other
+        snap = _snapshot(*results)
+        for a in results:
+            for b in results:
+                a + b, a * b, a - b
+        assert _snapshot(*results) == snap

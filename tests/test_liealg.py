@@ -124,8 +124,8 @@ def test_block_equations():
     bad = verify_block_equations(2, tamper=(0, 1, 2))
     assert not bad["all_pass"]
     assert not bad["dalpha"]
-    with pytest.raises(ValueError):
-        verify_block_equations(5)
+    with pytest.raises(ValueError, match="n in 2..6"):
+        verify_block_equations(7)
 
 
 def test_every_single_entry_tamper_is_caught():

@@ -5,6 +5,7 @@ through the point-geometry machinery with unknown Gamma~ frame values must
 reproduce the same Ricci tensor with every unknown cancelling.
 """
 
+import re
 import sys
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from twistorflow.canonical import (MetricParams, canonical_setup, curvature_cano
                                    ricci_canonical)
 import twistorflow
 from twistorflow import forms
-from twistorflow.coeff import Coeff, jet_cutoff, jet_symbol
+from twistorflow.coeff import Coeff, jet_cutoff, jet_symbol, symbol_name
 from twistorflow.connections import levi_civita, ricci_matrix
 from twistorflow.forms import curvature, mat_wedge
 from twistorflow.pointcurv import point_geometry
@@ -112,3 +113,33 @@ def test_ricci_z_never_builds_the_curvature(monkeypatch):
     # the lazy omega is built on first read only, and once
     geo = z_geometry(2)
     assert geo.omega is geo.omega and calls == [10]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("ambiguity", ["none", "grade1"])
+def test_z_geometry_is_integral(n, ambiguity):
+    geo = z_geometry(n, ambiguity)
+    rules = geo.rules
+    forms_ = [e for row in geo.gamma.entries for e in row] + list(rules.d_basis) \
+        + list(rules.jet_rules.values())
+    for f in forms_:
+        for c in f.coeffs.values():
+            assert all(type(v) is int for v in c.terms.values()), c
+    # the rules of the expansion jets F[label|K]: row K of D
+    D = {}
+    for sid, rule in rules.jet_rules.items():
+        match = re.fullmatch(r"F\[(.*)\|(\d+)\]", symbol_name(sid))
+        if match:
+            D[match[1], int(match[2])] = rule.coeffs
+    assert D
+    for (lab, K), row in D.items():
+        for M, c in row.items():
+            # SYM[label|a,b] enters entries (a, b) and (b, a) only, with coefficient 1
+            syms = {s for s in c.symbols() if s.startswith("SYM[")}
+            assert syms == {f"SYM[{lab}|{min(K, M)},{max(K, M)}]"}, (lab, K, M)
+            sid = jet_symbol(syms.pop(), 0).sid
+            assert [v for (_, mono), v in c.terms.items() if sid in mono] == [1]
+            assert c.terms.get((0, (sid,))) == 1
+            # the antisymmetric part is what the structure equation fixes
+            anti = c - D[lab, M].get(K, Coeff())
+            assert not any(s.startswith("SYM[") for s in anti.symbols())
