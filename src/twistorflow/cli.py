@@ -74,7 +74,7 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"verify supports n in 2..{MAX_QUERY_N} (the paper assumes n > 1)\n")
         return 2
     tamper = None
-    if args.tamper:
+    if args.tamper is not None:
         tamper = tuple(int(x) for x in args.tamper.split(","))
         dim = (args.n + 1) * (2 * args.n + 3)
         if len(tamper) != 3 or not all(0 <= x < dim for x in tamper):
@@ -171,9 +171,14 @@ def _export(path, write, *args) -> None:
 
 def _initial_state(args) -> FlowState:
     from .flow import FlowState
-    mu, _ = _parse_rational(args.lambda2)
-    rho0, _ = _parse_rational(args.rho0)
-    return FlowState(0.0, float(rho0), float(mu), args.family, args.n)
+    value = {}
+    for name in ("lambda2", "rho0"):
+        x, _ = _parse_rational(getattr(args, name))
+        try:
+            value[name] = float(x)
+        except OverflowError:
+            raise ValueError(f"--{name} is too large for a float") from None
+    return FlowState(0.0, value["rho0"], value["lambda2"], args.family, args.n)
 
 
 def cmd_flow(args) -> int:
@@ -237,7 +242,7 @@ def cmd_entropy(args) -> int:
             prev = r.w
             yield r
 
-    _export(args.out, write_entropy, init, watched(), args.format)
+    _export(args.out, write_entropy, watched(), args.format)
     summary = {"samples": args.samples, "w_nondecreasing": w_nondecreasing}
     sys.stderr.write(json.dumps(summary) + "\n")
     return 0

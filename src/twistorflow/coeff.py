@@ -23,6 +23,7 @@ __all__ = [
     "ring_value",
     "JetSymbol",
     "jet_symbol",
+    "symbol_name",
     "jet_grade",
     "jet_cutoff",
     "active_cutoff",

@@ -6,7 +6,8 @@ classification and the entropy diagnostics live here.
 
 A `Trajectory` is stored by column (lists `t`, `rho`, `mu` and
 `invariant_series`); `Trajectory.samples` is a read-only view that builds a
-`FlowState` per sample on demand.
+`FlowState` per sample on demand.  An `EntropyRecord` is its export row: its
+fields are the export's columns, in order.
 
 The exports are written to a text stream as they are formatted, BLOCK_ROWS
 rows per write, so beyond the trajectory's columns their memory does not
@@ -17,20 +18,18 @@ Fraction-valued library call) value by value through `_fmt`, which prints a
 Fraction as p/q.  The JSON writer gives the bytes of
 `json.dumps([...], separators=(",", ":"))`: a row of finite floats goes
 through one %r template, as json prints a float with `float.__repr__`, and
-any other row through `json.dumps`.  `trajectory_to_csv` and the other
-`*_to_*` functions return the same text as a string.
+any other row through `json.dumps`.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import mul
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "FlowState",
@@ -44,14 +43,10 @@ __all__ = [
     "invariant",
     "integrate",
     "classify",
+    "scalar_curvature",
     "entropy_records",
-    "entropy_series",
     "write_trajectory",
     "write_entropy",
-    "trajectory_to_csv",
-    "trajectory_to_json",
-    "entropy_to_csv",
-    "entropy_to_json",
 ]
 
 CANONICAL = "canonical"
@@ -141,9 +136,14 @@ class Trajectory:
         return max(abs(v - ref) for v in self.invariant_series)
 
 
-@dataclass
-class EntropyRecord:
+class EntropyRecord(NamedTuple):
+    """One entropy export row; the fields are the export's columns, in order."""
+
     t: float
+    rho: float
+    mu: float
+    rho_mu: float
+    invariant: float
     tau: float
     scal: float
     vol_ratio: float
@@ -293,16 +293,11 @@ def classify(initial: FlowState) -> dict:
     rho0, mu0 = initial.rho, initial.mu
     t_rho = rho0 / (8 * (n + 2))
     t_rho_mu = rho0 * mu0 / 8
-    if isinstance(mu0, Fraction):
-        on_ray = mu0 == Fraction(1, n + 2)
-        above = mu0 > Fraction(1, n + 2)
-    else:
-        on_ray = mu0 == 1.0 / (n + 2)
-        above = mu0 > 1.0 / (n + 2)
-    if on_ray:
+    ray = Fraction(1, n + 2) if isinstance(mu0, Fraction) else 1.0 / (n + 2)
+    if mu0 == ray:
         return {"mode": "einstein-ray", "time": t_rho, "mu_limit": 1.0 / (n + 2),
                 "rho_limit": 0.0}
-    if above:
+    if mu0 > ray:
         return {"mode": "extinction", "time": t_rho, "mu_limit": math.inf,
                 "rho_limit": 0.0}
     return {"mode": "collapse", "time": t_rho_mu, "mu_limit": 0.0,
@@ -328,7 +323,8 @@ def entropy_records(initial: FlowState, samples: int) -> Iterator[EntropyRecord]
     if initial.family != Z:
         raise ValueError("entropy diagnostics apply to the Z family")
     n = initial.n
-    if initial.mu <= 1.0 / (n + 2):
+    z_shift = 1.0 / (n + 2)
+    if initial.mu <= z_shift:
         raise ValueError("requires mu0 > 1/(n+2), the extinction regime")
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -348,7 +344,7 @@ def entropy_records(initial: FlowState, samples: int) -> Iterator[EntropyRecord]
         u = 1.0 / vol
         f = -math.log(u) - (2 * n + 1) * math.log(4 * math.pi * tau)
         w = tau * scal + f - dim
-        return EntropyRecord(t=t, tau=tau, scal=scal, vol_ratio=vol, u=u, f=f, w=w)
+        return EntropyRecord(t, rho, mu, rho * mu, rho * (mu - z_shift), tau, scal, vol, u, f, w)
 
     # rho and the volume fall as k grows, so if the first and the last record
     # stay in float range every record does
@@ -360,14 +356,7 @@ def entropy_records(initial: FlowState, samples: int) -> Iterator[EntropyRecord]
     return map(record, range(samples))
 
 
-def entropy_series(initial: FlowState, samples: int) -> list[EntropyRecord]:
-    """The records of `entropy_records`, as a list."""
-    return list(entropy_records(initial, samples))
-
-
 _TRAJ_FIELDS = ["t", "rho", "mu", "rho_mu", "invariant"]
-_ENTROPY_FIELDS = ["t", "rho", "mu", "rho_mu", "invariant", "tau", "scal",
-                   "vol_ratio", "u", "f", "w"]
 _FLOAT = {float}
 # rows formatted per write: the text held at once stays near BLOCK_ROWS rows
 BLOCK_ROWS = 2048
@@ -415,47 +404,12 @@ def _traj_rows(traj: Trajectory):
     return zip(traj.t, traj.rho, traj.mu, map(mul, traj.rho, traj.mu), traj.invariant_series)
 
 
-def _entropy_rows(initial: FlowState, records):
-    """One row per record, read as it is needed, its (rho, mu) from the
-    closed form at the record's (float) time, as entropy_records computed
-    them."""
-    n, rho0, mu0 = initial.n, initial.rho, initial.mu
-    z_shift = 1.0 / (n + 2)
-    for r in records:
-        rho, mu = _z_closed(rho0, mu0, n, r.t)
-        yield (r.t, rho, mu, rho * mu, rho * (mu - z_shift),
-               r.tau, r.scal, r.vol_ratio, r.u, r.f, r.w)
-
-
 def write_trajectory(traj: Trajectory, fmt: str, out) -> None:
     """Write traj to the text stream out as fmt, "csv" or "json"."""
     _WRITERS[fmt](_TRAJ_FIELDS, _traj_rows(traj), out)
 
 
-def write_entropy(initial: FlowState, records, fmt: str, out) -> None:
-    """Write the rows of records, an iterable of EntropyRecords read once in
-    order, to the text stream out as fmt, "csv" or "json"."""
-    _WRITERS[fmt](_ENTROPY_FIELDS, _entropy_rows(initial, records), out)
-
-
-def _text(write, *args) -> str:
-    """What write(*args, out) writes, as a string."""
-    buf = io.StringIO()
-    write(*args, buf)
-    return buf.getvalue()
-
-
-def trajectory_to_csv(traj: Trajectory) -> str:
-    return _text(write_trajectory, traj, "csv")
-
-
-def trajectory_to_json(traj: Trajectory) -> str:
-    return _text(write_trajectory, traj, "json")
-
-
-def entropy_to_csv(initial: FlowState, records: list[EntropyRecord]) -> str:
-    return _text(write_entropy, initial, records, "csv")
-
-
-def entropy_to_json(initial: FlowState, records: list[EntropyRecord]) -> str:
-    return _text(write_entropy, initial, records, "json")
+def write_entropy(records, fmt: str, out) -> None:
+    """Write records, an iterable of EntropyRecords read once in order, to the
+    text stream out as fmt, "csv" or "json", one row per record."""
+    _WRITERS[fmt](list(EntropyRecord._fields), records, out)

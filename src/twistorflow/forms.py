@@ -27,6 +27,8 @@ __all__ = [
     "wedge",
     "exterior_derivative",
     "mat_wedge",
+    "curvature",
+    "d2_residual",
     "eval_pair",
     "frame_index",
     "pairing_table",

@@ -9,7 +9,7 @@ from fractions import Fraction
 from .coeff import Coeff
 from .canonical import (MetricParams, contact_check, einstein_solve_canonical,
                         kahler_criterion, ricci_canonical, ricci_map_canonical)
-from .flow import (FlowState, Z, CANONICAL, classify, closed_form_z, entropy_series,
+from .flow import (FlowState, Z, CANONICAL, classify, closed_form_z, entropy_records,
                    integrate, rhs)
 from .liealg import (_sp_structure, build_sp_basis, build_sp_sp1_basis, exact_rank,
                      hpn_curvature, right_action_matrices, sectional,
@@ -219,7 +219,7 @@ def _check_invariants(n: int) -> tuple[bool, str]:
 
 
 def _check_entropy(n: int) -> tuple[bool, str]:
-    recs = entropy_series(FlowState(0.0, 1.0, 0.5, Z, n), 200)
+    recs = list(entropy_records(FlowState(0.0, 1.0, 0.5, Z, n), 200))
     ws = [r.w for r in recs]
     mono = all(a <= b + 1e-12 for a, b in zip(ws, ws[1:]))
     from .flow import scalar_curvature

@@ -23,6 +23,8 @@ from .liealg import make_rules
 
 __all__ = [
     "z_setup",
+    "z_geometry",
+    "jet_rules_z",
     "hat_alpha",
     "hat_alpha_derivatives",
     "ricci_z",

@@ -12,7 +12,7 @@ from twistorflow.canonical import (MetricParams, einstein_solve_canonical,
                                    kahler_criterion, contact_check, ricci_canonical)
 from twistorflow.coeff import Coeff
 from twistorflow.flow import (CANONICAL, Z, FlowState, classify, closed_form_z,
-                              entropy_series, integrate, scalar_curvature)
+                              entropy_records, integrate, scalar_curvature)
 from twistorflow.liealg import (build_sp_basis, exact_rank, hpn_curvature,
                                 jacobi_residual, sectional, structure_constants,
                                 verify_block_equations)
@@ -167,7 +167,7 @@ def test_criterion_8_stability_contrast():
 
 def test_criterion_9_entropy():
     init = FlowState(0.0, 1.0, 0.5, Z, 2)
-    recs = entropy_series(init, 200)
+    recs = list(entropy_records(init, 200))
     ws = [r.w for r in recs]
     mono = all(a <= b + 1e-12 for a, b in zip(ws, ws[1:]))
     scal = scalar_curvature(Fraction(1), Fraction(1, 4), 2)

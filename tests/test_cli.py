@@ -226,6 +226,7 @@ def test_domain_errors_exit_2():
     "entropy --n 2 --lambda2 1/2 --samples 1000001 --out {out}",
     "entropy --n 2 --lambda2 1/2 --rho0 1e100 --out {out}",
     "flow --family z --n 2 --lambda2 1/2 --dt 1e-300 --out {out}",
+    "flow --family z --n 2 --lambda2 1/2 --rho0 1" + "0" * 400 + " --out {out}",
 ])
 def test_rejected_export_writes_no_file(argv, tmp_path):
     out = tmp_path / "x"
@@ -237,8 +238,9 @@ def test_entropy_summary_compares_each_w_with_the_one_before(monkeypatch, capsys
     from twistorflow import flow
     for ws, verdict in (([0.0, 1.0, 1.0 - 1e-13, 2.0], True), ([0.0, 1.0, 0.5, 2.0], False),
                         ([math.nan, 1.0], False), ([0.0, math.nan], False)):
-        recs = [flow.EntropyRecord(t=-1.0 + 0.1 * k, tau=1.0 - 0.1 * k, scal=1.0, vol_ratio=1.0,
-                                   u=1.0, f=0.0, w=w) for k, w in enumerate(ws)]
+        recs = [flow.EntropyRecord(t=-1.0 + 0.1 * k, rho=1.0, mu=1.0, rho_mu=1.0, invariant=0.0,
+                                   tau=1.0 - 0.1 * k, scal=1.0, vol_ratio=1.0, u=1.0, f=0.0, w=w)
+                for k, w in enumerate(ws)]
         monkeypatch.setattr(flow, "entropy_records", lambda init, samples, recs=recs: iter(recs))
         code, _ = run_cli(["entropy", "--n", "2", "--lambda2", "1/2", "--samples", str(len(ws))])
         assert code == 0
@@ -268,6 +270,10 @@ def test_entropy_summary_compares_each_w_with_the_one_before(monkeypatch, capsys
     "entropy --n 2 --rho0 1 --lambda2 1/2 --samples 10000001",
     "entropy --n 2 --rho0 1e100 --lambda2 1/2",
     "entropy --n 2 --rho0 1e-300 --lambda2 1/2",
+    "verify --n 2 --tamper=",
+    # exact values too large for a float
+    "flow --family z --n 2 --lambda2 1/2 --rho0 1" + "0" * 400,
+    f"entropy --n 2 --lambda2 {10 ** 400}/3",
 ])
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     missing = tmp_path / "no-such-dir" / "out.csv"

@@ -8,13 +8,18 @@ from fractions import Fraction
 import pytest
 
 from twistorflow.canonical import MetricParams, ricci_canonical
-from twistorflow.flow import (BLOCK_ROWS, CANONICAL, Z, Extinct, FlowState, OnEinsteinRay,
-                              StepTooLarge, Trajectory, classify, closed_form_z,
-                              entropy_records, entropy_series, entropy_to_csv,
-                              entropy_to_json, integrate, invariant, rhs, scalar_curvature,
-                              trajectory_to_csv, trajectory_to_json, write_entropy,
-                              write_trajectory)
+from twistorflow.flow import (BLOCK_ROWS, CANONICAL, Z, EntropyRecord, Extinct, FlowState,
+                              OnEinsteinRay, StepTooLarge, Trajectory, classify,
+                              closed_form_z, entropy_records, integrate, invariant, rhs,
+                              scalar_curvature, write_entropy, write_trajectory)
 from twistorflow.zmetric import ricci_z
+
+
+def _written(write, *args) -> str:
+    """What write(*args, out) writes to a text stream."""
+    out = io.StringIO()
+    write(*args, out)
+    return out.getvalue()
 
 
 def test_state_validation():
@@ -141,12 +146,12 @@ def test_trajectory_columns_and_samples_view():
 
 def test_exact_initial_row_keeps_its_fractions():
     traj = integrate(FlowState(0.0, Fraction(1), Fraction(1, 2), Z, 2), 1e-3, 0.002)
-    lines = trajectory_to_csv(traj).splitlines()
+    lines = _written(write_trajectory, traj, "csv").splitlines()
     assert lines[1] == "0,1,1/2,1/2,1/4"
     assert lines[2] == ",".join(format(x, ".17g") for x in (
         traj.t[1], traj.rho[1], traj.mu[1], traj.rho[1] * traj.mu[1],
         traj.invariant_series[1]))
-    assert json.loads(trajectory_to_json(traj))[0] == {
+    assert json.loads(_written(write_trajectory, traj, "json"))[0] == {
         "t": 0.0, "rho": 1.0, "mu": 0.5, "rho_mu": 0.5, "invariant": 0.25}
 
 
@@ -219,7 +224,7 @@ def test_canonical_stability_contrast():
 
 def test_entropy_series():
     init = FlowState(0.0, 1.0, 0.5, Z, 2)
-    recs = entropy_series(init, 200)
+    recs = list(entropy_records(init, 200))
     assert len(recs) == 200
     ws = [r.w for r in recs]
     ts = [r.t for r in recs]
@@ -233,12 +238,7 @@ def test_entropy_series():
     # tau at mu = 3/8 along this trajectory is 1/32 (the closed form's -t)
     st = closed_form_z(Fraction(1), Fraction(1, 2), 2, Fraction(-1, 32))
     assert st.mu == Fraction(3, 8)
-    with pytest.raises(ValueError):
-        entropy_series(FlowState(0.0, 1.0, 0.125, Z, 2), 10)
-    with pytest.raises(ValueError):
-        entropy_series(FlowState(0.0, 1.0, 0.5, CANONICAL, 2), 10)
     # entropy_records checks its arguments when called, before any record is read
-    assert list(entropy_records(init, 200)) == recs
     for bad in (FlowState(0.0, 1.0, 0.125, Z, 2), FlowState(0.0, 1.0, 0.5, CANONICAL, 2)):
         with pytest.raises(ValueError):
             entropy_records(bad, 10)
@@ -249,20 +249,28 @@ def test_entropy_series():
 def test_serialization_schemas():
     init = FlowState(0.0, 1.0, 0.5, Z, 2)
     traj = integrate(init, 1e-3, 0.02)
-    csv = trajectory_to_csv(traj)
+    csv = _written(write_trajectory, traj, "csv")
     header = csv.splitlines()[0]
     assert header == "t,rho,mu,rho_mu,invariant"
     assert len(csv.splitlines()) == len(traj.samples) + 1
-    rows = json.loads(trajectory_to_json(traj))
+    rows = json.loads(_written(write_trajectory, traj, "json"))
     assert list(rows[0]) == ["t", "rho", "mu", "rho_mu", "invariant"]
-    recs = entropy_series(init, 5)
-    ecsv = entropy_to_csv(init, recs)
-    assert ecsv.splitlines()[0] == "t,rho,mu,rho_mu,invariant,tau,scal,vol_ratio,u,f,w"
-    erows = json.loads(entropy_to_json(init, recs))
-    assert list(erows[0]) == ["t", "rho", "mu", "rho_mu", "invariant", "tau",
-                              "scal", "vol_ratio", "u", "f", "w"]
+    # an entropy record is its export row: its fields are the columns, in order
+    fields = ["t", "rho", "mu", "rho_mu", "invariant", "tau", "scal", "vol_ratio", "u", "f", "w"]
+    assert list(EntropyRecord._fields) == fields
+    recs = list(entropy_records(init, 5))
+    ecsv = _written(write_entropy, recs, "csv")
+    ejson = _written(write_entropy, recs, "json")
+    assert ecsv.splitlines()[0] == ",".join(fields)
+    assert all(list(row) == fields for row in json.loads(ejson))
+    for r in recs:
+        st = closed_form_z(init.rho, init.mu, init.n, r.t)
+        assert (r.rho, r.mu) == (st.rho, st.mu)
+        assert r.invariant == invariant(st) and r.rho_mu == r.rho * r.mu
+    assert ecsv == _oracle_csv(fields, recs)
+    assert ejson == _oracle_json(fields, recs)
     # determinism: identical inputs give byte-identical output
-    assert csv == trajectory_to_csv(integrate(init, 1e-3, 0.02))
+    assert csv == _written(write_trajectory, integrate(init, 1e-3, 0.02), "csv")
 
 
 def test_trajectory_events_and_drift_tolerance():
@@ -340,13 +348,13 @@ def test_streamed_writers_match_the_joined_exports(count):
         out = io.StringIO()
         write_trajectory(traj, fmt, out)
         assert out.getvalue() == oracle(fields, rows)
-    assert trajectory_to_csv(traj) == _oracle_csv(fields, rows)
     if count > 2:
         # json prints inf and nan as Infinity and NaN, through its fallback
         mu[1], inv[count // 2], rho[-1] = math.inf, math.nan, -math.inf
         rows = list(zip(t, rho, mu, [r * m for r, m in zip(rho, mu)], inv))
-        assert trajectory_to_json(traj) == _oracle_json(fields, rows)
-        assert "Infinity" in trajectory_to_json(traj) and "NaN" in trajectory_to_json(traj)
+        text = _written(write_trajectory, traj, "json")
+        assert text == _oracle_json(fields, rows)
+        assert "Infinity" in text and "NaN" in text
 
 
 def test_entropy_export_streams_in_bounded_memory():
@@ -357,13 +365,12 @@ def test_entropy_export_streams_in_bounded_memory():
     init = FlowState(0.0, 1.0, 0.5, Z, 2)
     tracemalloc.start()
     try:
-        write_entropy(init, entropy_records(init, 100_000), "csv", Discard())
+        write_entropy(entropy_records(init, 100_000), "csv", Discard())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # entropy_to_csv(init, entropy_series(init, 100_000)) peaks near 100 MB
+    # the same export joined from a list of the records peaks near 100 MB
     assert peak < 2_000_000
-    recs = entropy_series(init, 300)
-    out = io.StringIO()
-    write_entropy(init, iter(recs), "json", out)
-    assert out.getvalue() == entropy_to_json(init, recs)
+    recs = list(entropy_records(init, 300))
+    fields = list(EntropyRecord._fields)
+    assert _written(write_entropy, iter(recs), "json") == _oracle_json(fields, recs)

@@ -55,3 +55,30 @@ def test_no_unused_local_assignments():
                     if isinstance(t, ast.Name) and t.id not in used:
                         found.append(f"{path.name}:{t.lineno} {fn.name}: {t.id}")
     assert found == []
+
+
+def test_all_names_the_public_surface():
+    # every module but the cli script lists in __all__ each function and class
+    # it defines whose name has no leading _, and no name it does not bind itself
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        public, constants, exported = set(), set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    public.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+                if "__all__" in names:
+                    exported = ast.literal_eval(node.value)
+                constants |= names
+        if len(set(exported)) != len(exported):
+            found.append(f"{path.name}: __all__ repeats a name")
+        found += [f"{path.name}: {name} missing from __all__"
+                  for name in sorted(public - set(exported))]
+        found += [f"{path.name}: {name} in __all__ is not defined here"
+                  for name in sorted(set(exported) - public - constants)]
+    assert found == []
