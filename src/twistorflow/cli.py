@@ -159,14 +159,13 @@ def cmd_curvature(args) -> int:
     return 0
 
 
-def _export(path, write, *args) -> None:
+def _export(path, write, *args):
     """Stream write(*args, out) into the file at path, or to stdout when no
-    path is given."""
+    path is given; return what write returns."""
     if path:
         with open(path, "w") as fh:
-            write(*args, fh)
-    else:
-        write(*args, sys.stdout)
+            return write(*args, fh)
+    return write(*args, sys.stdout)
 
 
 def _initial_state(args) -> FlowState:
@@ -230,22 +229,33 @@ def cmd_entropy(args) -> int:
     except ValueError as ex:
         sys.stderr.write(f"{ex}\n")
         return 2
-    w_nondecreasing = True
-
-    def watched():
-        # each w against the one before it; -inf passes the first w unless it is nan
-        nonlocal w_nondecreasing
-        prev = -math.inf
-        for r in records:
-            if not prev <= r.w + 1e-12:
-                w_nondecreasing = False
-            prev = r.w
-            yield r
-
-    _export(args.out, write_entropy, watched(), args.format)
+    # write_entropy compares each w with the one before it as it writes
+    w_nondecreasing = _export(args.out, write_entropy, records, args.format)
     summary = {"samples": args.samples, "w_nondecreasing": w_nondecreasing}
     sys.stderr.write(json.dumps(summary) + "\n")
     return 0
+
+
+def _join_negative_t_end(argv: list[str]) -> list[str]:
+    """argv with "--t-end X" written "--t-end=X" where X is a negative number,
+    also for the prefixes of --t-end that argparse accepts (--t-e).
+
+    argparse reads a token that starts with "-" as an option unless it looks
+    like -3 or -0.03, so it would reject "--t-end -3e-2"; repr writes small
+    negative floats in that form (-3e-05)."""
+    joined = []
+    for token in argv:
+        option = joined[-1] if joined else ""
+        if option.startswith("--t") and "--t-end".startswith(option) and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"{option}={token}"
+                continue
+        joined.append(token)
+    return joined
 
 
 def main(argv=None) -> int:
@@ -301,7 +311,7 @@ def main(argv=None) -> int:
     pn.set_defaults(fn=cmd_entropy)
     pn.set_defaults(family=Z)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_t_end(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except OutOfDomain as ex:

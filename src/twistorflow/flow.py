@@ -9,27 +9,35 @@ A `Trajectory` is stored by column (lists `t`, `rho`, `mu` and
 `FlowState` per sample on demand.  An `EntropyRecord` is its export row: its
 fields are the export's columns, in order.
 
-The exports are written to a text stream as they are formatted, BLOCK_ROWS
-rows per write, so beyond the trajectory's columns their memory does not
-grow with the sample count; `entropy_records` computes each entropy record
-when it is read.  The CSV writer formats a row of floats with one
-"%.17g,...,%.17g" template and any other row (the exact initial state of a
-Fraction-valued library call) value by value through `_fmt`, which prints a
-Fraction as p/q.  The JSON writer gives the bytes of
-`json.dumps([...], separators=(",", ":"))`: a row of finite floats goes
-through one %r template, as json prints a float with `float.__repr__`, and
-any other row through `json.dumps`.
+An export is formatted in chunks of BLOCK_ROWS rows, by up to one process
+per CPU this process may run on (forked children, one chunk each in turn),
+and this process writes the chunks to the text stream in order, so the bytes
+never depend on the process count.  Each process holds about one chunk's
+text at a time, so beyond the trajectory's columns the memory of an export
+does not grow with its sample count; `entropy_records` returns a lazy
+sequence, so each process computes only the entropy records of its own
+chunks.  The export runs in this one process where there is one CPU or one
+chunk, where os.fork is missing, or while another thread runs.  The CSV
+writer formats a row of floats with one "%.17g,...,%.17g" template and any
+other row (the exact initial state of a Fraction-valued library call) value
+by value through `_fmt`, which prints a Fraction as p/q.  The JSON writer
+gives the bytes of `json.dumps([...], separators=(",", ":"))`: a row of
+finite floats goes through one %r template, as json prints a float with
+`float.__repr__`, and any other row through `json.dumps`.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import math
+import os
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from operator import mul
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 __all__ = [
     "FlowState",
@@ -110,6 +118,27 @@ class _Samples:
             return [self[i] for i in range(*k.indices(len(self)))]
         tr = self._traj
         return FlowState(tr.t[k], tr.rho[k], tr.mu[k], tr.family, tr.n)
+
+
+class _Records(Sequence):
+    """Read-only sequence whose item k is record(indices[k]), computed each
+    time it is read; a slice is the same view on a sub-range of indices."""
+
+    __slots__ = ("_record", "_indices")
+
+    def __init__(self, record, indices: range):
+        self._record, self._indices = record, indices
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _Records(self._record, self._indices[k])
+        return self._record(self._indices[k])
+
+    def __iter__(self):
+        return map(self._record, self._indices)
 
 
 @dataclass
@@ -218,10 +247,6 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
     if not span <= MAX_STEPS:
         raise ValueError(f"(t_end - t0)/dt = {span:.3g} exceeds the {MAX_STEPS} step budget")
 
-    def deriv(v, rho):
-        mu = v / rho
-        return -8.0 * (1.0 + n * mu * mu), -8.0 * (n + 2 - mu)
-
     v = initial.rho * initial.mu
     rho = initial.rho
     floor_v = FLOOR_RATIO * v
@@ -236,22 +261,33 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
     c_base = (n * n + 3 * n + 1) / (n * (n + 1))
     log = math.log
     steps = max(0, int(round(span)))
+    # Python groups 0.5 * step * k as (0.5 * step) * k and step / 6.0 * s as
+    # (step / 6.0) * s, so these factors leave every stage float unchanged
+    h2, h6 = 0.5 * step, step / 6.0
     if on_z:
         # the Z right-hand side is constant, so every RK4 increment is the
         # same float: the four stage values below, summed as in the general step
         kv, kr = -8.0, -8.0 * (n + 2)
-        inc_v = step / 6.0 * (kv + 2 * kv + 2 * kv + kv)
-        inc_r = step / 6.0 * (kr + 2 * kr + 2 * kr + kr)
+        inc_v = h6 * (kv + 2 * kv + 2 * kv + kv)
+        inc_r = h6 * (kr + 2 * kr + 2 * kr + kr)
     for k in range(steps):
         if on_z:
             nv, nrho = v + inc_v, rho + inc_r
         else:
-            k1v, k1r = deriv(v, rho)
-            k2v, k2r = deriv(v + 0.5 * step * k1v, rho + 0.5 * step * k1r)
-            k3v, k3r = deriv(v + 0.5 * step * k2v, rho + 0.5 * step * k2r)
-            k4v, k4r = deriv(v + step * k3v, rho + step * k3r)
-            nv = v + step / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            nrho = rho + step / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
+            # the four stages of (d(rho mu)/dt, d rho/dt) = (-8 (1 + n mu^2), -8 (n + 2 - mu))
+            mu = v / rho
+            k1v, k1r = -8.0 * (1.0 + n * mu * mu), -8.0 * (n + 2 - mu)
+            sv, sr = v + h2 * k1v, rho + h2 * k1r
+            mu = sv / sr
+            k2v, k2r = -8.0 * (1.0 + n * mu * mu), -8.0 * (n + 2 - mu)
+            sv, sr = v + h2 * k2v, rho + h2 * k2r
+            mu = sv / sr
+            k3v, k3r = -8.0 * (1.0 + n * mu * mu), -8.0 * (n + 2 - mu)
+            sv, sr = v + step * k3v, rho + step * k3r
+            mu = sv / sr
+            k4v, k4r = -8.0 * (1.0 + n * mu * mu), -8.0 * (n + 2 - mu)
+            nv = v + h6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+            nrho = rho + h6 * (k1r + 2 * k2r + 2 * k3r + k4r)
         if nv <= floor_v or nrho <= floor_rho:
             if nv <= 0 or nrho <= 0:
                 raise StepTooLarge(
@@ -309,16 +345,17 @@ def scalar_curvature(rho, mu, n: int):
     return 8 / (rho * mu) + 16 * n * (n + 2) / rho
 
 
-def entropy_records(initial: FlowState, samples: int) -> Iterator[EntropyRecord]:
+def entropy_records(initial: FlowState, samples: int) -> Sequence[EntropyRecord]:
     """Entropy diagnostics along the ancient side (t < 0, tau = -t) of a
     Z-trajectory with mu0 above the Einstein value, equally spaced in t.
 
     u is spatially constant (1 over the coframe-normalized volume
     rho^(2n+1) mu), f comes from u = (4 pi tau)^-(2n+1) e^-f, and
     w = tau Scal + f - (4n+2); w is nondecreasing in t.  The arguments are
-    checked when this is called and each record is computed when it is read.
-    A request for more than MAX_STEPS samples, or a start whose diagnostics
-    leave the float range, is rejected.
+    checked when this is called; the sequence returned computes record k, a
+    function of k alone, each time it is read, and a slice of it computes
+    only its own records.  A request for more than MAX_STEPS samples, or a
+    start whose diagnostics leave the float range, is rejected.
     """
     if initial.family != Z:
         raise ValueError("entropy diagnostics apply to the Z family")
@@ -353,63 +390,203 @@ def entropy_records(initial: FlowState, samples: int) -> Iterator[EntropyRecord]
         record(samples - 1)
     except ArithmeticError as ex:
         raise ValueError(f"rho0 = {rho0} takes the entropy diagnostics out of float range") from ex
-    return map(record, range(samples))
+    return _Records(record, range(samples))
 
 
 _TRAJ_FIELDS = ["t", "rho", "mu", "rho_mu", "invariant"]
 _FLOAT = {float}
-# rows formatted per write: the text held at once stays near BLOCK_ROWS rows
+# rows per chunk: each process formats an export one chunk at a time
 BLOCK_ROWS = 2048
 
 
-def _write_joined(parts, sep: str, out) -> None:
-    """Write sep.join(parts) to out, BLOCK_ROWS parts per write."""
-    parts = iter(parts)
-    lead = ""
-    while block := list(islice(parts, BLOCK_ROWS)):
-        out.write(lead)
-        out.write(sep.join(block))
-        lead = sep
+def _csv(fields: list[str]):
+    """(head, sep, tail, text) of a CSV export: see `_write_chunks`.
 
-
-def _write_csv(fields: list[str], rows, out) -> None:
-    """Header plus one line per row.  A row of floats is written by a single
-    "%.17g,...\n" % row, which gives the bytes of `_fmt` on each value; a row
-    holding anything else goes through `_fmt` value by value."""
+    A row of floats is formatted by a single "%.17g,...\n" % row, which gives
+    the bytes of `_fmt` on each value; a row holding anything else goes
+    through `_fmt` value by value."""
     template = ",".join(["%.17g"] * len(fields)) + "\n"
-    out.write(",".join(fields) + "\n")
-    _write_joined((template % row if _FLOAT.issuperset(map(type, row))
-                   else ",".join(map(_fmt, row)) + "\n" for row in rows), "", out)
+
+    def text(rows) -> str:
+        return "".join(template % row if _FLOAT.issuperset(map(type, row))
+                       else ",".join(map(_fmt, row)) + "\n" for row in rows)
+
+    return ",".join(fields) + "\n", "", "", text
 
 
-def _write_json(fields: list[str], rows, out) -> None:
-    """The bytes of json.dumps([dict(zip(fields, map(float, row))), ...],
-    separators=(",", ":")).  A row of finite floats is written by a single
-    %r template, as json prints a float with float.__repr__; any other row
-    (a non-float, or inf or nan, which json prints as Infinity and NaN) goes
-    through json.dumps."""
+def _json(fields: list[str]):
+    """(head, sep, tail, text) of a JSON export, whose bytes are those of
+    json.dumps([dict(zip(fields, map(float, row))), ...], separators=(",", ":")):
+    see `_write_chunks`.
+
+    A row of finite floats is formatted by a single %r template, as json
+    prints a float with float.__repr__; any other row (a non-float, or inf or
+    nan, which json prints as Infinity and NaN) goes through json.dumps."""
     template = "{" + ",".join(json.dumps(f) + ":%r" for f in fields) + "}"
     isfinite = math.isfinite
-    out.write("[")
-    _write_joined((template % row if _FLOAT.issuperset(map(type, row)) and isfinite(sum(row))
-                   else json.dumps(dict(zip(fields, map(float, row))), separators=(",", ":"))
-                   for row in rows), ",", out)
-    out.write("]")
+
+    def text(rows) -> str:
+        return ",".join(template % row if _FLOAT.issuperset(map(type, row)) and isfinite(sum(row))
+                        else json.dumps(dict(zip(fields, map(float, row))), separators=(",", ":"))
+                        for row in rows)
+
+    return "[", ",", "]", text
 
 
-_WRITERS = {"csv": _write_csv, "json": _write_json}
+_FORMATS = {"csv": _csv, "json": _json}
 
 
-def _traj_rows(traj: Trajectory):
-    return zip(traj.t, traj.rho, traj.mu, map(mul, traj.rho, traj.mu), traj.invariant_series)
+def _workers(count: int) -> int:
+    """The number of processes that compute `count` chunks: one per CPU this
+    process may run on, and at most one per chunk.  It is 1 where os.fork or
+    os.sched_getaffinity is missing, and while another thread runs, since a
+    forked child would inherit that thread's locks but not the thread."""
+    if (count < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), count)
+
+
+def _serve(fn, indices: range, readers: list, writer) -> None:
+    """The life of a forked child of `_ordered_map`: send fn(i) for each i in
+    indices down writer, marshalled behind its 8-byte length, and leave by
+    os._exit, which flushes none of the buffers inherited from the parent.
+    Each flush blocks until the parent has read all but a pipe buffer of it,
+    so the child runs at most one value ahead of the reader."""
+    status = 1
+    try:
+        for reader in readers:
+            reader.close()
+        for i in indices:
+            data = marshal.dumps(fn(i))
+            writer.write(len(data).to_bytes(8, "little"))
+            writer.write(data)
+            writer.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(reader):
+    """The next value a child sent down reader, or None if the pipe ended
+    before all of it came."""
+    head = reader.read(8)
+    size = int.from_bytes(head, "little")
+    data = reader.read(size)
+    return marshal.loads(data) if len(head) == 8 and len(data) == size else None
+
+
+def _ordered_map(fn, count: int):
+    """Yield fn(0), ..., fn(count - 1) in order, computed by `_workers(count)`
+    processes.
+
+    With P processes, this one computes fn(i) for i = 0 mod P and forked child
+    r those with i = r mod P, each sent over the child's own pipe; fn must be
+    a pure function whose values, never None, marshal can carry.  With P = 1 this is
+    map(fn, range(count)).  Every child is reaped before the generator
+    finishes, fails or is closed.  If a child ends without sending fn(i), fn(i)
+    is computed here, to raise the error it raised there, and
+    ChildProcessError is raised if it does not.
+    """
+    procs = _workers(count)
+    if procs == 1:
+        yield from map(fn, range(count))
+        return
+    readers, pids = [], []
+    try:
+        for r in range(1, procs):
+            rfd, wfd = os.pipe()
+            readers.append(open(rfd, "rb"))
+            with open(wfd, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, range(r, count, procs), readers, writer)
+            pids.append(pid)
+        for i in range(count):
+            r = i % procs
+            value = fn(i) if r == 0 else _receive(readers[r - 1])
+            if value is None:
+                fn(i)
+                raise ChildProcessError(f"export worker {pids[r - 1]} ended before "
+                                        f"sending chunk {i}")
+            yield value
+            del value  # hold no chunk while the next one is made
+    finally:
+        for reader in readers:
+            reader.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    if any(statuses):
+        raise ChildProcessError(f"export workers {pids} ended with wait statuses {statuses}")
+
+
+def _write_chunks(fmt: str, fields: list[str], chunk, rows: int, out) -> list:
+    """Write an export of `rows` rows with these fields to the text stream
+    out as fmt, "csv" or "json", and return the notes of its chunks in order.
+
+    `_FORMATS[fmt](fields)` gives (head, sep, tail, text), and the export is
+    head, then text(run) for each run of rows with sep between runs, then
+    tail, however the rows are cut into runs.  So chunk(i, text) returns
+    (text of rows [i BLOCK_ROWS, (i + 1) BLOCK_ROWS), a note), and
+    `_ordered_map` computes the chunks on up to one process per CPU while
+    this process writes them in order: the bytes never depend on the process
+    count, and each process holds about one chunk at a time.
+    """
+    head, sep, tail, text = _FORMATS[fmt](fields)
+    notes = []
+    chunks = _ordered_map(lambda i: chunk(i, text), -(-rows // BLOCK_ROWS))
+    try:
+        out.write(head)
+        lead = ""
+        for block, note in chunks:
+            out.write(lead)
+            out.write(block)
+            del block  # hold no chunk while the next one is made
+            lead = sep
+            notes.append(note)
+    finally:
+        chunks.close()
+    out.write(tail)
+    return notes
 
 
 def write_trajectory(traj: Trajectory, fmt: str, out) -> None:
     """Write traj to the text stream out as fmt, "csv" or "json"."""
-    _WRITERS[fmt](_TRAJ_FIELDS, _traj_rows(traj), out)
+
+    def chunk(i: int, text):
+        # a forked child reads the columns it inherited: no row is sent to it
+        cut = slice(i * BLOCK_ROWS, (i + 1) * BLOCK_ROWS)
+        rho, mu = traj.rho[cut], traj.mu[cut]
+        return text(zip(traj.t[cut], rho, mu, map(mul, rho, mu), traj.invariant_series[cut])), None
+
+    _write_chunks(fmt, _TRAJ_FIELDS, chunk, len(traj.t), out)
 
 
-def write_entropy(records, fmt: str, out) -> None:
-    """Write records, an iterable of EntropyRecords read once in order, to the
-    text stream out as fmt, "csv" or "json", one row per record."""
-    _WRITERS[fmt](list(EntropyRecord._fields), records, out)
+def write_entropy(records, fmt: str, out) -> bool:
+    """Write records, a sequence of EntropyRecords, to the text stream out as
+    fmt, "csv" or "json", one row per record, and return whether w never
+    falls along them: whether each w passes prev <= w + 1e-12, where prev is
+    the w before it and -inf before the first, so that a nan w fails.
+
+    A sequence from `entropy_records` computes each record in the process
+    that formats its chunk; any other iterable is read into a list first.
+    """
+    if not isinstance(records, Sequence):
+        records = list(records)
+
+    def chunk(i: int, text):
+        ws = []
+
+        def rows():
+            for r in records[i * BLOCK_ROWS:(i + 1) * BLOCK_ROWS]:
+                ws.append(r.w)
+                yield r
+
+        block = text(rows())
+        return block, (all(a <= b + 1e-12 for a, b in zip(ws, ws[1:])), ws[0], ws[-1])
+
+    rising, prev = True, -math.inf
+    for ok, first, last in _write_chunks(fmt, list(EntropyRecord._fields), chunk,
+                                         len(records), out):
+        rising = rising and ok and prev <= first + 1e-12
+        prev = last
+    return rising

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -123,6 +124,8 @@ EXPORT_GOLDEN = [
      "464eddb900d3043f", "e3b0c44298fc1c14", "450bc71611e30d8c", 0),
     ("entropy --n 3 --rho0 5/2 --lambda2 1.3 --samples 300 --format json",
      "-", "b5d16bfd6bc97ce3", "76aba646936bb9fe", 0),
+    ("entropy --n 2 --rho0 3 --lambda2 13/10 --samples 30000 --format json --out {out}",
+     "f3b4a0c573b46cbe", "e3b0c44298fc1c14", "3f6432bcfcc6a81b", 0),
     ("flow --family canonical --n 2 --rho0 1 --lambda2 1/2 --dt 1.22e-06 --t-end 0.05 --out {out}",
      "-", "e3b0c44298fc1c14", "87fe589bf345c6a1", 2),
     ("flow --family canonical --n 2 --lambda2 1 --t-end 0.01 --out {out}",
@@ -174,6 +177,18 @@ def test_flow_command_files(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()  # deterministic
     header = out1.read_text().splitlines()[0]
     assert header == "t,rho,mu,rho_mu,invariant"
+
+
+def test_negative_t_end_in_exponent_notation(tmp_path):
+    # argparse takes -3e-2 for an option unless it is joined to --t-end
+    base = "flow --family z --n 2 --lambda2 1/2 --dt 1e-3 --out".split()
+    joined = tmp_path / "joined"
+    assert run_cli(base + [str(joined), "--t-end=-3e-2"])[0] == 0
+    assert len(joined.read_text().splitlines()) == 32
+    for option in ("--t-end", "--t-e"):
+        spaced = tmp_path / option
+        assert run_cli(base + [str(spaced), option, "-3e-2"])[0] == 0
+        assert spaced.read_bytes() == joined.read_bytes()
 
 
 # dt above about 2 % of the singular time T: 0.99 T rounded to whole steps
@@ -234,10 +249,30 @@ def test_rejected_export_writes_no_file(argv, tmp_path):
     assert (code, stdout, out.exists()) == (2, "", False)
 
 
+def _w_across_chunks(k: int, w: float) -> list:
+    """w rising by 1e-6 per record over the first two chunks of an export,
+    but w at record k."""
+    from twistorflow.flow import BLOCK_ROWS
+    ws = [j * 1e-6 for j in range(BLOCK_ROWS + 2)]
+    ws[k] = w
+    return ws
+
+
 def test_entropy_summary_compares_each_w_with_the_one_before(monkeypatch, capsys):
     from twistorflow import flow
+    # on two CPUs, a second process formats the records from BLOCK_ROWS on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    B = flow.BLOCK_ROWS
     for ws, verdict in (([0.0, 1.0, 1.0 - 1e-13, 2.0], True), ([0.0, 1.0, 0.5, 2.0], False),
-                        ([math.nan, 1.0], False), ([0.0, math.nan], False)):
+                        ([math.nan, 1.0], False), ([0.0, math.nan], False),
+                        # record BLOCK_ROWS starts the second chunk
+                        (_w_across_chunks(B, (B - 1) * 1e-6 - 1e-13), True),
+                        (_w_across_chunks(B, (B - 2) * 1e-6), False),
+                        (_w_across_chunks(B, math.nan), False),
+                        (_w_across_chunks(B - 1, math.nan), False)):
         recs = [flow.EntropyRecord(t=-1.0 + 0.1 * k, rho=1.0, mu=1.0, rho_mu=1.0, invariant=0.0,
                                    tau=1.0 - 0.1 * k, scal=1.0, vol_ratio=1.0, u=1.0, f=0.0, w=w)
                 for k, w in enumerate(ws)]
@@ -246,6 +281,8 @@ def test_entropy_summary_compares_each_w_with_the_one_before(monkeypatch, capsys
         assert code == 0
         assert json.loads(capsys.readouterr().err) == {"samples": len(ws),
                                                        "w_nondecreasing": verdict}
+    # each of the four two-chunk exports forked one child
+    assert len(forks) == 4
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -329,9 +330,30 @@ def _oracle_json(fields, rows) -> str:
                       indent=None, separators=(",", ":"))
 
 
+def _on_cpus(monkeypatch, cpus: int) -> list:
+    """Let this process run on `cpus` CPUs; returns a list that grows by one
+    item per fork."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    return forks
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("count", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
-                                   2 * BLOCK_ROWS + 1])
-def test_streamed_writers_match_the_joined_exports(count):
+                                   2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+def test_streamed_writers_match_the_joined_exports(count, cpus, monkeypatch):
+    forks = _on_cpus(monkeypatch, cpus)
+    exports = 0
     rng = random.Random(count)
     cols = [[rng.choice([1.0, -1.0]) * rng.random() * 10.0 ** rng.randint(-300, 300)
              for _ in range(count)] for _ in range(4)]
@@ -347,14 +369,74 @@ def test_streamed_writers_match_the_joined_exports(count):
     for fmt, oracle in (("csv", _oracle_csv), ("json", _oracle_json)):
         out = io.StringIO()
         write_trajectory(traj, fmt, out)
+        exports += 1
         assert out.getvalue() == oracle(fields, rows)
     if count > 2:
-        # json prints inf and nan as Infinity and NaN, through its fallback
+        # json prints inf and nan as Infinity and NaN, through its fallback;
+        # with more than one chunk, one such row ends the first and one starts the second
         mu[1], inv[count // 2], rho[-1] = math.inf, math.nan, -math.inf
+        if count > BLOCK_ROWS:
+            mu[BLOCK_ROWS - 1], t[BLOCK_ROWS] = math.nan, math.inf
         rows = list(zip(t, rho, mu, [r * m for r, m in zip(rho, mu)], inv))
         text = _written(write_trajectory, traj, "json")
+        exports += 1
         assert text == _oracle_json(fields, rows)
         assert "Infinity" in text and "NaN" in text
+    if count > 1:
+        recs = entropy_records(FlowState(0.0, 1.0, 0.5, Z, 2), count)
+        ws = [r.w for r in recs]
+        for fmt, oracle in (("csv", _oracle_csv), ("json", _oracle_json)):
+            out = io.StringIO()
+            rising = write_entropy(recs, fmt, out)
+            exports += 1
+            assert out.getvalue() == oracle(list(EntropyRecord._fields), list(recs))
+            assert rising == all(a <= b + 1e-12 for a, b in zip(ws, ws[1:]))
+    # one process per CPU, at most one per chunk, and every child reaped
+    assert len(forks) == exports * (max(1, min(cpus, -(-count // BLOCK_ROWS))) - 1)
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("everywhere", [False, True])
+def test_a_failed_chunk_raises_and_leaves_no_child(everywhere, monkeypatch):
+    from twistorflow import flow
+    forks = _on_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def chunk(i):
+        # chunk 4 is computed by the first child (4 = 1 mod 3)
+        if i == 4 and (everywhere or os.getpid() != parent):
+            raise ArithmeticError(f"chunk {i}")
+        return f"chunk {i}"
+
+    got = []
+    # a chunk that fails in every process fails with its own error, as in one
+    # process; one that fails only in the child gives ChildProcessError
+    with pytest.raises(ArithmeticError if everywhere else ChildProcessError):
+        for value in flow._ordered_map(chunk, 9):
+            got.append(value)
+    assert got == [f"chunk {i}" for i in range(4)]
+    assert len(forks) == 2 and _no_child_left()
+
+
+def test_an_export_that_fails_to_write_leaves_no_child(monkeypatch):
+    forks = _on_cpus(monkeypatch, 2)
+
+    class Full:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            if len(self.writes) == 3:
+                raise OSError("no space left")
+            self.writes.append(text)
+
+    out = Full()
+    recs = entropy_records(FlowState(0.0, 1.0, 0.5, Z, 2), 4 * BLOCK_ROWS)
+    with pytest.raises(OSError, match="no space left"):
+        write_entropy(recs, "csv", out)
+    assert len(forks) == 1 and _no_child_left()
+    # what was written before the failure: the header and the first chunk, once
+    assert "".join(out.writes) == _oracle_csv(list(EntropyRecord._fields), recs[:BLOCK_ROWS])
 
 
 def test_entropy_export_streams_in_bounded_memory():

@@ -1,6 +1,9 @@
 """Source rules that hold for every module of the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import twistorflow
@@ -82,3 +85,29 @@ def test_all_names_the_public_surface():
         found += [f"{path.name}: {name} in __all__ is not defined here"
                   for name in sorted(set(exported) - public - constants)]
     assert found == []
+
+
+def test_only_flow_forks_exits_and_reaps():
+    # the process handling of the parallel exports lives in flow alone
+    calls = {"fork", "_exit", "waitpid"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "flow":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "os" and node.attr in calls):
+                found.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+                  and calls & {alias.name for alias in node.names}):
+                found.append(f"{path.name}:{node.lineno} from os import")
+    assert found == []
+
+
+def test_loading_the_cli_does_not_load_flow():
+    # every tflow call is a fresh interpreter, and flow loads only for the
+    # commands that use it
+    probe = "import sys, twistorflow.cli; print('twistorflow.flow' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
