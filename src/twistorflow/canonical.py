@@ -62,7 +62,8 @@ class MetricParams:
 
 @dataclass
 class RicciDiag:
-    """Diagonal Ricci coefficients of a fiber/base block metric."""
+    """Diagonal Ricci coefficients of a fiber/base block metric, symbolic in
+    lambda; fiber_at and base_at evaluate them at lambda^2 = mu."""
 
     fiber: Coeff
     base: Coeff
@@ -198,6 +199,8 @@ def curvature_canonical(p: MetricParams) -> FormMatrix:
 
 
 def ricci_canonical(p: MetricParams) -> RicciDiag:
+    """Ricci of g^can by exact contraction, symbolic in lambda for every p:
+    a numeric p.lambda2 is not applied here but by RicciDiag.fiber_at/base_at."""
     basis, rules, frames, gamma = _solved(p)
     om = curvature(gamma, rules)
     for row in om.entries:
@@ -205,10 +208,7 @@ def ricci_canonical(p: MetricParams) -> RicciDiag:
             for (i, j) in e.coeffs:
                 if basis.labels[i][0] == "G" or basis.labels[j][0] == "G":
                     raise ValueError("canonical curvature entry involves a Gamma~ form")
-    ric = ricci_matrix(om, frames)
-    if p.lambda2 is not None:
-        ric = [[c.specialize(p.lambda2) for c in row] for row in ric]
-    return _ricci_diag(ric)
+    return _ricci_diag(ricci_matrix(om, frames))
 
 
 def einstein_solve_canonical(n: int) -> set[Fraction]:
@@ -232,19 +232,22 @@ def ricci_map_canonical(p: MetricParams) -> MetricParams:
 
 
 def kahler_criterion(p: MetricParams) -> bool:
-    """Whether the complex-basis connection is skew-Hermitian.
+    """Whether the connection Gamma at p commutes with the orthogonal complex
+    structure J, decided on the real entries of the specialised Gamma.
 
-    True exactly when the connection preserves the orthogonal complex
-    structure, i.e. the (1,0)x(0,1) coupling of the complexified matrix
-    vanishes; the holomorphic block is then automatically skew-Hermitian.
+    Commuting with J is the vanishing of the (1,0)x(0,1) blocks of the
+    complex-basis connection.  The entry of its holomorphic block over the
+    slot pairs (r1, r2) and (t1, t2) is then Gamma[r1][t1] + i Gamma[r2][t1],
+    so that block is skew-Hermitian exactly when Gamma is skew; a Gamma that
+    commutes with J but is not skew raises ValueError.
     """
     if p.lambda2 is None:
         raise ValueError("kahler criterion needs a numeric lambda^2")
-    from .gaussc import complex_transform, hol_block_skew_hermitian, mixing_blocks_zero
-    cmat = complex_transform(connection_canonical(p), p.n)
-    if not mixing_blocks_zero(cmat, p.n):
+    from .gaussc import commutes_with_j
+    gamma = connection_canonical(p)
+    if not commutes_with_j(gamma, p.n):
         return False
-    if not hol_block_skew_hermitian(cmat, p.n):
+    if not gamma.is_skew():
         raise ValueError("complex-structure-preserving connection fails skew-Hermitian check")
     return True
 

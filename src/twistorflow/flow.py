@@ -384,12 +384,14 @@ def entropy_records(initial: FlowState, samples: int) -> Sequence[EntropyRecord]
         return EntropyRecord(t, rho, mu, rho * mu, rho * (mu - z_shift), tau, scal, vol, u, f, w)
 
     # rho and the volume fall as k grows, so if the first and the last record
-    # stay in float range every record does
+    # stay in float range every record does; a volume that overflows to inf
+    # gives u = 0, and log(0) raises a plain ValueError
     try:
         record(0)
         record(samples - 1)
-    except ArithmeticError as ex:
-        raise ValueError(f"rho0 = {rho0} takes the entropy diagnostics out of float range") from ex
+    except (ArithmeticError, ValueError) as ex:
+        raise ValueError(f"rho0 = {rho0}, lambda^2 = {mu0} takes the entropy diagnostics "
+                         "out of float range") from ex
     return _Records(record, range(samples))
 
 

@@ -276,15 +276,14 @@ def ricci_z(p: MetricParams, ambiguity: str = "none") -> RicciDiag:
     The value at the base point (the contraction of the grade-0 curvature
     over the jet-free slot frames) must be exactly free of every formal
     unknown: the p,q,r,s values, the expansion unknowns and, when enabled,
-    the ambiguity terms.  z_setup builds the rules at S/S~ = 1, so any
-    other ratio, or a symbolic one, raises ValueError.
+    the ambiguity terms.  The values are symbolic in lambda for every p: a
+    numeric p.lambda2 is not applied here but by RicciDiag.fiber_at/base_at.
+    z_setup builds the rules at S/S~ = 1, so any other ratio, or a symbolic
+    one, raises ValueError.
     """
     if p.s_ratio != 1:
         raise ValueError("the Z family is built at S/S~ = 1 only")
-    # contract the symbolic curvature, then specialize only the Ricci matrix
     ric = z_geometry(p.n, ambiguity).ricci()
-    if p.lambda2 is not None:
-        ric = [[c.specialize(p.lambda2) for c in row] for row in ric]
     for i, row in enumerate(ric):
         for j, c in enumerate(row):
             _assert_unknown_free(c, f"Ric[{i}][{j}]")

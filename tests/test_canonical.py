@@ -8,7 +8,8 @@ from twistorflow.canonical import (MetricParams, OutOfDomain, canonical_setup,
                                    einstein_solve_canonical, kahler_criterion,
                                    ricci_canonical, ricci_map_canonical)
 from twistorflow.coeff import Coeff, ONE
-from twistorflow.forms import Basis, OneForm, TwoForm, wedge
+from twistorflow.forms import Basis, FormMatrix, OneForm, TwoForm, wedge
+from twistorflow.gaussc import commutes_with_j
 
 
 def entries_equal(A, B):
@@ -153,6 +154,19 @@ def test_kahler_criterion_grid():
     assert not kahler_criterion(MetricParams(2, lambda2=Fraction(1), s_ratio=Fraction(2)))
 
 
+def test_kahler_criterion_rejects_a_non_skew_connection(monkeypatch):
+    # a multiple of the identity commutes with J but is not skew
+    from twistorflow import canonical
+    n = 2
+    ident = FormMatrix.zero(4 * n + 2)
+    for k in range(ident.dim):
+        ident.entries[k][k] = OneForm.basis(Basis(n).a(2), ONE)
+    assert commutes_with_j(ident, n) and not ident.is_skew()
+    monkeypatch.setattr(canonical, "connection_canonical", lambda p: ident)
+    with pytest.raises(ValueError, match="fails skew-Hermitian check"):
+        kahler_criterion(MetricParams(n, lambda2=Fraction(1)))
+
+
 def test_contact_identity():
     rep = contact_check(2, None)
     assert rep["holds"] and rep["sp1_split_consistent"]
@@ -236,26 +250,31 @@ def test_complex_curvature_at_kahler_point():
     # at lambda^2 = 1 the complexified curvature preserves types, is
     # skew-Hermitian, and its trace is 2(n+1) times the Kahler form:
     # tr = -2i (n+1)(2 a1^a3 + 2 sum X^0^X^2 + 2 sum X^1^X^3)
-    from twistorflow.gaussc import (complex_transform, hol_block_skew_hermitian,
-                                    hol_trace, mixing_blocks_zero)
     n = 2
+    m = 2 * n + 1
     mu = Fraction(1)
     om = curvature_canonical(MetricParams(n, lambda2=mu))
-    cmat = complex_transform(om, n)
-    assert mixing_blocks_zero(cmat, n)
-    assert hol_block_skew_hermitian(cmat, n)
-    tr = hol_trace(cmat, n)
-    assert tr.re.is_zero()
+    cmat = _complexify(om, n)
+    assert _mixing_blocks_zero(cmat, n) and commutes_with_j(om, n)
+    for p in range(m):
+        for q in range(m):
+            # skew-Hermitian: M[p][q] = -conj(M[q][p])
+            (re, im), (re_t, im_t) = cmat[p][q], cmat[q][p]
+            assert re == -re_t and im == im_t
+    tr_re = tr_im = TwoForm({})
+    for p in range(m):
+        tr_re, tr_im = tr_re + cmat[p][p][0], tr_im + cmat[p][p][1]
+    assert tr_re.is_zero()
     b = Basis(n)
     one = Coeff.rational(1)
     items = [(b.a(1), b.a(3), one.scale(-4 * (n + 1)))]
     for a in range(1, n + 1):
         items.append((b.x(0, a), b.x(2, a), one.scale(-4 * (n + 1))))
         items.append((b.x(1, a), b.x(3, a), one.scale(-4 * (n + 1))))
-    assert tr.im == TwoForm.build(items)
+    assert tr_im == TwoForm.build(items)
     # away from the Kahler point the curvature mixes types
     om2 = curvature_canonical(MetricParams(n, lambda2=Fraction(2)))
-    assert not mixing_blocks_zero(complex_transform(om2, n), n)
+    assert not _mixing_blocks_zero(_complexify(om2, n), n) and not commutes_with_j(om2, n)
 
 
 def test_complex_structure_equation_matrix_at_lambda_one():
@@ -265,10 +284,9 @@ def test_complex_structure_equation_matrix_at_lambda_one():
     #   [ 2i a2    -tZ^2        tZ^1      ]
     #   [ conj Z^2  G0+i(G2+a2) -G1+iG3   ]
     #   [ -conj Z^1 G1+iG3      G0-iG2+ia2]
-    from twistorflow.gaussc import complex_transform
     n = 2
     mu = Fraction(1)
-    cmat = complex_transform(connection_canonical(MetricParams(n, lambda2=mu)), n)
+    cmat = _complexify(connection_canonical(MetricParams(n, lambda2=mu)), n)
     b = Basis(n)
     one = Coeff.rational(1)
 
@@ -285,29 +303,25 @@ def test_complex_structure_equation_matrix_at_lambda_one():
         return OneForm({}) if idx < 0 else f(idx, s * sign)
 
     zero = OneForm({})
-    assert cmat[0][0].re == zero and cmat[0][0].im == f(b.a(2), 2)
+    assert cmat[0][0] == (zero, f(b.a(2), 2))
     for a in range(1, n + 1):
         # fiber row and column couplings (lambda = 1 kept as the formal root)
-        assert cmat[0][a].re == fl(b.x(1, a), -1) and cmat[0][a].im == fl(b.x(3, a), -1)
-        assert cmat[0][n + a].re == fl(b.x(0, a)) and cmat[0][n + a].im == fl(b.x(2, a))
-        assert cmat[a][0].re == fl(b.x(1, a)) and cmat[a][0].im == fl(b.x(3, a), -1)
-        assert cmat[n + a][0].re == fl(b.x(0, a), -1) and cmat[n + a][0].im == fl(b.x(2, a))
+        assert cmat[0][a] == (fl(b.x(1, a), -1), fl(b.x(3, a), -1))
+        assert cmat[0][n + a] == (fl(b.x(0, a)), fl(b.x(2, a)))
+        assert cmat[a][0] == (fl(b.x(1, a)), fl(b.x(3, a), -1))
+        assert cmat[n + a][0] == (fl(b.x(0, a), -1), fl(b.x(2, a)))
         for c in range(1, n + 1):
             delta_a2 = f(b.a(2)) if a == c else zero
-            e = cmat[a][c]
-            assert e.re == gm(0, a, c) and e.im == gm(2, a, c) + delta_a2
-            e = cmat[a][n + c]
-            assert e.re == gm(1, a, c, -1) and e.im == gm(3, a, c)
-            e = cmat[n + a][c]
-            assert e.re == gm(1, a, c) and e.im == gm(3, a, c)
-            e = cmat[n + a][n + c]
-            assert e.re == gm(0, a, c) and e.im == gm(2, a, c, -1) + delta_a2
+            assert cmat[a][c] == (gm(0, a, c), gm(2, a, c) + delta_a2)
+            assert cmat[a][n + c] == (gm(1, a, c, -1), gm(3, a, c))
+            assert cmat[n + a][c] == (gm(1, a, c), gm(3, a, c))
+            assert cmat[n + a][n + c] == (gm(0, a, c), gm(2, a, c, -1) + delta_a2)
     # the antiholomorphic block is the conjugate
     m = 2 * n + 1
     for p in range(m):
         for q in range(m):
-            assert cmat[m + p][m + q].re == cmat[p][q].re
-            assert cmat[m + p][m + q].im == -cmat[p][q].im
+            re, im = cmat[p][q]
+            assert cmat[m + p][m + q] == (re, -im)
 
 
 def _gmul(a, b):
@@ -336,16 +350,47 @@ def _complex_unit_table(n):
     return U, Uinv
 
 
+def _complexify(real, n):
+    """U M U^-1 of a real form matrix by its definition: entry (p, q) is
+    sum_{r,s} U[p][r] M[r][s] Uinv[s][q], as a pair (re, im) of real forms."""
+    U, Uinv = _complex_unit_table(n)
+    dim, M = len(U), real.entries
+    zero = type(M[0][0])({})
+    cols = [[(s, Uinv[s][q]) for s in range(dim) if q in Uinv[s]] for q in range(dim)]
+    out = []
+    for p in range(dim):
+        row = []
+        for q in range(dim):
+            re = im = zero
+            for r, u in U[p].items():
+                for s, v in cols[q]:
+                    wr, wi = _gmul(u, v)
+                    re = re + M[r][s].scale(ONE.scale(wr))
+                    im = im + M[r][s].scale(ONE.scale(wi))
+            row.append((re, im))
+        out.append(row)
+    return out
+
+
+def _mixing_blocks_zero(cmat, n):
+    """Whether the (1,0) x (0,1) blocks of a complexified matrix vanish."""
+    m = 2 * n + 1
+    return all(cmat[p][q][0].is_zero() and cmat[p][q][1].is_zero()
+               for p in range(2 * m) for q in range(2 * m) if (p < m) != (q < m))
+
+
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("build, mu", [
-    (connection_canonical, Fraction(1)), (connection_canonical, Fraction(1, 3)),
-    (connection_canonical, Fraction(2)), (connection_canonical, None),
-    (curvature_canonical, Fraction(1)), (curvature_canonical, Fraction(2)),
-])
-def test_complex_transform_is_u_m_u_inverse(n, build, mu):
-    # every entry of every block, mixing blocks included, against the
-    # definition sum_{r,s} U[p][r] M[r][s] Uinv[s][q]
-    from twistorflow.gaussc import complex_transform
+@pytest.mark.parametrize("build, mu, s_ratio", [
+    (connection_canonical, Fraction(1), 1), (connection_canonical, Fraction(1, 3), 1),
+    (connection_canonical, Fraction(2), 1), (connection_canonical, None, 1),
+    (curvature_canonical, Fraction(1), 1), (curvature_canonical, Fraction(2), 1),
+    # both verdicts: S/S~ = 2 at lambda^2 = 1, the Einstein value 1/(n+1)
+    (connection_canonical, Fraction(1), 2), (connection_canonical, "1/(n+1)", 1),
+    (curvature_canonical, Fraction(1, 3), 1),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_complex_transform_is_u_m_u_inverse(n, build, mu, s_ratio):
+    # commuting with J, read on the real slot pairs, is exactly the vanishing
+    # of the mixing blocks of sum_{r,s} U[p][r] M[r][s] Uinv[s][q]
     U, Uinv = _complex_unit_table(n)
     dim = len(U)
     for p in range(dim):
@@ -355,16 +400,9 @@ def test_complex_transform_is_u_m_u_inverse(n, build, mu):
                 v = Uinv[r].get(q, (0, 0))
                 prod = tuple(a + b for a, b in zip(prod, _gmul(u, v)))
             assert prod == (int(p == q), 0)
-    real = build(MetricParams(n, lambda2=mu))
-    cmat, M = complex_transform(real, n), real.entries
-    zero = type(M[0][0])({})
-    for p in range(dim):
-        for q in range(dim):
-            re = im = zero
-            for r, u in U[p].items():
-                for s in range(dim):
-                    if q in Uinv[s]:
-                        wr, wi = _gmul(u, Uinv[s][q])
-                        re = re + M[r][s].scale(ONE.scale(wr))
-                        im = im + M[r][s].scale(ONE.scale(wi))
-            assert (cmat[p][q].re, cmat[p][q].im) == (re, im)
+    if mu == "1/(n+1)":
+        mu = Fraction(1, n + 1)
+    real = build(MetricParams(n, lambda2=mu, s_ratio=Fraction(s_ratio)))
+    verdict = commutes_with_j(real, n)
+    assert verdict == _mixing_blocks_zero(_complexify(real, n), n)
+    assert verdict == (mu == 1 and s_ratio == 1)

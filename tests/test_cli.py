@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,10 +226,15 @@ def test_small_decimal_lambda2_is_read_exactly():
     assert (payload["fiber"], payload["base"], payload["lambda2"]) == (4e13, 16.0, 1e-13)
 
 
-def test_domain_errors_exit_2():
+def test_domain_errors_exit_2(capsys):
     code, _ = run_cli(["entropy", "--n", "2", "--rho0", "1", "--lambda2", "1/8",
                        "--samples", "10"])
     assert code == 2
+    # a volume rho^(2n+1) lambda^2 that overflows to inf names the start value
+    code, _ = run_cli(["entropy", "--n", "2", "--lambda2", "1e305", "--samples", "3"])
+    assert code == 2
+    assert capsys.readouterr().err.endswith(
+        "rho0 = 1.0, lambda^2 = 1e+305 takes the entropy diagnostics out of float range\n")
     code, _ = run_cli(["ricci", "--family", "z", "--n", "1", "--lambda2", "1/2"])
     assert code == 2
     code, _ = run_cli(["verify", "--n", "1"])
@@ -319,6 +325,22 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+def test_benchmark_trace_mode_runs():
+    # perfbench/child.py imports every traced module by name and must report
+    # each per-layer metric of BENCHMARK.json; run.py adds trace.op_s itself
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        names = [m["name"] for m in json.load(fh)["per_layer"]]
+    t0 = time.clock_gettime_ns(time.CLOCK_MONOTONIC)
+    proc = subprocess.run([sys.executable, os.path.join(root, "perfbench", "child.py"), str(t0),
+                           "trace", "ricci", "--family", "z", "--n", "2", "--lambda2", "1/3"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout.splitlines()[-1])
+    assert rec["rc"] == 0 and "op_s" in rec
+    assert [m for m in names if m not in rec["layers"] and m != "trace.op_s"] == []
 
 
 def test_verify_fast_subset_and_tamper():
