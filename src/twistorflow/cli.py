@@ -320,6 +320,10 @@ def main(argv=None) -> int:
     except ValueError as ex:
         sys.stderr.write(f"invalid input: {ex}\n")
         return 2
+    except ChildProcessError as ex:
+        # an OSError, but no output was refused: a forked worker was lost
+        sys.stderr.write(f"lost a worker process: {ex}\n")
+        return 2
     except OSError as ex:
         sys.stderr.write(f"cannot write output: {ex}\n")
         return 2

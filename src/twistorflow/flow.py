@@ -234,13 +234,13 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
     FLOOR_RATIO of the initial values.
 
     t_end before the initial time integrates backward (the ancient
-    direction).  A request for more than MAX_STEPS steps is rejected.  Each
-    step appends floats to the trajectory's columns and evaluates the
-    invariant inline, with the checks and formulas of FlowState and
-    `invariant`.
+    direction).  A dt that is not positive and finite, and a request for
+    more than MAX_STEPS steps, are rejected.  Each step appends floats to
+    the trajectory's columns and evaluates the invariant inline, with the
+    checks and formulas of FlowState and `invariant`.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     n, family = initial.n, initial.family
     step = dt if t_end >= initial.t else -dt
     span = (t_end - initial.t) / step
@@ -480,7 +480,8 @@ def _receive(reader):
 
 def _ordered_map(fn, count: int):
     """Yield fn(0), ..., fn(count - 1) in order, computed by `_workers(count)`
-    processes.
+    processes.  The exports map it over their chunks, and verify.run_checks
+    over its check groups.
 
     With P processes, this one computes fn(i) for i = 0 mod P and forked child
     r those with i = r mod P, each sent over the child's own pipe; fn must be
@@ -509,8 +510,8 @@ def _ordered_map(fn, count: int):
             value = fn(i) if r == 0 else _receive(readers[r - 1])
             if value is None:
                 fn(i)
-                raise ChildProcessError(f"export worker {pids[r - 1]} ended before "
-                                        f"sending chunk {i}")
+                raise ChildProcessError(f"worker process {pids[r - 1]} ended before "
+                                        f"sending value {i}")
             yield value
             del value  # hold no chunk while the next one is made
     finally:
@@ -518,7 +519,7 @@ def _ordered_map(fn, count: int):
             reader.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     if any(statuses):
-        raise ChildProcessError(f"export workers {pids} ended with wait statuses {statuses}")
+        raise ChildProcessError(f"worker processes {pids} ended with wait statuses {statuses}")
 
 
 def _write_chunks(fmt: str, fields: list[str], chunk, rows: int, out) -> list:

@@ -277,11 +277,7 @@ class _Expander:
             for k, v in overlap:
                 for l, w in overlap:
                     gram[k][l] += v * w
-        gram_inv = _fraction_inverse(gram)
-        self.den = math.lcm(*(x.denominator for row in gram_inv for x in row))
-        # column l of den * G^-1, as its nonzero (row, value) pairs
-        self.inv_cols = [[(k, int(gram_inv[k][l] * self.den)) for k in range(d) if gram_inv[k][l]]
-                         for l in range(d)]
+        self.den, self.inv_cols = _scaled_inverse(gram)
 
     def expand(self, target: IntMatrix) -> list[int | Fraction]:
         bt: dict[int, int] = {}
@@ -301,6 +297,23 @@ class _Expander:
         if IntMatrix(target.size, back).entries != {p: den * v for p, v in target.entries.items()}:
             raise NotClosed("bracket leaves the span of the basis")
         return [x // den if x % den == 0 else Fraction(x, den) for x in num]
+
+
+def _scaled_inverse(gram: list[list[int]]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(den, cols) for an invertible Gram matrix G: den is the least integer
+    with den * G^-1 integral, and cols[l] lists the nonzero (row, value)
+    pairs of column l of den * G^-1."""
+    if any(v for k, row in enumerate(gram) for l, v in enumerate(row) if k != l):
+        inv = _fraction_inverse(gram)
+        den = math.lcm(*(x.denominator for row in inv for x in row))
+        return den, [[(k, int(row[l] * den)) for k, row in enumerate(inv) if row[l]]
+                     for l in range(len(gram))]
+    # an orthogonal basis, as both sp bases are: G^-1 = diag(1 / G[k][k])
+    diag = [row[k] for k, row in enumerate(gram)]
+    if 0 in diag:
+        raise ValueError("singular Gram matrix: the basis is linearly dependent")
+    den = math.lcm(*diag)
+    return den, [[(l, den // g)] for l, g in enumerate(diag)]
 
 
 def _fraction_inverse(M: list[list[int]]) -> list[list[Fraction]]:

@@ -37,11 +37,12 @@ class PointGeometry:
 
     omega is the curvature at the point (the grade-0 part of the second
     structure equation), not the full curvature germ.  It is lazy: computed
-    on first read, then cached.  ricci() never reads it; it contracts Gamma
-    over the unit slot frames directly (connections.ricci_from_gamma), which
-    computes of each Omega^i_j (i < j) only the components with an index in
-    {i, j}.  A PointGeometry returned by zmetric.z_geometry is a cached
-    object shared by every caller and must not be mutated.
+    on first read, then cached, and so is ricci().  ricci() never reads
+    omega; it contracts Gamma over the unit slot frames directly
+    (connections.ricci_from_gamma), which computes of each Omega^i_j (i < j)
+    only the components with an index in {i, j}.  A PointGeometry returned
+    by zmetric.z_geometry is a cached object shared by every caller and must
+    not be mutated, nor may the matrix ricci() returns.
     """
 
     rules: DerivativeRules
@@ -55,6 +56,10 @@ class PointGeometry:
         return curvature(self.gamma, self.rules)
 
     def ricci(self) -> list[list[Coeff]]:
+        return self._ricci
+
+    @cached_property
+    def _ricci(self) -> list[list[Coeff]]:
         return ricci_from_gamma(self.gamma, self.rules)
 
 

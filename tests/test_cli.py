@@ -248,6 +248,9 @@ def test_domain_errors_exit_2(capsys):
     "entropy --n 2 --lambda2 1/2 --rho0 1e100 --out {out}",
     "flow --family z --n 2 --lambda2 1/2 --dt 1e-300 --out {out}",
     "flow --family z --n 2 --lambda2 1/2 --rho0 1" + "0" * 400 + " --out {out}",
+    # a dt of inf would make the export its initial row alone
+    "flow --family z --n 2 --lambda2 1/2 --dt inf --out {out}",
+    "flow --family z --n 2 --lambda2 1/2 --dt inf --t-end 0.01 --out {out}",
 ])
 def test_rejected_export_writes_no_file(argv, tmp_path):
     out = tmp_path / "x"

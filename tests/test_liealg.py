@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -327,6 +328,9 @@ def test_hpn_maurer_cartan_blocks_must_stay_x_quadratic(monkeypatch):
 def test_verify_builds_the_structure_constants_once(monkeypatch):
     from twistorflow import liealg
     from twistorflow.verify import run_checks
+    # one CPU: a check group forked to a second process would count its
+    # calls there, not here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     liealg._sp_structure.cache_clear()
     calls = []
     real = liealg.structure_constants
@@ -339,3 +343,33 @@ def test_verify_builds_the_structure_constants_once(monkeypatch):
     rep = run_checks(2)
     assert all(r["status"] != "fail" for r in rep)
     assert calls == ["sp(3)"]
+
+
+def test_orthogonal_bases_never_reach_the_dense_inverse(monkeypatch):
+    def dense(M):
+        raise AssertionError("dense Gram inverse")
+
+    monkeypatch.setattr(liealg, "_fraction_inverse", dense)
+    for n in (2, 3):
+        for L in (build_sp_basis(n), build_sp_sp1_basis(n)):
+            assert jacobi_residual(structure_constants(L)) is None
+    with pytest.raises(ValueError, match="singular Gram matrix"):
+        _Expander([IntMatrix(2, {(0, 1): 1}), IntMatrix(2, {})])
+
+
+def test_a_sheared_basis_expands_exactly_through_the_dense_inverse(monkeypatch):
+    calls = []
+    real = liealg._fraction_inverse
+    monkeypatch.setattr(liealg, "_fraction_inverse", lambda M: calls.append(len(M)) or real(M))
+    L = build_sp_basis(2)
+    plain = _Expander(L.basis)
+    # basis 1 becomes b1 + b0, so the Gram matrix is no longer diagonal, and
+    # a component c0 b0 + c1 b1 reads (c0 - c1) b0 + c1 (b1 + b0)
+    sheared = _Expander([L.basis[0], L.basis[1] + L.basis[0]] + L.basis[2:])
+    assert calls == [L.dim()]
+    for i, j in ((0, 1), (1, 2), (0, 5), (3, 7), (4, 11)):
+        target = bracket(L.basis[i], L.basis[j])
+        c = plain.expand(target)
+        assert sheared.expand(target) == [c[0] - c[1]] + c[1:]
+    with pytest.raises(NotClosed):
+        sheared.expand(IntMatrix(12, {(0, 0): 1}))

@@ -88,7 +88,8 @@ def test_all_names_the_public_surface():
 
 
 def test_only_flow_forks_exits_and_reaps():
-    # the process handling of the parallel exports lives in flow alone
+    # the process handling of the parallel exports and of verify's check
+    # groups lives in flow alone (flow._ordered_map)
     calls = {"fork", "_exit", "waitpid"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):

@@ -143,3 +143,18 @@ def test_z_geometry_is_integral(n, ambiguity):
             # the antisymmetric part is what the structure equation fixes
             anti = c - D[lab, M].get(K, Coeff())
             assert not any(s.startswith("SYM[") for s in anti.symbols())
+
+
+def test_ricci_is_contracted_once_per_geometry(monkeypatch):
+    from twistorflow import pointcurv
+    calls = []
+    real = pointcurv.ricci_from_gamma
+    monkeypatch.setattr(pointcurv, "ricci_from_gamma",
+                        lambda gamma, rules: calls.append(None) or real(gamma, rules))
+    _z_point_geometry.cache_clear()
+    geo = z_geometry(2)
+    ric = geo.ricci()
+    assert geo.ricci() is ric
+    # verify's Prop. 3.1 and rhs checks both read the Ricci of this geometry
+    assert ricci_z(MetricParams(2)) == ricci_z(MetricParams(2))
+    assert len(calls) == 1

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,9 @@ def test_geometry_memo_is_keyed_on_the_jet_cutoff():
 def test_verify_builds_each_z_geometry_once(monkeypatch):
     from twistorflow import canonical, zmetric
     from twistorflow.verify import run_checks
+    # one CPU: a check group forked to a second process would count its
+    # calls there, not here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     zmetric._z_point_geometry.cache_clear()
     canonical._solve_canonical.cache_clear()
     calls = []
