@@ -4,8 +4,10 @@ The flow is integrated in the variables (rho*mu, rho), where the Z family
 is linear; closed forms, trajectory invariants, extinction/collapse
 classification and the entropy diagnostics live here.
 
-A `Trajectory` is stored by column (lists `t`, `rho`, `mu` and
-`invariant_series`); `Trajectory.samples` is a read-only view that builds a
+A `Trajectory` is stored by column (`t`, `rho`, `mu` and
+`invariant_series`): `integrate` packs each column into an array("d"), 8
+bytes per value, when the initial values are floats, and keeps lists for an
+exact start.  `Trajectory.samples` is a read-only view that builds a
 `FlowState` per sample on demand.  An `EntropyRecord` is its export row: its
 fields are the export's columns, in order.
 
@@ -13,14 +15,16 @@ An export is formatted in chunks of BLOCK_ROWS rows, by up to one process
 per CPU this process may run on (forked children, one chunk each in turn),
 and this process writes the chunks to the text stream in order, so the bytes
 never depend on the process count.  Each process holds about one chunk's
-text at a time, so beyond the trajectory's columns the memory of an export
-does not grow with its sample count; `entropy_records` returns a lazy
-sequence, so each process computes only the entropy records of its own
-chunks.  The export runs in this one process where there is one CPU or one
-chunk, where os.fork is missing, or while another thread runs.  The CSV
-writer formats a row of floats with one "%.17g,...,%.17g" template and any
-other row (the exact initial state of a Fraction-valued library call) value
-by value through `_fmt`, which prints a Fraction as p/q.  The JSON writer
+text at a time, so beyond the trajectory's columns (32 bytes a sample when
+packed) the memory of an export does not grow with its sample count, and a
+forked child reads the packed columns it inherited without writing to their
+pages.  `entropy_records` returns a lazy sequence, so each process computes
+only the entropy records of its own chunks.  The export runs in this one
+process where there is one CPU or one chunk, where os.fork is missing, or
+while another thread runs.  The CSV writer formats a row of floats with one
+"%.17g,...,%.17g" template and any other row (the exact initial state of a
+Fraction-valued library call) value by value through `_fmt`, which prints a
+Fraction as p/q.  The JSON writer
 gives the bytes of `json.dumps([...], separators=(",", ":"))`: a row of
 finite floats goes through one %r template, as json prints a float with
 `float.__repr__`, and any other row through `json.dumps`.
@@ -144,13 +148,15 @@ class _Records(Sequence):
 @dataclass
 class Trajectory:
     """A flow trajectory stored by column: sample k is (t[k], rho[k], mu[k])
-    with first integral invariant_series[k].  Every sample after the initial
-    one is a float; the initial one keeps the type it was given."""
+    with first integral invariant_series[k].  A column is any sequence of
+    numbers: `integrate` gives array("d")s from a float start and lists
+    from an exact one, whose initial sample keeps the type it was given
+    while every later sample is a float."""
 
-    t: list
-    rho: list
-    mu: list
-    invariant_series: list
+    t: Sequence
+    rho: Sequence
+    mu: Sequence
+    invariant_series: Sequence
     family: str
     n: int
     events: dict | None = None
@@ -235,12 +241,17 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
 
     t_end before the initial time integrates backward (the ancient
     direction).  A dt that is not positive and finite, and a request for
-    more than MAX_STEPS steps, are rejected.  Each step appends floats to
-    the trajectory's columns and evaluates the invariant inline, with the
-    checks and formulas of FlowState and `invariant`.
+    more than MAX_STEPS steps, are rejected, and so is a t_end that is not
+    finite.  The columns are allocated for every requested step at the start
+    and cut back where the flow stops; each step stores its sample's floats
+    and evaluates the invariant inline, with the checks and formulas of
+    FlowState and `invariant`.  The columns are array("d")s when the initial
+    values are all floats, and lists otherwise.
     """
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
+    if not math.isfinite(t_end):
+        raise ValueError("t_end must be finite")
     n, family = initial.n, initial.family
     step = dt if t_end >= initial.t else -dt
     span = (t_end - initial.t) / step
@@ -252,15 +263,25 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
     floor_v = FLOOR_RATIO * v
     floor_rho = FLOOR_RATIO * rho
     t0 = initial.t
-    ts, rhos, mus = [t0], [rho], [initial.mu]
-    inv = [invariant(initial)]
+    steps = max(0, int(round(span)))
+    first = (t0, rho, initial.mu, invariant(initial))
+    if all(type(x) is float for x in first):
+        # loaded here, since most processes that import flow never integrate:
+        # an entropy export, or verify on two CPUs (its flow checks run in a child)
+        from array import array
+        cols = [array("d", (x,)) * (steps + 1) for x in first]
+        # a memoryview stores a float into an array faster than the array does
+        views = [memoryview(col) for col in cols]
+    else:
+        # an exact start (a Fraction-valued library call) prints its first row as p/q
+        cols = views = [[x] * (steps + 1) for x in first]
+    at_t, at_rho, at_mu, at_inv = views
     on_z = family == Z
     # the constants of `invariant`, computed as it computes them
     z_shift = 1.0 / (n + 2)
     c_fib = (n + 1) / n
     c_base = (n * n + 3 * n + 1) / (n * (n + 1))
     log = math.log
-    steps = max(0, int(round(span)))
     # Python groups 0.5 * step * k as (0.5 * step) * k and step / 6.0 * s as
     # (step / 6.0) * s, so these factors leave every stage float unchanged
     h2, h6 = 0.5 * step, step / 6.0
@@ -270,7 +291,8 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
         kv, kr = -8.0, -8.0 * (n + 2)
         inc_v = h6 * (kv + 2 * kv + 2 * kv + kv)
         inc_r = h6 * (kr + 2 * kr + 2 * kr + kr)
-    for k in range(steps):
+    kept = steps + 1
+    for k in range(1, kept):
         if on_z:
             nv, nrho = v + inc_v, rho + inc_r
         else:
@@ -291,7 +313,8 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
         if nv <= floor_v or nrho <= floor_rho:
             if nv <= 0 or nrho <= 0:
                 raise StepTooLarge(
-                    f"step {k} would cross a nonpositive value (rho mu={nv}, rho={nrho})")
+                    f"step {k - 1} would cross a nonpositive value (rho mu={nv}, rho={nrho})")
+            kept = k
             break
         v, rho = nv, nrho
         mu = v / rho
@@ -306,14 +329,19 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
             if mu == 1 or mu * (n + 1) == 1:
                 raise OnEinsteinRay("canonical invariant undefined at mu = 1 or 1/(n+1)")
             iv = log(rho) - c_fib * log(abs(mu - 1)) + c_base * log(abs((n + 1) * mu - 1))
-        ts.append(t0 + (k + 1) * step)
-        rhos.append(rho)
-        mus.append(mu)
-        inv.append(iv)
-    events: dict = {"stopped_at_floor": len(ts) - 1 < steps}
+        at_t[k] = t0 + k * step
+        at_rho[k] = rho
+        at_mu[k] = mu
+        at_inv[k] = iv
+    if views is not cols:
+        for view in views:
+            view.release()
+    for col in cols:
+        del col[kept:]
+    events: dict = {"stopped_at_floor": kept - 1 < steps}
     if family == Z:
         events.update(classify(initial))
-    return Trajectory(ts, rhos, mus, inv, family, n, events)
+    return Trajectory(*cols, family, n, events)
 
 
 def classify(initial: FlowState) -> dict:

@@ -251,6 +251,10 @@ def test_domain_errors_exit_2(capsys):
     # a dt of inf would make the export its initial row alone
     "flow --family z --n 2 --lambda2 1/2 --dt inf --out {out}",
     "flow --family z --n 2 --lambda2 1/2 --dt inf --t-end 0.01 --out {out}",
+    # a t_end that is not finite has no step count
+    "flow --family z --n 2 --lambda2 1/2 --t-end=nan --out {out}",
+    "flow --family z --n 2 --lambda2 1/2 --t-end=inf --out {out}",
+    "flow --family z --n 2 --lambda2 1/2 --t-end=-inf --out {out}",
 ])
 def test_rejected_export_writes_no_file(argv, tmp_path):
     out = tmp_path / "x"
@@ -344,6 +348,19 @@ def test_benchmark_trace_mode_runs():
     rec = json.loads(proc.stdout.splitlines()[-1])
     assert rec["rc"] == 0 and "op_s" in rec
     assert [m for m in names if m not in rec["layers"] and m != "trace.op_s"] == []
+
+
+def test_benchmark_trace_mode_counts_flow_samples(tmp_path):
+    # the tracer counts a trajectory's samples through len(traj.samples)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    t0 = time.clock_gettime_ns(time.CLOCK_MONOTONIC)
+    proc = subprocess.run([sys.executable, os.path.join(root, "perfbench", "child.py"), str(t0),
+                           "trace", "flow", "--family", "z", "--n", "2", "--lambda2", "1/2",
+                           "--dt", "1e-4", "--t-end", "0.01", "--out", str(tmp_path / "z.csv")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout.splitlines()[-1])
+    assert rec["rc"] == 0 and rec["layers"]["flow.samples"] == 101
 
 
 def test_verify_fast_subset_and_tamper():

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,36 @@ def test_exact_initial_row_keeps_its_fractions():
         traj.invariant_series[1]))
     assert json.loads(_written(write_trajectory, traj, "json"))[0] == {
         "t": 0.0, "rho": 1.0, "mu": 0.5, "rho_mu": 0.5, "invariant": 0.25}
+
+
+def test_column_type_follows_the_initial_values():
+    # a float start gives packed float columns, an exact start keeps lists
+    def column_types(traj):
+        return {type(col) for col in (traj.t, traj.rho, traj.mu, traj.invariant_series)}
+
+    assert column_types(integrate(FlowState(0.0, 1.0, 0.5, Z, 2), 1e-3, 0.002)) == {array}
+    exact = FlowState(0.0, Fraction(1), Fraction(1, 2), Z, 2)
+    assert column_types(integrate(exact, 1e-3, 0.002)) == {list}
+
+
+def test_trajectory_stores_each_sample_in_32_bytes():
+    init = FlowState(0.0, 1.0, 0.5, Z, 2)
+    tracemalloc.start()
+    try:
+        traj = integrate(init, 1e-7, -0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    samples = len(traj.t)
+    assert samples == 200_001
+    # four 8-byte floats per sample; four lists of float objects take about 130 bytes
+    assert peak < 48 * samples
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+def test_non_finite_t_end_is_rejected(t_end):
+    with pytest.raises(ValueError, match="^t_end must be finite$"):
+        integrate(FlowState(0.0, 1.0, 0.5, Z, 2), 1e-3, t_end)
 
 
 def test_canonical_mu_reaching_n_plus_2_is_rejected():
@@ -348,22 +379,44 @@ def _no_child_left() -> bool:
     return False
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("count", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
-                                   2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+_CPUS = pytest.mark.parametrize("cpus", [1, 2, 3])
+_COUNTS = pytest.mark.parametrize("count", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                            2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+
+
+@_CPUS
+@_COUNTS
 def test_streamed_writers_match_the_joined_exports(count, cpus, monkeypatch):
+    _check_streamed_writers(count, cpus, False, monkeypatch)
+
+
+@_CPUS
+@_COUNTS
+def test_streamed_writers_match_the_joined_exports_on_packed_columns(count, cpus, monkeypatch):
+    _check_streamed_writers(count, cpus, True, monkeypatch)
+
+
+def _check_streamed_writers(count: int, cpus: int, packed: bool, monkeypatch) -> None:
+    """The writers against the oracles on `count` random rows, on `cpus` CPUs,
+    with the trajectory's columns in array("d")s if packed and lists if not."""
     forks = _on_cpus(monkeypatch, cpus)
     exports = 0
     rng = random.Random(count)
     cols = [[rng.choice([1.0, -1.0]) * rng.random() * 10.0 ** rng.randint(-300, 300)
              for _ in range(count)] for _ in range(4)]
     if count:
-        # an exact initial row (p/q in csv), zeros, and a float subnormal
+        # an exact initial row (p/q in csv), zeros, and a float subnormal; packed
+        # columns, as integrate builds from a float start, hold that row as floats
         for col, x in zip(cols, (Fraction(0), Fraction(1, 3), Fraction(5, 2), -0.0)):
-            col[0] = x
+            col[0] = float(x) if packed else x
         cols[3][-1] = 5e-324
     t, rho, mu, inv = cols
-    traj = Trajectory(t, rho, mu, inv, Z, 2)
+
+    def trajectory():
+        # the columns as they stand; the list columns are the oracle's own
+        return Trajectory(*(array("d", col) if packed else col for col in cols), Z, 2)
+
+    traj = trajectory()
     rows = list(zip(t, rho, mu, [r * m for r, m in zip(rho, mu)], inv))
     fields = ["t", "rho", "mu", "rho_mu", "invariant"]
     for fmt, oracle in (("csv", _oracle_csv), ("json", _oracle_json)):
@@ -378,11 +431,11 @@ def test_streamed_writers_match_the_joined_exports(count, cpus, monkeypatch):
         if count > BLOCK_ROWS:
             mu[BLOCK_ROWS - 1], t[BLOCK_ROWS] = math.nan, math.inf
         rows = list(zip(t, rho, mu, [r * m for r, m in zip(rho, mu)], inv))
-        text = _written(write_trajectory, traj, "json")
+        text = _written(write_trajectory, trajectory(), "json")
         exports += 1
         assert text == _oracle_json(fields, rows)
         assert "Infinity" in text and "NaN" in text
-    if count > 1:
+    if count > 1 and not packed:  # an entropy export reads no trajectory columns
         recs = entropy_records(FlowState(0.0, 1.0, 0.5, Z, 2), count)
         ws = [r.w for r in recs]
         for fmt, oracle in (("csv", _oracle_csv), ("json", _oracle_json)):
