@@ -48,11 +48,9 @@ def _parse_rational(text: str):
 def _fmt_value(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    if isinstance(x, float) and x == float("inf"):
-        return "inf"
-    return format(float(x), ".17g")
+    if isinstance(x, (int, Fraction)):
+        return str(x)
+    return format(x, ".17g")
 
 
 def _emit(payload, fmt: str) -> None:

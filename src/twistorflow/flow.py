@@ -5,29 +5,27 @@ is linear; closed forms, trajectory invariants, extinction/collapse
 classification and the entropy diagnostics live here.
 
 A `Trajectory` is stored by column (`t`, `rho`, `mu` and
-`invariant_series`): `integrate` packs each column into an array("d"), 8
-bytes per value, when the initial values are floats, and keeps lists for an
-exact start.  `Trajectory.samples` is a read-only view that builds a
-`FlowState` per sample on demand.  An `EntropyRecord` is its export row: its
-fields are the export's columns, in order.
+`invariant_series`): `integrate` converts the initial state to floats and
+packs each column into an array("d"), 8 bytes per value, so an exact start
+gives the trajectory of its float.  `Trajectory.samples` is a read-only view
+that builds a `FlowState` per sample on demand.  An `EntropyRecord` is its
+export row: its fields are the export's columns, in order.
 
 An export is formatted in chunks of BLOCK_ROWS rows, by up to one process
 per CPU this process may run on (forked children, one chunk each in turn),
 and this process writes the chunks to the text stream in order, so the bytes
 never depend on the process count.  Each process holds about one chunk's
-text at a time, so beyond the trajectory's columns (32 bytes a sample when
-packed) the memory of an export does not grow with its sample count, and a
-forked child reads the packed columns it inherited without writing to their
-pages.  `entropy_records` returns a lazy sequence, so each process computes
-only the entropy records of its own chunks.  The export runs in this one
-process where there is one CPU or one chunk, where os.fork is missing, or
-while another thread runs.  The CSV writer formats a row of floats with one
-"%.17g,...,%.17g" template and any other row (the exact initial state of a
-Fraction-valued library call) value by value through `_fmt`, which prints a
-Fraction as p/q.  The JSON writer
-gives the bytes of `json.dumps([...], separators=(",", ":"))`: a row of
-finite floats goes through one %r template, as json prints a float with
-`float.__repr__`, and any other row through `json.dumps`.
+text at a time, so beyond the trajectory's columns (32 bytes a sample) the
+memory of an export does not grow with its sample count, and a forked child
+reads the packed columns it inherited without writing to their pages.
+`entropy_records` returns a lazy sequence, so each process computes only the
+entropy records of its own chunks.  The export runs in this one process
+where there is one CPU or one chunk, where os.fork is missing, or while
+another thread runs.  The CSV writer formats every row with one
+"%.17g,...,%.17g" template.  The JSON writer gives the bytes of
+`json.dumps([...], separators=(",", ":"))`: a row of finite floats goes
+through one %r template, as json prints a float with `float.__repr__`, and a
+row holding inf or nan through `json.dumps`.
 """
 
 from __future__ import annotations
@@ -77,12 +75,6 @@ class StepTooLarge(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    return format(float(x), ".17g")
-
-
 @dataclass
 class FlowState:
     t: float
@@ -96,6 +88,8 @@ class FlowState:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 2:
             raise ValueError("paper setting requires n > 1")
+        if self.n > 2 ** 53 - 2:
+            raise ValueError("the flow needs n <= 2**53 - 2, so that n + 2 is an exact float")
         if self.rho <= 0 or self.mu <= 0:
             raise ValueError("rho and mu must stay positive")
         if self.family == CANONICAL and self.mu >= self.n + 2:
@@ -104,24 +98,6 @@ class FlowState:
     @property
     def rho_mu(self):
         return self.rho * self.mu
-
-
-class _Samples:
-    """Read-only sequence view of a Trajectory's samples as FlowStates."""
-
-    __slots__ = ("_traj",)
-
-    def __init__(self, traj: "Trajectory"):
-        self._traj = traj
-
-    def __len__(self) -> int:
-        return len(self._traj.t)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        tr = self._traj
-        return FlowState(tr.t[k], tr.rho[k], tr.mu[k], tr.family, tr.n)
 
 
 class _Records(Sequence):
@@ -149,9 +125,7 @@ class _Records(Sequence):
 class Trajectory:
     """A flow trajectory stored by column: sample k is (t[k], rho[k], mu[k])
     with first integral invariant_series[k].  A column is any sequence of
-    numbers: `integrate` gives array("d")s from a float start and lists
-    from an exact one, whose initial sample keeps the type it was given
-    while every later sample is a float."""
+    floats; `integrate` gives array("d")s."""
 
     t: Sequence
     rho: Sequence
@@ -162,9 +136,10 @@ class Trajectory:
     events: dict | None = None
 
     @property
-    def samples(self) -> _Samples:
+    def samples(self) -> Sequence[FlowState]:
         """The samples as FlowStates, each built when it is read."""
-        return _Samples(self)
+        return _Records(lambda k: FlowState(self.t[k], self.rho[k], self.mu[k], self.family,
+                                            self.n), range(len(self.t)))
 
     def max_invariant_drift(self) -> float:
         ref = self.invariant_series[0]
@@ -242,17 +217,19 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
     t_end before the initial time integrates backward (the ancient
     direction).  A dt that is not positive and finite, and a request for
     more than MAX_STEPS steps, are rejected, and so is a t_end that is not
-    finite.  The columns are allocated for every requested step at the start
-    and cut back where the flow stops; each step stores its sample's floats
-    and evaluates the invariant inline, with the checks and formulas of
-    FlowState and `invariant`.  The columns are array("d")s when the initial
-    values are all floats, and lists otherwise.
+    finite.  The initial state is converted to floats, so an exact start
+    gives the trajectory of its float.  The columns are array("d")s,
+    allocated for every requested step at the start and cut back where the
+    flow stops; each step stores its sample's floats and evaluates the
+    invariant inline, with the checks and formulas of FlowState and
+    `invariant`.
     """
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if not math.isfinite(t_end):
         raise ValueError("t_end must be finite")
     n, family = initial.n, initial.family
+    initial = FlowState(float(initial.t), float(initial.rho), float(initial.mu), family, n)
     step = dt if t_end >= initial.t else -dt
     span = (t_end - initial.t) / step
     if not span <= MAX_STEPS:
@@ -265,16 +242,12 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
     t0 = initial.t
     steps = max(0, int(round(span)))
     first = (t0, rho, initial.mu, invariant(initial))
-    if all(type(x) is float for x in first):
-        # loaded here, since most processes that import flow never integrate:
-        # an entropy export, or verify on two CPUs (its flow checks run in a child)
-        from array import array
-        cols = [array("d", (x,)) * (steps + 1) for x in first]
-        # a memoryview stores a float into an array faster than the array does
-        views = [memoryview(col) for col in cols]
-    else:
-        # an exact start (a Fraction-valued library call) prints its first row as p/q
-        cols = views = [[x] * (steps + 1) for x in first]
+    # loaded here, since most processes that import flow never integrate:
+    # an entropy export, or verify on two CPUs (its flow checks run in a child)
+    from array import array
+    cols = [array("d", (x,)) * (steps + 1) for x in first]
+    # a memoryview stores a float into an array faster than the array does
+    views = [memoryview(col) for col in cols]
     at_t, at_rho, at_mu, at_inv = views
     on_z = family == Z
     # the constants of `invariant`, computed as it computes them
@@ -333,9 +306,8 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
         at_rho[k] = rho
         at_mu[k] = mu
         at_inv[k] = iv
-    if views is not cols:
-        for view in views:
-            view.release()
+    for view in views:
+        view.release()
     for col in cols:
         del col[kept:]
     events: dict = {"stopped_at_floor": kept - 1 < steps}
@@ -424,7 +396,6 @@ def entropy_records(initial: FlowState, samples: int) -> Sequence[EntropyRecord]
 
 
 _TRAJ_FIELDS = ["t", "rho", "mu", "rho_mu", "invariant"]
-_FLOAT = {float}
 # rows per chunk: each process formats an export one chunk at a time
 BLOCK_ROWS = 2048
 
@@ -433,31 +404,29 @@ def _csv(fields: list[str]):
     """(head, sep, tail, text) of a CSV export: see `_write_chunks`.
 
     A row of floats is formatted by a single "%.17g,...\n" % row, which gives
-    the bytes of `_fmt` on each value; a row holding anything else goes
-    through `_fmt` value by value."""
+    the bytes of format(x, ".17g") on each value."""
     template = ",".join(["%.17g"] * len(fields)) + "\n"
 
     def text(rows) -> str:
-        return "".join(template % row if _FLOAT.issuperset(map(type, row))
-                       else ",".join(map(_fmt, row)) + "\n" for row in rows)
+        return "".join(template % row for row in rows)
 
     return ",".join(fields) + "\n", "", "", text
 
 
 def _json(fields: list[str]):
     """(head, sep, tail, text) of a JSON export, whose bytes are those of
-    json.dumps([dict(zip(fields, map(float, row))), ...], separators=(",", ":")):
-    see `_write_chunks`.
+    json.dumps([dict(zip(fields, row)), ...], separators=(",", ":")) on rows
+    of floats: see `_write_chunks`.
 
     A row of finite floats is formatted by a single %r template, as json
-    prints a float with float.__repr__; any other row (a non-float, or inf or
-    nan, which json prints as Infinity and NaN) goes through json.dumps."""
+    prints a float with float.__repr__; a row holding inf or nan, which json
+    prints as Infinity and NaN, goes through json.dumps."""
     template = "{" + ",".join(json.dumps(f) + ":%r" for f in fields) + "}"
     isfinite = math.isfinite
 
     def text(rows) -> str:
-        return ",".join(template % row if _FLOAT.issuperset(map(type, row)) and isfinite(sum(row))
-                        else json.dumps(dict(zip(fields, map(float, row))), separators=(",", ":"))
+        return ",".join(template % row if isfinite(sum(row))
+                        else json.dumps(dict(zip(fields, row)), separators=(",", ":"))
                         for row in rows)
 
     return "[", ",", "]", text
@@ -592,17 +561,15 @@ def write_trajectory(traj: Trajectory, fmt: str, out) -> None:
     _write_chunks(fmt, _TRAJ_FIELDS, chunk, len(traj.t), out)
 
 
-def write_entropy(records, fmt: str, out) -> bool:
+def write_entropy(records: Sequence[EntropyRecord], fmt: str, out) -> bool:
     """Write records, a sequence of EntropyRecords, to the text stream out as
     fmt, "csv" or "json", one row per record, and return whether w never
     falls along them: whether each w passes prev <= w + 1e-12, where prev is
     the w before it and -inf before the first, so that a nan w fails.
 
     A sequence from `entropy_records` computes each record in the process
-    that formats its chunk; any other iterable is read into a list first.
+    that formats its chunk.
     """
-    if not isinstance(records, Sequence):
-        records = list(records)
 
     def chunk(i: int, text):
         ws = []

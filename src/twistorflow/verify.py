@@ -228,21 +228,6 @@ def _check_entropy(n: int) -> tuple[bool, str]:
     return ok, f"W nondecreasing over 200 samples; Scal(Einstein) = {scal}"
 
 
-CHECK_NAMES = [
-    "lie_algebra",
-    "maurer_cartan_blocks",
-    "hpn_curvature",
-    "prop_2_4_canonical_ricci",
-    "kahler_criterion",
-    "contact_identity",
-    "hat_alpha_derivatives",
-    "prop_3_1_z_ricci",
-    "rhs_vs_ricci",
-    "closed_form_vs_rk4",
-    "invariant_conservation",
-    "entropy_monotonicity",
-]
-
 _CHECKS = {
     "lie_algebra": _check_lie,
     "maurer_cartan_blocks": _check_blocks,
@@ -257,6 +242,7 @@ _CHECKS = {
     "invariant_conservation": _check_invariants,
     "entropy_monotonicity": _check_entropy,
 }
+CHECK_NAMES = list(_CHECKS)
 
 
 # the checks that read zmetric.z_geometry: run_checks keeps them in one

@@ -9,7 +9,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twistorflow.cli import main
 
@@ -289,7 +289,7 @@ def test_entropy_summary_compares_each_w_with_the_one_before(monkeypatch, capsys
         recs = [flow.EntropyRecord(t=-1.0 + 0.1 * k, rho=1.0, mu=1.0, rho_mu=1.0, invariant=0.0,
                                    tau=1.0 - 0.1 * k, scal=1.0, vol_ratio=1.0, u=1.0, f=0.0, w=w)
                 for k, w in enumerate(ws)]
-        monkeypatch.setattr(flow, "entropy_records", lambda init, samples, recs=recs: iter(recs))
+        monkeypatch.setattr(flow, "entropy_records", lambda init, samples, recs=recs: recs)
         code, _ = run_cli(["entropy", "--n", "2", "--lambda2", "1/2", "--samples", str(len(ws))])
         assert code == 0
         assert json.loads(capsys.readouterr().err) == {"samples": len(ws),
@@ -490,17 +490,24 @@ _BAD = ("0", "-1", "-2/3", "1/0", "inf", "nan", "-inf", "1e400", "junk", "", "1/
 def _command_line(draw):
     """An einstein, ricci, curvature, flow or entropy command line: all valid
     values, or a mix of valid and malformed ones.  A valid run stays cheap:
-    n <= 3, at most 1000 flow steps and 200 entropy samples, no --out."""
+    n <= 3, at most 1000 flow steps and 200 entropy samples, no --out.  A
+    400-digit n is valid for einstein, and rejected by flow and entropy."""
     mixed = draw(st.booleans())
 
     def pick(good, bad=()):
         return draw(st.sampled_from(good + bad if mixed else good))
 
+    def pick_n(good, bad):
+        # one einstein, flow or entropy line in four has the 400-digit n
+        if draw(st.integers(0, 3)) == 0:
+            return str(draw(st.integers(10 ** 399, 10 ** 400 - 1)))
+        return pick(good, bad)
+
     cmd = draw(st.sampled_from(["einstein", "ricci", "curvature", "flow", "entropy"]))
     family = f"--family={pick(('canonical', 'z'), ('junk',))}"
     fmt = f"--format={pick(('json', 'csv', 'table'), ('xml',))}"
     if cmd == "einstein":
-        return [cmd, family, f"--n={pick(('2', '3', '1000'), ('-1', '0', '1', 'x'))}", fmt]
+        return [cmd, family, f"--n={pick_n(('2', '3', '1000'), ('-1', '0', '1', 'x'))}", fmt]
     if cmd == "ricci":
         n = draw(st.integers(1, 8) if mixed else st.integers(2, 3))
         # a valid value at n in 4..6 would run at full cost
@@ -509,7 +516,7 @@ def _command_line(draw):
     if cmd == "curvature":
         n = pick(("2", "3"), ("-1", "0", "1", "7", "8", "x"))
         return [cmd, f"--n={n}", fmt] + (["--sectional"] if draw(st.booleans()) else [])
-    n = f"--n={pick(('2', '3'), ('0', '1', 'x'))}"
+    n = f"--n={pick_n(('2', '3'), ('0', '1', 'x'))}"
     lam, rho0 = (f"--{opt}={pick(_GOOD, _BAD)}" for opt in ("lambda2", "rho0"))
     fmt = f"--format={pick(('csv', 'json'), ('xml',))}"
     if cmd == "flow":
@@ -523,22 +530,36 @@ def _command_line(draw):
 
 def _exit_code(argv):
     """cli.main's exit code, or argparse's when it rejects the command line,
-    with the stderr text."""
+    with the stdout and stderr texts."""
     from contextlib import redirect_stderr, redirect_stdout
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as ex:
             code = ex.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+_BIG_N = f"--n={10 ** 400}"
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(argv=_command_line())
+# the n = 2**60 + 1 that a float prints as 1.152921504606847e+18
+@example(argv=["einstein", "--family=canonical", "--n=1152921504606846977", "--format=table"])
+@example(argv=["einstein", "--family=z", _BIG_N, "--format=table"])
+@example(argv=["flow", "--family=z", _BIG_N, "--lambda2=1/2"])
+@example(argv=["flow", "--family=canonical", _BIG_N, "--lambda2=1/2", "--t-end=0.01"])
+@example(argv=["entropy", _BIG_N, "--lambda2=1/2"])
 def test_every_command_line_exits_0_1_or_2(argv):
-    code, err = _exit_code(argv)
-    assert code in (0, 1, 2), (argv, err)
+    # only verify exits 1
+    code, out, err = _exit_code(argv)
+    assert code in (0, 2), (argv, err)
+    assert "Traceback" not in err
+    if argv[0] == "einstein" and code == 0 and argv[-1] == "--format=table":
+        # n is printed exactly, however many digits it has
+        assert out.splitlines()[1].split() == ["n", argv[2].removeprefix("--n=")]
 
 
 @st.composite
@@ -556,6 +577,6 @@ def _verify_command_line(draw):
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(argv=_verify_command_line())
 def test_every_verify_command_line_exits_0_1_or_2(argv):
-    code, err = _exit_code(argv)
+    code, _, err = _exit_code(argv)
     assert code in (0, 1, 2), (argv, err)
     assert "Traceback" not in err

@@ -143,28 +143,28 @@ def test_trajectory_columns_and_samples_view():
             assert traj.invariant_series[k] == invariant(st)
         assert traj.samples[0] == init
         assert traj.samples[-1] == traj.samples[20]
-        assert traj.samples[::7] == [traj.samples[k] for k in (0, 7, 14)]
+        assert list(traj.samples[::7]) == [traj.samples[k] for k in (0, 7, 14)]
 
 
-def test_exact_initial_row_keeps_its_fractions():
-    traj = integrate(FlowState(0.0, Fraction(1), Fraction(1, 2), Z, 2), 1e-3, 0.002)
-    lines = _written(write_trajectory, traj, "csv").splitlines()
-    assert lines[1] == "0,1,1/2,1/2,1/4"
-    assert lines[2] == ",".join(format(x, ".17g") for x in (
-        traj.t[1], traj.rho[1], traj.mu[1], traj.rho[1] * traj.mu[1],
-        traj.invariant_series[1]))
-    assert json.loads(_written(write_trajectory, traj, "json"))[0] == {
-        "t": 0.0, "rho": 1.0, "mu": 0.5, "rho_mu": 0.5, "invariant": 0.25}
+def test_exact_start_writes_the_bytes_of_its_float_start():
+    # integrate converts an exact start to floats: the exports are those of the float start
+    for family, mu in ((Z, Fraction(1, 3)), (CANONICAL, Fraction(7, 5))):
+        exact = integrate(FlowState(0, Fraction(3, 2), mu, family, 2), 1e-3, 0.002)
+        rounded = integrate(FlowState(0.0, 1.5, float(mu), family, 2), 1e-3, 0.002)
+        for fmt in ("csv", "json"):
+            assert (_written(write_trajectory, exact, fmt)
+                    == _written(write_trajectory, rounded, fmt))
+        assert exact.events == rounded.events
 
 
 def test_column_type_follows_the_initial_values():
-    # a float start gives packed float columns, an exact start keeps lists
+    # a float start and an exact start both give packed float columns
     def column_types(traj):
         return {type(col) for col in (traj.t, traj.rho, traj.mu, traj.invariant_series)}
 
     assert column_types(integrate(FlowState(0.0, 1.0, 0.5, Z, 2), 1e-3, 0.002)) == {array}
     exact = FlowState(0.0, Fraction(1), Fraction(1, 2), Z, 2)
-    assert column_types(integrate(exact, 1e-3, 0.002)) == {list}
+    assert column_types(integrate(exact, 1e-3, 0.002)) == {array}
 
 
 def test_trajectory_stores_each_sample_in_32_bytes():
@@ -339,21 +339,9 @@ def test_backward_integration_ancient_canonical():
 
 
 # the join-based exports that the streamed writers replaced, kept as oracles
-def _oracle_fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    return format(float(x), ".17g")
-
-
 def _oracle_csv(fields, rows) -> str:
     template = ",".join(["%.17g"] * len(fields)) + "\n"
-    lines = [",".join(fields) + "\n"]
-    for row in rows:
-        if set(map(type, row)) <= {float}:
-            lines.append(template % row)
-        else:
-            lines.append(",".join(map(_oracle_fmt, row)) + "\n")
-    return "".join(lines)
+    return "".join([",".join(fields) + "\n"] + [template % row for row in rows])
 
 
 def _oracle_json(fields, rows) -> str:
@@ -405,10 +393,9 @@ def _check_streamed_writers(count: int, cpus: int, packed: bool, monkeypatch) ->
     cols = [[rng.choice([1.0, -1.0]) * rng.random() * 10.0 ** rng.randint(-300, 300)
              for _ in range(count)] for _ in range(4)]
     if count:
-        # an exact initial row (p/q in csv), zeros, and a float subnormal; packed
-        # columns, as integrate builds from a float start, hold that row as floats
-        for col, x in zip(cols, (Fraction(0), Fraction(1, 3), Fraction(5, 2), -0.0)):
-            col[0] = float(x) if packed else x
+        # zeros and a float subnormal
+        for col, x in zip(cols, (0.0, 1 / 3, 2.5, -0.0)):
+            col[0] = x
         cols[3][-1] = 5e-324
     t, rho, mu, inv = cols
 
@@ -508,4 +495,4 @@ def test_entropy_export_streams_in_bounded_memory():
     assert peak < 2_000_000
     recs = list(entropy_records(init, 300))
     fields = list(EntropyRecord._fields)
-    assert _written(write_entropy, iter(recs), "json") == _oracle_json(fields, recs)
+    assert _written(write_entropy, recs, "json") == _oracle_json(fields, recs)

@@ -112,3 +112,30 @@ def test_loading_the_cli_does_not_load_flow():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_every_private_module_name_is_read():
+    # a module-level _name (function, class or assignment) that nothing in the
+    # package reads, as a name, an attribute or a from-import, is a leftover
+    defined, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert defined
+    assert [f"{module}: {name}" for module, name in defined if name not in read] == []
