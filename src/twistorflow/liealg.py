@@ -10,9 +10,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeff import ONE, Coeff, ring_value
+from .connections import levi_civita
 from .forms import (Basis, DerivativeRules, DimensionMismatch, FormMatrix, OneForm,
-                    TwoForm, exterior_derivative, frame_index, mat_wedge, pairing_table,
-                    wedge)
+                    TwoForm, curvature, exterior_derivative, frame_index, mat_wedge,
+                    pairing_table, wedge)
 
 __all__ = [
     "LieAlgebraSpec",
@@ -558,51 +559,21 @@ def _hpn_blocks_closed_form(basis: Basis) -> FormMatrix:
     return om
 
 
-def _hpn_blocks_maurer_cartan(basis: Basis, sc: StructureConstants) -> FormMatrix:
-    """HP^n curvature via d Gamma + Gamma ^ Gamma on the holonomy connection (2-2 pattern)."""
-    n = basis.n
-    rules = make_rules(sc, basis)
-
-    def alpha(i):
-        return OneForm.basis(basis.a(i), ONE)
-
-    def entry(pat, a, b):
-        m, gsgn, asgn = pat
-        f = _gamma_form(basis, m, a + 1, b + 1).scale(ONE.scale(gsgn))
-        if asgn and a == b:
-            f = f + alpha(m).scale(ONE.scale(asgn))
-        return f
-
-    # (2-2): row/column block pattern (gamma index, gamma sign, alpha sign)
-    pattern = [
-        [(0, 1, 0), (1, -1, -1), (2, -1, -1), (3, -1, -1)],
-        [(1, 1, 1), (0, 1, 0), (3, -1, 1), (2, 1, -1)],
-        [(2, 1, 1), (3, 1, -1), (0, 1, 0), (1, -1, 1)],
-        [(3, 1, 1), (2, -1, 1), (1, 1, -1), (0, 1, 0)],
-    ]
-    dim = 4 * n
-    gamma = FormMatrix.zero(dim)
-    for bi in range(4):
-        for bj in range(4):
-            for a in range(n):
-                for b in range(n):
-                    gamma.entries[bi * n + a][bj * n + b] = entry(pattern[bi][bj], a, b)
-    return gamma.d(rules) + mat_wedge(gamma, gamma)
-
-
 def hpn_curvature(n: int) -> CurvatureTensor:
     """Riemann tensor of HP^n in the quaternion orthonormal frame.
 
-    The displayed blocks are transcribed (closed form) and recomputed from
-    the structure equations (Maurer-Cartan); the recomputed blocks must lie
-    in the X-quadratic span and the two must agree exactly, else ValueError.
+    The displayed blocks are transcribed (closed form) and recomputed as the
+    curvature of the Levi-Civita connection of the X coframe, solved from the
+    sp(n+1) structure constants; the recomputed blocks must lie in the
+    X-quadratic span and the two must agree exactly, else ValueError.
     """
     if n < 2:
         raise ValueError("paper setting requires n > 1")
     basis = Basis(n)
     m = 4 * n
     # frame index A = 1..4n is X^i_a with i = (A - 1) // n, a = (A - 1) % n + 1
-    index = frame_index([{basis.x(L // n, L % n + 1): ONE} for L in range(m)])
+    coframe = [OneForm.basis(basis.x(L // n, L % n + 1), ONE) for L in range(m)]
+    index = frame_index([th.coeffs for th in coframe])
 
     def blocks_to_components(om: FormMatrix) -> dict:
         out = {}
@@ -615,12 +586,13 @@ def hpn_curvature(n: int) -> CurvatureTensor:
         return out
 
     comps = blocks_to_components(_hpn_blocks_closed_form(basis))
-    om = _hpn_blocks_maurer_cartan(basis, _sp_structure(n))
+    rules = make_rules(_sp_structure(n), basis)
+    om = curvature(levi_civita(coframe, rules), rules)
     for row in om.entries:
         for e in row:
             for (i, j) in e.coeffs:
                 if basis.labels[i][0] != "X" or basis.labels[j][0] != "X":
                     raise ValueError("curvature entry leaves the X-quadratic span")
     if comps != blocks_to_components(om):
-        raise ValueError("closed-form and Maurer-Cartan curvature disagree")
+        raise ValueError("closed-form and Levi-Civita curvature disagree")
     return CurvatureTensor(n, comps)

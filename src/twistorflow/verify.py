@@ -10,7 +10,7 @@ from .coeff import Coeff
 from .canonical import (MetricParams, contact_check, einstein_solve_canonical,
                         kahler_criterion, ricci_canonical, ricci_map_canonical)
 from .flow import (FlowState, Z, CANONICAL, _ordered_map, classify, closed_form_z,
-                   entropy_records, integrate, rhs)
+                   entropy_records, integrate, rhs, scalar_curvature)
 from .liealg import (_sp_structure, build_sp_basis, build_sp_sp1_basis, exact_rank,
                      hpn_curvature, right_action_matrices, sectional,
                      verify_block_equations)
@@ -222,7 +222,6 @@ def _check_entropy(n: int) -> tuple[bool, str]:
     recs = list(entropy_records(FlowState(0.0, 1.0, 0.5, Z, n), 200))
     ws = [r.w for r in recs]
     mono = all(a <= b + 1e-12 for a, b in zip(ws, ws[1:]))
-    from .flow import scalar_curvature
     scal = scalar_curvature(Fraction(1), Fraction(1, n + 2), n)
     ok = mono and scal == (4 * n + 2) * (4 * n + 8)
     return ok, f"W nondecreasing over 200 samples; Scal(Einstein) = {scal}"

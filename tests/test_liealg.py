@@ -14,7 +14,7 @@ from twistorflow.liealg import (EqualIndices, NotClosed,
 from twistorflow import liealg
 from twistorflow.coeff import ONE
 from twistorflow.liealg import IntMatrix, LieAlgebraSpec, _Expander, _sp_structure
-from twistorflow.forms import DimensionMismatch, TwoForm
+from twistorflow.forms import Basis, DimensionMismatch, TwoForm
 
 
 def test_dimensions_and_rank():
@@ -299,12 +299,13 @@ def test_sectional_symmetry_and_contraction():
 
 
 def _tampered(monkeypatch, name, extra):
-    """Replace liealg.<name> by the real blocks with extra(basis) added to entry (0, 1)."""
+    """Replace liealg.<name>, a function that returns the n = 2 curvature
+    blocks, by one that adds extra(Basis(2)) to entry (0, 1)."""
     real = getattr(liealg, name)
 
-    def tampered(basis, *args):
-        om = real(basis, *args)
-        om.entries[0][1] = om.entries[0][1] + extra(basis)
+    def tampered(*args):
+        om = real(*args)
+        om.entries[0][1] = om.entries[0][1] + extra(Basis(2))
         return om
 
     monkeypatch.setattr(liealg, name, tampered)
@@ -319,10 +320,42 @@ def test_hpn_routes_agree_and_are_checked(monkeypatch):
 
 
 def test_hpn_maurer_cartan_blocks_must_stay_x_quadratic(monkeypatch):
-    _tampered(monkeypatch, "_hpn_blocks_maurer_cartan",
+    # an A ^ X term in the curvature of the solved connection
+    _tampered(monkeypatch, "curvature",
               lambda b: TwoForm.build([(b.a(1), b.x(0, 1), ONE)]))
     with pytest.raises(ValueError, match="leaves the X-quadratic span"):
         hpn_curvature(2)
+
+
+def test_hpn_curvature_rejects_tampers_aimed_at_an_x_form(monkeypatch):
+    # the solved connection reads d X, so a structure constant c^k_ij with k
+    # an X label reaches it, though no Maurer-Cartan block family reads d X.
+    # A seeded sample of the 1680 such tampers of sp(3): the full sweep takes
+    # tens of seconds
+    sc = _sp_structure(2)
+    labels = Basis(2).labels
+    xs = [k for k, lab in enumerate(labels) if lab[0] == "X"]
+    triples = [(i, j, k) for i in range(sc.dim) for j in range(i + 1, sc.dim) for k in xs]
+    assert len(triples) == 1680
+    for i, j, k in random.Random(22).sample(triples, 60):
+        tampered = sc.tampered(i, j, k)
+        monkeypatch.setattr(liealg, "_sp_structure", lambda n: tampered)
+        with pytest.raises(ValueError):
+            hpn_curvature(2)
+
+
+def test_hpn_connection_lies_in_the_isotropy_forms(monkeypatch):
+    # HP^n is symmetric: its Levi-Civita connection takes values in
+    # sp(n) + sp(1), so every entry is a sum of alpha and Gamma~ forms only
+    solved = []
+    real = liealg.levi_civita
+    monkeypatch.setattr(liealg, "levi_civita",
+                        lambda *args: solved.append(real(*args)) or solved[-1])
+    for n in (2, 3):
+        hpn_curvature(n)
+        labels = Basis(n).labels
+        kinds = {labels[i][0] for row in solved[-1].entries for e in row for i in e.coeffs}
+        assert kinds == {"A", "G"}
 
 
 def test_verify_builds_the_structure_constants_once(monkeypatch):
