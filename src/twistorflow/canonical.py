@@ -8,7 +8,6 @@ transcribing the closed-form answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,34 +39,57 @@ class OutOfDomain(ValueError):
 S_RATIO = jet_symbol("SRATIO", 0)
 
 
-@dataclass(frozen=True)
 class MetricParams:
-    """Parameters of a twistor metric: lambda2 None means symbolic lambda."""
+    """Parameters of a twistor metric: lambda2 None means symbolic lambda.
 
-    n: int
-    lambda2: Fraction | None = None
-    rho: Fraction = Fraction(1)
-    s_ratio: Fraction | None = Fraction(1)
+    An immutable value: equal parameters compare equal and hash alike."""
 
-    def __post_init__(self):
-        if self.n < 2:
+    __slots__ = ("n", "lambda2", "rho", "s_ratio")
+
+    def __init__(self, n: int, lambda2: Fraction | None = None, rho: Fraction = Fraction(1),
+                 s_ratio: Fraction | None = Fraction(1)):
+        if n < 2:
             raise ValueError("paper setting requires n > 1")
-        if self.lambda2 is not None and self.lambda2 <= 0:
+        if lambda2 is not None and lambda2 <= 0:
             raise ValueError("lambda^2 must be positive")
-        if self.rho <= 0:
+        if rho <= 0:
             raise ValueError("rho must be positive")
-        if self.s_ratio is not None and self.s_ratio <= 0:
+        if s_ratio is not None and s_ratio <= 0:
             raise ValueError("S/S~ must be positive")
+        for name, value in zip(self.__slots__, (n, lambda2, rho, s_ratio)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MetricParams is immutable: cannot set {name}")
+
+    def _key(self) -> tuple:
+        return self.n, self.lambda2, self.rho, self.s_ratio
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass
 class RicciDiag:
     """Diagonal Ricci coefficients of a fiber/base block metric, symbolic in
     lambda; fiber_at and base_at evaluate them at lambda^2 = mu."""
 
-    fiber: Coeff
-    base: Coeff
-    off_diagonal_zero: bool
+    __slots__ = ("fiber", "base", "off_diagonal_zero")
+
+    def __init__(self, fiber: Coeff, base: Coeff, off_diagonal_zero: bool):
+        self.fiber = fiber
+        self.base = base
+        self.off_diagonal_zero = off_diagonal_zero
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.fiber, self.base, self.off_diagonal_zero)
+                == (other.fiber, other.base, other.off_diagonal_zero))
 
     def fiber_at(self, mu) -> Fraction:
         return self.fiber.eval_lambda2(mu)

@@ -8,7 +8,6 @@ Exit codes: 0 all checks pass / command succeeded, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -25,7 +24,8 @@ CANONICAL, Z = "canonical", "z"
 
 
 def _parse_rational(text: str):
-    """Exact p/q strings stay exact; decimals fall back to float with a warning.
+    """(value, exact): p/q and integer strings give an exact Fraction, a
+    decimal gives a float.
 
     Raises ValueError on a zero denominator or a non-finite decimal.
     """
@@ -41,7 +41,6 @@ def _parse_rational(text: str):
         x = float(text)
         if not math.isfinite(x):
             raise ValueError(f"{text!r} is not a finite number")
-        sys.stderr.write(f"warning: decimal input {text!r}; symbolic checks run numerically\n")
         return x, False
 
 
@@ -57,6 +56,7 @@ def _emit(payload, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, default=_fmt_value, sort_keys=True))
     elif fmt == "csv":
+        import csv
         row = [v if isinstance(v, str) else _fmt_value(v) for v in payload.values()]
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(payload)
@@ -100,6 +100,8 @@ def cmd_ricci(args) -> int:
     elif mu:
         # a decimal is exactly the rational its text spells: 1e-13 is 1/10^13
         mu_frac = Fraction(args.lambda2.strip())
+        sys.stderr.write(f"warning: decimal input {args.lambda2.strip()!r} is read as the exact "
+                         f"rational {mu_frac}; the Ricci values are printed as floats\n")
     else:
         # zero, or below the float range: no float Ricci value to report
         sys.stderr.write(f"lambda^2 = {args.lambda2} rounds to 0 as a float\n")

@@ -35,11 +35,10 @@ import marshal
 import math
 import os
 import threading
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
 
 __all__ = [
     "FlowState",
@@ -75,25 +74,34 @@ class StepTooLarge(ValueError):
     pass
 
 
-@dataclass
 class FlowState:
-    t: float
-    rho: float
-    mu: float
-    family: str
-    n: int
+    """A point (t, rho, mu) of a flow of the family (CANONICAL or Z) over
+    HP^n.  States with equal fields compare equal; a state is not hashable."""
 
-    def __post_init__(self):
-        if self.family not in (CANONICAL, Z):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 2:
+    __slots__ = ("t", "rho", "mu", "family", "n")
+
+    def __init__(self, t: float, rho: float, mu: float, family: str, n: int):
+        if family not in (CANONICAL, Z):
+            raise ValueError(f"unknown family {family!r}")
+        if n < 2:
             raise ValueError("paper setting requires n > 1")
-        if self.n > 2 ** 53 - 2:
+        if n > 2 ** 53 - 2:
             raise ValueError("the flow needs n <= 2**53 - 2, so that n + 2 is an exact float")
-        if self.rho <= 0 or self.mu <= 0:
+        if rho <= 0 or mu <= 0:
             raise ValueError("rho and mu must stay positive")
-        if self.family == CANONICAL and self.mu >= self.n + 2:
+        if family == CANONICAL and mu >= n + 2:
             raise ValueError("canonical family needs mu < n + 2")
+        self.t = t
+        self.rho = rho
+        self.mu = mu
+        self.family = family
+        self.n = n
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.t, self.rho, self.mu, self.family, self.n)
+                == (other.t, other.rho, other.mu, other.family, other.n))
 
     @property
     def rho_mu(self):
@@ -121,19 +129,22 @@ class _Records(Sequence):
         return map(self._record, self._indices)
 
 
-@dataclass
 class Trajectory:
     """A flow trajectory stored by column: sample k is (t[k], rho[k], mu[k])
     with first integral invariant_series[k].  A column is any sequence of
     floats; `integrate` gives array("d")s."""
 
-    t: Sequence
-    rho: Sequence
-    mu: Sequence
-    invariant_series: Sequence
-    family: str
-    n: int
-    events: dict | None = None
+    __slots__ = ("t", "rho", "mu", "invariant_series", "family", "n", "events")
+
+    def __init__(self, t: Sequence, rho: Sequence, mu: Sequence, invariant_series: Sequence,
+                 family: str, n: int, events: dict | None = None):
+        self.t = t
+        self.rho = rho
+        self.mu = mu
+        self.invariant_series = invariant_series
+        self.family = family
+        self.n = n
+        self.events = events
 
     @property
     def samples(self) -> Sequence[FlowState]:
@@ -146,20 +157,9 @@ class Trajectory:
         return max(abs(v - ref) for v in self.invariant_series)
 
 
-class EntropyRecord(NamedTuple):
-    """One entropy export row; the fields are the export's columns, in order."""
-
-    t: float
-    rho: float
-    mu: float
-    rho_mu: float
-    invariant: float
-    tau: float
-    scal: float
-    vol_ratio: float
-    u: float
-    f: float
-    w: float
+EntropyRecord = namedtuple("EntropyRecord", ["t", "rho", "mu", "rho_mu", "invariant", "tau",
+                                             "scal", "vol_ratio", "u", "f", "w"])
+EntropyRecord.__doc__ = "One entropy export row; the fields are the export's columns, in order."
 
 
 def rhs(state: FlowState) -> tuple[float, float]:
@@ -219,9 +219,10 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
     more than MAX_STEPS steps, are rejected, and so is a t_end that is not
     finite.  The initial state is converted to floats, so an exact start
     gives the trajectory of its float.  The columns are array("d")s,
-    allocated for every requested step at the start and cut back where the
-    flow stops; each step stores its sample's floats and evaluates the
-    invariant inline, with the checks and formulas of FlowState and
+    allocated at the start for every requested step, or forward in the Z
+    family for the steps up to a little past the singular time, and cut back
+    where the flow stops; each step stores its sample's floats and evaluates
+    the invariant inline, with the checks and formulas of FlowState and
     `invariant`.
     """
     if not 0 < dt < math.inf:
@@ -241,15 +242,27 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
     floor_rho = FLOOR_RATIO * rho
     t0 = initial.t
     steps = max(0, int(round(span)))
+    on_z = family == Z
+    fate = classify(initial) if on_z else None
+    room = steps
+    if on_z and step > 0 and fate["time"] / step < steps:
+        # Forward, rho mu and rho fall by 8 dt and 8 (n + 2) dt a step, and
+        # the first of them to reach zero does so at step K = fate["time"] / dt:
+        # exact steps take it a whole step below zero by step ceil(K) + 1.
+        # k rounded float sums stray from k exact steps by at most about
+        # (k + 6) 2**-53 of the start value; here k <= K + 2 and K < MAX_STEPS,
+        # so that is under 2e-10 of the start value and a step is over 1e-6
+        # of it.  K as computed is within a few ulps of its exact value, so the
+        # loop stops, at the floor or by crossing zero, by step int(K) + 3.
+        room = min(steps, int(fate["time"] / step) + 3)
     first = (t0, rho, initial.mu, invariant(initial))
     # loaded here, since most processes that import flow never integrate:
     # an entropy export, or verify on two CPUs (its flow checks run in a child)
     from array import array
-    cols = [array("d", (x,)) * (steps + 1) for x in first]
+    cols = [array("d", (x,)) * (room + 1) for x in first]
     # a memoryview stores a float into an array faster than the array does
     views = [memoryview(col) for col in cols]
     at_t, at_rho, at_mu, at_inv = views
-    on_z = family == Z
     # the constants of `invariant`, computed as it computes them
     z_shift = 1.0 / (n + 2)
     c_fib = (n + 1) / n
@@ -264,7 +277,7 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
         kv, kr = -8.0, -8.0 * (n + 2)
         inc_v = h6 * (kv + 2 * kv + 2 * kv + kv)
         inc_r = h6 * (kr + 2 * kr + 2 * kr + kr)
-    kept = steps + 1
+    kept = room + 1
     for k in range(1, kept):
         if on_z:
             nv, nrho = v + inc_v, rho + inc_r
@@ -311,8 +324,8 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
     for col in cols:
         del col[kept:]
     events: dict = {"stopped_at_floor": kept - 1 < steps}
-    if family == Z:
-        events.update(classify(initial))
+    if on_z:
+        events.update(fate)
     return Trajectory(*cols, family, n, events)
 
 

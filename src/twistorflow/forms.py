@@ -12,8 +12,6 @@ of many terms accumulates into one dict rather than adding forms pairwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .coeff import ZERO, Coeff, JetSymbol, jet_grade, symbol_name
 
 __all__ = [
@@ -138,11 +136,17 @@ class Basis:
 
 
 class _SparseForm:
-    """Arithmetic shared by OneForm and TwoForm over their coeffs map.
+    """A sparse map coeffs of nonzero Coeffs, and the arithmetic that OneForm
+    and TwoForm share over it.
 
-    The subclasses are dataclasses with eq=False, so that they keep this
-    __eq__, which returns NotImplemented across the two types.
+    Two forms are equal when their maps are; __eq__ returns NotImplemented
+    across the two types, and a form is not hashable.
     """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict | None = None):
+        self.coeffs = {} if coeffs is None else coeffs
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -183,9 +187,10 @@ class _SparseForm:
         return self.coeffs == other.coeffs
 
 
-@dataclass(frozen=True, eq=False)
 class OneForm(_SparseForm):
-    coeffs: dict[int, Coeff] = field(default_factory=dict)
+    """A 1-form: coeffs maps a basis index i to the Coeff of e^i."""
+
+    __slots__ = ()
 
     @staticmethod
     def build(items) -> "OneForm":
@@ -202,9 +207,10 @@ class OneForm(_SparseForm):
         return OneForm({idx: coeff})
 
 
-@dataclass(frozen=True, eq=False)
 class TwoForm(_SparseForm):
-    coeffs: dict[tuple[int, int], Coeff] = field(default_factory=dict)
+    """A 2-form: coeffs maps basis indices (i, j), i < j, to the Coeff of e^i ^ e^j."""
+
+    __slots__ = ()
 
     @staticmethod
     def build(items) -> "TwoForm":
@@ -270,15 +276,17 @@ def pairing_table(w: TwoForm,
     return out
 
 
-@dataclass
 class DerivativeRules:
     """d on basis forms (from structure constants) plus jet-symbol rules.
 
     The forms are indexed 0..len(d_basis)-1; d_basis[k] is d e^k.
     """
 
-    d_basis: list[TwoForm]
-    jet_rules: dict[int, OneForm] = field(default_factory=dict)
+    __slots__ = ("d_basis", "jet_rules")
+
+    def __init__(self, d_basis: list[TwoForm], jet_rules: dict[int, OneForm] | None = None):
+        self.d_basis = d_basis
+        self.jet_rules = {} if jet_rules is None else jet_rules
 
     def with_jets(self, rules: dict[JetSymbol, OneForm]) -> "DerivativeRules":
         jr = dict(self.jet_rules)
@@ -364,12 +372,20 @@ def d2_residual(idx: int, rules: DerivativeRules) -> dict[tuple[int, int, int], 
     return acc
 
 
-@dataclass
 class FormMatrix:
-    """Square matrix of OneForms or TwoForms."""
+    """Square matrix of OneForms or TwoForms; matrices of equal dim and
+    entries compare equal."""
 
-    dim: int
-    entries: list[list]
+    __slots__ = ("dim", "entries")
+
+    def __init__(self, dim: int, entries: list[list]):
+        self.dim = dim
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.entries) == (other.dim, other.entries)
 
     @staticmethod
     def zero(dim: int, two: bool = False) -> "FormMatrix":

@@ -5,7 +5,6 @@ Maurer-Cartan block equations, and the quaternion projective space curvature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -55,24 +54,31 @@ class EqualIndices(ValueError):
     pass
 
 
-@dataclass
 class LieAlgebraSpec:
-    name: str
-    n: int
-    basis: list[IntMatrix]
-    labels: list[tuple]
+    """A named matrix Lie algebra: basis[k] is the matrix labelled labels[k]."""
+
+    __slots__ = ("name", "n", "basis", "labels")
+
+    def __init__(self, name: str, n: int, basis: list[IntMatrix], labels: list[tuple]):
+        self.name = name
+        self.n = n
+        self.basis = basis
+        self.labels = labels
 
     def dim(self) -> int:
         return len(self.basis)
 
 
-@dataclass
 class StructureConstants:
     """Bracket table c^k_{ij} (i < j keys), exact rationals in the ring's
     stored form (an int when integral, else a Fraction)."""
 
-    dim: int
-    c: dict[tuple[int, int], dict[int, int | Fraction]] = field(default_factory=dict)
+    __slots__ = ("dim", "c")
+
+    def __init__(self, dim: int,
+                 c: dict[tuple[int, int], dict[int, int | Fraction]] | None = None):
+        self.dim = dim
+        self.c = {} if c is None else c
 
     def get(self, i: int, j: int) -> dict[int, int | Fraction]:
         if i == j:
@@ -493,12 +499,14 @@ def verify_block_equations(n: int, tamper: tuple[int, int, int] | None = None) -
     return report
 
 
-@dataclass
 class CurvatureTensor:
     """Riemann tensor R(A,B,C,D) = g(R(e_C,e_D)e_B, e_A) over frame indices 1..4n."""
 
-    n: int
-    components: dict[tuple[int, int, int, int], Fraction]
+    __slots__ = ("n", "components")
+
+    def __init__(self, n: int, components: dict[tuple[int, int, int, int], Fraction]):
+        self.n = n
+        self.components = components
 
     def component(self, A: int, B: int, C: int, D: int) -> Fraction:
         return self.components.get((A, B, C, D), Fraction(0))

@@ -12,7 +12,6 @@ unknown must cancel from any physical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .coeff import ONE, ZERO, Coeff, jet_symbol
@@ -27,7 +26,6 @@ def _label_str(label: tuple) -> str:
     return ",".join(str(x) for x in label)
 
 
-@dataclass
 class PointGeometry:
     """Coframe-coordinate model of a metric germ at the base point.
 
@@ -45,11 +43,13 @@ class PointGeometry:
     not be mutated, nor may the matrix ricci() returns.
     """
 
-    rules: DerivativeRules
-    coframe: list[OneForm]
-    frames: list[dict]
-    gamma: FormMatrix
-    extras_expansion: dict[int, OneForm]
+    def __init__(self, rules: DerivativeRules, coframe: list[OneForm], frames: list[dict],
+                 gamma: FormMatrix, extras_expansion: dict[int, OneForm]):
+        self.rules = rules
+        self.coframe = coframe
+        self.frames = frames
+        self.gamma = gamma
+        self.extras_expansion = extras_expansion
 
     @cached_property
     def omega(self) -> FormMatrix:

@@ -104,9 +104,9 @@ EXPORT_GOLDEN = [
     ("flow --family z --n 2 --rho0 1 --lambda2 1/2 --dt 1e-4 --t-end 0.02 --format json --out {out}",
      "2e0c4c1fecde4005", "e3b0c44298fc1c14", "20829d89bdfbd02a", 0),
     ("flow --family z --n 3 --rho0 3/2 --lambda2 0.7 --dt 1e-4 --t-end -0.05 --out {out}",
-     "4aa097f4c1297c93", "e3b0c44298fc1c14", "2bf4f7c95c859919", 0),
+     "4aa097f4c1297c93", "e3b0c44298fc1c14", "672f0b9c9356b5b7", 0),
     ("flow --family z --n 3 --rho0 3/2 --lambda2 0.7 --dt 1e-4 --t-end -0.05 --format json",
-     "-", "47d6d406a71b9e37", "2bf4f7c95c859919", 0),
+     "-", "47d6d406a71b9e37", "672f0b9c9356b5b7", 0),
     ("flow --family z --n 2 --rho0 1 --lambda2 1/8 --dt 1e-5 --t-end 0.07 --out {out}",
      "-", "e3b0c44298fc1c14", "6733f4322439b17f", 2),
     ("flow --family z --n 2 --rho0 1 --lambda2 1/2 --dt 1e-5 --t-end 0.07 --out {out}",
@@ -114,9 +114,9 @@ EXPORT_GOLDEN = [
     ("flow --family z --n 4 --rho0 2 --lambda2 3/5 --dt 1e-4 --out {out}",
      "4df6e2b946965b21", "e3b0c44298fc1c14", "fb217d380b39ecc5", 0),
     ("flow --family canonical --n 2 --rho0 1 --lambda2 1.7 --dt 1e-5 --t-end 0.003 --out {out}",
-     "43adfac0795a0f93", "e3b0c44298fc1c14", "5c6c1bb5a36dd263", 0),
+     "43adfac0795a0f93", "e3b0c44298fc1c14", "abb75506f95326bc", 0),
     ("flow --family canonical --n 2 --rho0 1 --lambda2 1.7 --dt 1e-5 --t-end 0.003 --format json --out {out}",
-     "9fc8c4ff4a863269", "e3b0c44298fc1c14", "5c6c1bb5a36dd263", 0),
+     "9fc8c4ff4a863269", "e3b0c44298fc1c14", "abb75506f95326bc", 0),
     ("flow --family canonical --n 3 --rho0 5/2 --lambda2 3/5 --dt 1e-4 --t-end -0.03",
      "-", "a95db78c17499a1e", "bfac180e385112fb", 0),
     ("flow --family canonical --n 3 --rho0 5/2 --lambda2 3/5 --dt 1e-4 --t-end -0.03 --format json --out {out}",
@@ -124,7 +124,7 @@ EXPORT_GOLDEN = [
     ("entropy --n 2 --rho0 1 --lambda2 1/2 --samples 500 --out {out}",
      "464eddb900d3043f", "e3b0c44298fc1c14", "450bc71611e30d8c", 0),
     ("entropy --n 3 --rho0 5/2 --lambda2 1.3 --samples 300 --format json",
-     "-", "b5d16bfd6bc97ce3", "76aba646936bb9fe", 0),
+     "-", "b5d16bfd6bc97ce3", "574b4efa726c8c12", 0),
     ("entropy --n 2 --rho0 3 --lambda2 13/10 --samples 30000 --format json --out {out}",
      "f3b4a0c573b46cbe", "e3b0c44298fc1c14", "3f6432bcfcc6a81b", 0),
     ("flow --family canonical --n 2 --rho0 1 --lambda2 1/2 --dt 1.22e-06 --t-end 0.05 --out {out}",
@@ -224,6 +224,22 @@ def test_small_decimal_lambda2_is_read_exactly():
     assert code == 0
     payload = json.loads(out)
     assert (payload["fiber"], payload["base"], payload["lambda2"]) == (4e13, 16.0, 1e-13)
+
+
+def test_decimal_input_warns_only_where_it_changes_the_output(capsys):
+    # ricci computes at the rational 7/10 that 0.7 spells and prints floats
+    assert run_cli(["ricci", "--family", "z", "--n", "2", "--lambda2", "0.7"])[0] == 0
+    assert capsys.readouterr().err == ("warning: decimal input '0.7' is read as the exact "
+                                       "rational 7/10; the Ricci values are printed as floats\n")
+    # flow and entropy run on floats: 0.7 and 7/10 give the same bytes, and no warning
+    for argv in (["flow", "--family", "z", "--n", "2", "--dt", "1e-3", "--t-end", "0.01"],
+                 ["entropy", "--n", "2", "--samples", "20"]):
+        runs = []
+        for lambda2 in ("0.7", "7/10"):
+            code, out = run_cli(argv + ["--lambda2", lambda2])
+            runs.append((code, out, capsys.readouterr().err))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][2].startswith('{"samples": ')
 
 
 def test_domain_errors_exit_2(capsys):

@@ -206,6 +206,56 @@ def test_step_too_large():
         integrate(init, 0.05, 0.2)
 
 
+def test_z_columns_are_sized_to_the_singular_time():
+    # 1e6 requested steps, but rho mu reaches zero at step 1562.5: the
+    # columns of every requested step would take 32 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(StepTooLarge, match="^step 1562 would cross"):
+            integrate(FlowState(0.0, 1.0, 0.125, Z, 2), 1e-5, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+
+
+def _z_stop(init: FlowState, dt: float):
+    """(k, crossed): the first forward step k whose Z step, as integrate sums
+    it, reaches the floor of rho mu or of rho, and whether it crosses zero."""
+    v0, rho0, n = init.rho * init.mu, init.rho, init.n
+    h6 = dt / 6.0
+    kv, kr = -8.0, -8.0 * (n + 2)
+    inc_v, inc_r = h6 * (kv + 2 * kv + 2 * kv + kv), h6 * (kr + 2 * kr + 2 * kr + kr)
+    v, rho, k = v0, rho0, 0
+    while True:
+        k += 1
+        nv, nrho = v + inc_v, rho + inc_r
+        if nv <= 1e-12 * v0 or nrho <= 1e-12 * rho0:
+            return k, nv <= 0 or nrho <= 0
+        v, rho = nv, nrho
+
+
+def test_z_runs_past_the_singular_time_stop_where_uncapped_sums_stop():
+    # the columns hold int(T/dt) + 3 steps; the stop step must come from the
+    # sums, never from running out of room, also where T/dt is near a whole number
+    rng = random.Random(11)
+    for case in range(150):
+        n = rng.randint(2, 6)
+        init = FlowState(0.0, rng.uniform(0.1, 5.0), rng.uniform(0.01, 3.0), Z, n)
+        T = classify(init)["time"]
+        K = rng.randint(1, 3000)
+        dt = T / K if case % 3 else rng.uniform(T / 3000, T)
+        if case % 3 == 1:
+            dt = math.nextafter(dt, rng.choice((0.0, 1.0)))
+        k, crossed = _z_stop(init, dt)
+        if crossed:
+            with pytest.raises(StepTooLarge, match=f"^step {k - 1} would cross"):
+                integrate(init, dt, 4 * T)
+        else:
+            traj = integrate(init, dt, 4 * T)
+            assert (len(traj.t), traj.events["stopped_at_floor"]) == (k, True)
+
+
 def test_floor_stops_integration():
     init = FlowState(0.0, 1.0, 0.5, Z, 2)
     T = classify(init)["time"]

@@ -105,6 +105,23 @@ def test_only_flow_forks_exits_and_reaps():
     assert found == []
 
 
+def test_no_module_imports_dataclasses():
+    # importing dataclasses loads inspect, ast, dis and tokenize, and every
+    # tflow call would pay for them before its command runs
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_loading_the_cli_does_not_load_flow():
     # every tflow call is a fresh interpreter, and flow loads only for the
     # commands that use it
@@ -112,6 +129,13 @@ def test_loading_the_cli_does_not_load_flow():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    # nor does the cli, or flow after it, load a heavy standard module; -S
+    # keeps site and its .pth files from loading modules of their own
+    probe = ("import sys, twistorflow.cli, twistorflow.flow; print(sorted(m for m in "
+             "('dataclasses', 'inspect', 'typing', 'csv') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_every_private_module_name_is_read():
