@@ -6,10 +6,11 @@ classification and the entropy diagnostics live here.
 
 A `Trajectory` is stored by column (`t`, `rho`, `mu` and
 `invariant_series`): `integrate` converts the initial state to floats and
-packs each column into an array("d"), 8 bytes per value, so an exact start
-gives the trajectory of its float.  `Trajectory.samples` is a read-only view
-that builds a `FlowState` per sample on demand.  An `EntropyRecord` is its
-export row: its fields are the export's columns, in order.
+appends each sample it takes to the columns, array("d")s of 8 bytes per
+value, so an exact start gives the trajectory of its float.
+`Trajectory.samples` is a read-only view that builds a `FlowState` per
+sample on demand.  An `EntropyRecord` is its export row: its fields are the
+export's columns, in order.
 
 An export is formatted in chunks of BLOCK_ROWS rows, by up to one process
 per CPU this process may run on (forked children, one chunk each in turn),
@@ -218,12 +219,11 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
     direction).  A dt that is not positive and finite, and a request for
     more than MAX_STEPS steps, are rejected, and so is a t_end that is not
     finite.  The initial state is converted to floats, so an exact start
-    gives the trajectory of its float.  The columns are array("d")s,
-    allocated at the start for every requested step, or forward in the Z
-    family for the steps up to a little past the singular time, and cut back
-    where the flow stops; each step stores its sample's floats and evaluates
-    the invariant inline, with the checks and formulas of FlowState and
-    `invariant`.
+    gives the trajectory of its float.  The columns are array("d")s that
+    start with the initial sample and grow by one sample a step taken, so
+    they hold only the samples up to where the flow stops; each step
+    evaluates the invariant inline, with the checks and formulas of FlowState
+    and `invariant`.
     """
     if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -243,26 +243,12 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
     t0 = initial.t
     steps = max(0, int(round(span)))
     on_z = family == Z
-    fate = classify(initial) if on_z else None
-    room = steps
-    if on_z and step > 0 and fate["time"] / step < steps:
-        # Forward, rho mu and rho fall by 8 dt and 8 (n + 2) dt a step, and
-        # the first of them to reach zero does so at step K = fate["time"] / dt:
-        # exact steps take it a whole step below zero by step ceil(K) + 1.
-        # k rounded float sums stray from k exact steps by at most about
-        # (k + 6) 2**-53 of the start value; here k <= K + 2 and K < MAX_STEPS,
-        # so that is under 2e-10 of the start value and a step is over 1e-6
-        # of it.  K as computed is within a few ulps of its exact value, so the
-        # loop stops, at the floor or by crossing zero, by step int(K) + 3.
-        room = min(steps, int(fate["time"] / step) + 3)
     first = (t0, rho, initial.mu, invariant(initial))
     # loaded here, since most processes that import flow never integrate:
     # an entropy export, or verify on two CPUs (its flow checks run in a child)
     from array import array
-    cols = [array("d", (x,)) * (room + 1) for x in first]
-    # a memoryview stores a float into an array faster than the array does
-    views = [memoryview(col) for col in cols]
-    at_t, at_rho, at_mu, at_inv = views
+    cols = [array("d", (x,)) for x in first]
+    put_t, put_rho, put_mu, put_inv = (col.append for col in cols)
     # the constants of `invariant`, computed as it computes them
     z_shift = 1.0 / (n + 2)
     c_fib = (n + 1) / n
@@ -277,8 +263,7 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
         kv, kr = -8.0, -8.0 * (n + 2)
         inc_v = h6 * (kv + 2 * kv + 2 * kv + kv)
         inc_r = h6 * (kr + 2 * kr + 2 * kr + kr)
-    kept = room + 1
-    for k in range(1, kept):
+    for k in range(1, steps + 1):
         if on_z:
             nv, nrho = v + inc_v, rho + inc_r
         else:
@@ -300,7 +285,6 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
             if nv <= 0 or nrho <= 0:
                 raise StepTooLarge(
                     f"step {k - 1} would cross a nonpositive value (rho mu={nv}, rho={nrho})")
-            kept = k
             break
         v, rho = nv, nrho
         mu = v / rho
@@ -315,17 +299,13 @@ def integrate(initial: FlowState, dt: float, t_end: float) -> Trajectory:
             if mu == 1 or mu * (n + 1) == 1:
                 raise OnEinsteinRay("canonical invariant undefined at mu = 1 or 1/(n+1)")
             iv = log(rho) - c_fib * log(abs(mu - 1)) + c_base * log(abs((n + 1) * mu - 1))
-        at_t[k] = t0 + k * step
-        at_rho[k] = rho
-        at_mu[k] = mu
-        at_inv[k] = iv
-    for view in views:
-        view.release()
-    for col in cols:
-        del col[kept:]
-    events: dict = {"stopped_at_floor": kept - 1 < steps}
+        put_t(t0 + k * step)
+        put_rho(rho)
+        put_mu(mu)
+        put_inv(iv)
+    events: dict = {"stopped_at_floor": len(cols[0]) <= steps}
     if on_z:
-        events.update(fate)
+        events.update(classify(initial))
     return Trajectory(*cols, family, n, events)
 
 

@@ -259,10 +259,20 @@ def run_checks(n: int, tamper=None, checks=None) -> list[dict]:
     depends on the process count.  Everything runs in this one process where
     there is one CPU, where os.fork is missing, while another thread runs,
     or when one group is empty (as for a single check).
+
+    checks=None runs every check; a list runs the checks it names, each
+    once, so an empty list gives only the divergence notes.  An unknown or
+    repeated name raises ValueError before any check runs.
     """
     if n < 2:
         raise ValueError("paper setting requires n > 1")
-    names = sorted(checks or CHECK_NAMES)
+    names = sorted(CHECK_NAMES if checks is None else checks)
+    unknown = sorted(set(names) - _CHECKS.keys())
+    if unknown:
+        raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    repeated = sorted({a for a, b in zip(names, names[1:]) if a == b})
+    if repeated:
+        raise ValueError(f"checks named more than once: {', '.join(repeated)}")
 
     def run_one(name: str) -> dict:
         fn = _CHECKS[name]

@@ -208,7 +208,8 @@ def test_step_too_large():
 
 def test_z_columns_are_sized_to_the_singular_time():
     # 1e6 requested steps, but rho mu reaches zero at step 1562.5: the
-    # columns of every requested step would take 32 MB
+    # columns hold only the samples taken, where those of every requested
+    # step would take 32 MB
     tracemalloc.start()
     try:
         with pytest.raises(StepTooLarge, match="^step 1562 would cross"):
@@ -217,6 +218,26 @@ def test_z_columns_are_sized_to_the_singular_time():
     finally:
         tracemalloc.stop()
     assert peak < 200_000
+
+
+@pytest.mark.parametrize("initial, t_end, error, message", [
+    (FlowState(0.0, 1.0, 0.5, CANONICAL, 2), 1.0, StepTooLarge, "^step 36628 would cross"),
+    # backward from mu0 > 1, mu grows toward n + 2
+    (FlowState(0.0, 1.0, 3.5, CANONICAL, 2), -1.0, ValueError,
+     "canonical family needs mu < n [+] 2"),
+], ids=["forward", "backward"])
+def test_canonical_columns_hold_only_the_steps_taken(initial, t_end, error, message):
+    # 1e6 requested steps, but the flow fails within 40k: the columns of every
+    # requested step would take 32 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=message) as info:
+            integrate(initial, 1e-6, t_end)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(info.value) is error
+    assert peak < 2_000_000
 
 
 def _z_stop(init: FlowState, dt: float):
@@ -236,8 +257,8 @@ def _z_stop(init: FlowState, dt: float):
 
 
 def test_z_runs_past_the_singular_time_stop_where_uncapped_sums_stop():
-    # the columns hold int(T/dt) + 3 steps; the stop step must come from the
-    # sums, never from running out of room, also where T/dt is near a whole number
+    # the stop step must be the first whose rounded sums reach the floor or
+    # cross zero, also where T/dt is near a whole number
     rng = random.Random(11)
     for case in range(150):
         n = rng.randint(2, 6)

@@ -1,7 +1,9 @@
-"""Source rules that hold for every module of the package."""
+"""Source rules that hold for every module of the package; the Python floor
+holds for the benchmark's modules too."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -163,3 +165,21 @@ def test_every_private_module_name_is_read():
                 read.update(alias.name for alias in node.names)
     assert defined
     assert [f"{module}: {name}" for module, name in defined if name not in read] == []
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # pyproject.toml declares the oldest Python the package runs on; newer
+    # syntax (except*, PEP 695 type parameters, ...) would break it there
+    root = Path(__file__).resolve().parent.parent
+    declared = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                         (root / "pyproject.toml").read_text(), re.MULTILINE)
+    floor = (int(declared[1]), int(declared[2]))
+    paths = sorted((root / "src" / "twistorflow").glob("*.py")) + sorted(
+        (root / "perfbench").glob("*.py"))
+    found = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+        except SyntaxError as ex:
+            found.append(f"{path.relative_to(root)}:{ex.lineno} {ex.msg}")
+    assert len(paths) > 10 and found == []

@@ -55,6 +55,28 @@ def test_two_cpus_give_the_records_of_one(kwargs, monkeypatch):
     assert failed == (["maurer_cartan_blocks"] if "tamper" in kwargs else [])
 
 
+def test_an_empty_selection_gives_only_the_divergence_notes(monkeypatch):
+    pids = _on_cpus(monkeypatch, 2)
+    report = run_checks(2, checks=[])
+    assert report == [{"check": f"divergence:{div['id']}", "status": "note",
+                       "detail": div["detail"]} for div in verify.KNOWN_DIVERGENCES]
+    assert pids == []
+
+
+@pytest.mark.parametrize("checks, message", [
+    (["lie_algebra", "rhs_vs_ricci", "bogus", "lie_algebra"], "^unknown checks: bogus$"),
+    (["lie_algebra", "rhs_vs_ricci", "lie_algebra"], "^checks named more than once: lie_algebra$"),
+])
+def test_a_bad_selection_is_rejected_before_any_check_runs(checks, message, monkeypatch):
+    ran = []
+    for name in CHECK_NAMES:
+        monkeypatch.setitem(verify._CHECKS, name, lambda *args, name=name: ran.append(name))
+    pids = _on_cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match=message):
+        run_checks(2, checks=checks)
+    assert (ran, pids) == ([], [])
+
+
 def test_the_stripped_jet_table_fails_on_one_and_two_cpus(monkeypatch):
     # the Z group runs on the jet table without its invisible components
     real = zmetric.ricci_z
