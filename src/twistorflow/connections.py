@@ -102,13 +102,21 @@ def _decompose(two: TwoForm, expans, extras):
     return C, M, E
 
 
+def _half(c: Coeff) -> Coeff:
+    """c / 2: an even int is shifted, and only an odd int or a Fraction
+    becomes a Fraction (which is then not integral, as the ring stores it)."""
+    return Coeff({k: v >> 1 if v.__class__ is int and not v & 1 else Fraction(v, 2)
+                  for k, v in c.terms.items()})
+
+
 def levi_civita(coframe: list[OneForm], rules: DerivativeRules) -> FormMatrix:
     """Solve the first structure equation; the solution is checked to be skew
     and to satisfy the equation exactly.
 
     The coframe-quadratic part is the Koszul combination of the dtheta
-    coefficients, summed as 2 Gamma and halved once per coefficient, so
-    integral structure functions keep the whole solve in int arithmetic.
+    coefficients, summed as 2 Gamma and halved once per coefficient by a
+    shift of each even int, so integral structure functions keep the whole
+    solve in int arithmetic.
     """
     m = len(coframe)
     expans, extras = coframe_expansion(coframe, len(rules.d_basis))
@@ -149,7 +157,6 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules) -> FormMatrix:
                 _add_into(twice[B][P], A, x)
             _add_into(twice[A][B], P, nx)
             _add_into(twice[B][A], P, x)
-    half = Fraction(1, 2)
 
     entries: list[list[OneForm]] = []
     for K in range(m):
@@ -157,7 +164,7 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules) -> FormMatrix:
         for L in range(m):
             acc: dict[int, Coeff] = dict(forced[K][L])
             for Mi, g2 in twice[K][L].items():
-                g = g2.scale(half)
+                g = _half(g2)
                 for idx, c in coframe[Mi].coeffs.items():
                     _add_into(acc, idx, g * c)
             row.append(OneForm(acc))

@@ -439,6 +439,16 @@ def mat_wedge(A: FormMatrix, B: FormMatrix) -> FormMatrix:
     return FormMatrix(A.dim, out)
 
 
+def _grade0(f):
+    """The grade-0 part of a form: f itself when it has no other part."""
+    for c in f.coeffs.values():
+        for _, mono in c.terms:
+            for sid in mono:
+                if jet_grade(sid):
+                    return f.grade_part(0)
+    return f
+
+
 def _curvature_entries(gamma: FormMatrix, rules: DerivativeRules, touching: bool):
     """Yield (i, j, 2-form map of Omega^i_j) for i < j, as curvature defines it.
 
@@ -446,8 +456,8 @@ def _curvature_entries(gamma: FormMatrix, rules: DerivativeRules, touching: bool
     {i, j}: over unit frames, those are all a Ricci contraction reads.
     """
     m = gamma.dim
-    rules0 = DerivativeRules([w.grade_part(0) for w in rules.d_basis],
-                             {sid: r.grade_part(0) for sid, r in rules.jet_rules.items()})
+    rules0 = DerivativeRules([_grade0(w) for w in rules.d_basis],
+                             {sid: _grade0(r) for sid, r in rules.jet_rules.items()})
     g0 = [[e.grade_part(0) for e in row] for row in gamma.entries]
     for i in range(m):
         for j in range(i + 1, m):

@@ -30,8 +30,9 @@ class PointGeometry:
     """Coframe-coordinate model of a metric germ at the base point.
 
     Every form is written over the coframe slots 0..m-1: rules holds d of
-    each slot and the rules of the expansion jets, coframe[K] is e^K and
-    frames[K] is the unit frame {K: 1}.
+    each slot at every grade, and the jet rules (of the expansion jets and
+    the ambient jets) exact at grade 0 only, the one part the curvature at
+    the point reads; coframe[K] is e^K and frames[K] is the unit frame {K: 1}.
 
     omega is the curvature at the point (the grade-0 part of the second
     structure equation), not the full curvature germ.  It is lazy: computed
@@ -86,6 +87,10 @@ def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
     this is the shift S[K, M] = Y[K, M] + W[(M, K)]/2 (K <= M): a bijection
     of the unknowns, so Ricci is free of S exactly when it is free of Y, and
     every rule is integral.
+
+    These rules, and the slot images of the ambient jet rules, are built at
+    grade 0 only: they hold the grade-0 part of the exact rules, which is
+    all the curvature at the point reads.  d of each slot keeps every grade.
     """
     m = len(ambient_coframe)
     expans, extras = coframe_expansion(ambient_coframe, len(ambient_labels))
@@ -108,35 +113,55 @@ def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
     expansion = [extras_expansion[i] if i in extras else OneForm(expans[i])
                  for i in range(len(ambient_labels))]
 
-    def conv1(a: OneForm) -> OneForm:
-        acc: dict[int, Coeff] = {}
-        for i, c in a.coeffs.items():
-            for L, cl in expansion[i].coeffs.items():
-                _add_into(acc, L, cl * c)
-        return OneForm(acc)
-
     def conv2(w: TwoForm) -> TwoForm:
         acc: dict[tuple[int, int], Coeff] = {}
         for (i, j), c in w.coeffs.items():
             _wedge_into(acc, expansion[i], expansion[j].scale(c))
         return TwoForm(acc)
 
+    # d_slot keeps every grade: Gamma reads its grade-1 part
     d_slot = [conv2(dt) for dt in dth_amb]
+
+    # The jet rules are built at grade 0 only: the curvature reads no other
+    # part of them, and levi_civita on the unit slot coframe reads none.
+    # Grades add under products, so each factor is cut to grade 0 first.
+    expansion0 = [f.grade_part(0) for f in expansion]
+    frames0 = []
+    for f in value_frames:
+        f0 = {}
+        for i, v in f.items():
+            v0 = v.grade_part(0)
+            if v0.terms:
+                f0[i] = v0
+        frames0.append(f0)
+
+    # the grade-0 part of the slot image of a 1-form
+    def conv1(a: OneForm) -> OneForm:
+        acc: dict[int, Coeff] = {}
+        for i, c in a.coeffs.items():
+            c = c.grade_part(0)
+            if c.terms:
+                for L, cl in expansion0[i].coeffs.items():
+                    _add_into(acc, L, cl * c)
+        return OneForm(acc)
 
     # derivative rules of the expansion jets: antisymmetric part pinned by
     # the known d of the ambient form, the rest a fresh unknown per slot pair
-    index = frame_index(value_frames)
-    dtheta_pair = [pairing_table(dt, index) for dt in dth_amb]
+    index = frame_index(frames0)
+    # W is read only at (M, K) with M < K, so only those pairs are summed
+    dtheta_pair = [{LM: t for LM, t in pairing_table(dt.grade_part(0), index).items()
+                    if LM[0] < LM[1]} for dt in dth_amb]
 
     slot_jet_rules: dict[int, OneForm] = {}
     for e in extras:
         # W[(L, M)] = de(e_L, e_M) - sum_K val(e, K) dtheta^K(e_L, e_M)
-        W = pairing_table(ambient_rules.d_basis[e], index)
+        W = pairing_table(ambient_rules.d_basis[e].grade_part(0), index)
         for K in range(m):
-            v = val(e, K)
-            if not v.is_zero():
+            v = frames0[K].get(e)
+            if v is not None:
+                nv = -v
                 for LM, t in dtheta_pair[K].items():
-                    _add_into(W, LM, -(v * t))
+                    _add_into(W, LM, nv * t)
         lab = _label_str(ambient_labels[e])
         sym = {(a, b): Coeff.symbol(jet_symbol(f"SYM[{lab}|{a},{b}]", 0))
                for a in range(m) for b in range(a, m)}

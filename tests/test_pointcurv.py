@@ -14,10 +14,11 @@ import pytest
 from twistorflow.canonical import (MetricParams, canonical_setup, curvature_canonical,
                                    ricci_canonical)
 import twistorflow
-from twistorflow import forms
+from twistorflow import connections, forms
 from twistorflow.coeff import Coeff, jet_cutoff, jet_symbol, symbol_name
-from twistorflow.connections import levi_civita, ricci_matrix
-from twistorflow.forms import curvature, mat_wedge
+from twistorflow.connections import levi_civita, ricci_from_gamma, ricci_matrix
+from twistorflow.forms import DerivativeRules, FormMatrix, curvature, mat_wedge
+from twistorflow.liealg import _sp_structure
 from twistorflow.pointcurv import point_geometry
 from twistorflow.zmetric import _z_point_geometry, ricci_z, z_geometry
 
@@ -158,3 +159,84 @@ def test_ricci_is_contracted_once_per_geometry(monkeypatch):
     # verify's Prop. 3.1 and rhs checks both read the Ricci of this geometry
     assert ricci_z(MetricParams(2)) == ricci_z(MetricParams(2))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("ambiguity", ["none", "grade1"])
+def test_curvature_truncates_graded_jet_rules(ambiguity):
+    # z_geometry's jet rules are grade 0; give every coefficient a grade-1
+    # part as well, which the curvature at the point must not read
+    geo = z_geometry(2, ambiguity)
+    t = Coeff.rational(1) + Coeff.symbol(jet_symbol("T[graded rules]", 1))
+    graded = DerivativeRules(geo.rules.d_basis,
+                             {sid: r.scale(t) for sid, r in geo.rules.jet_rules.items()})
+    assert any(c.max_grade() == 1 for r in graded.jet_rules.values() for c in r.coeffs.values())
+    want = _full_curvature_grade0(geo.gamma, graded)
+    assert want == _full_curvature_grade0(geo.gamma, geo.rules)
+    omega = curvature(geo.gamma, graded)
+    assert omega.entries == want
+    ric = ricci_matrix(FormMatrix(omega.dim, want), geo.frames)
+    assert ricci_from_gamma(geo.gamma, graded) == ric == ricci_matrix(omega, geo.frames)
+    assert ric == geo.ricci()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("ambiguity", ["none", "grade1", "stripped", "grade0"])
+@pytest.mark.parametrize("free_gamma_fiber", [False, True])
+def test_z_geometry_jet_rules_are_grade_0(n, ambiguity, free_gamma_fiber):
+    geo = z_geometry(n, ambiguity, free_gamma_fiber=free_gamma_fiber)
+    assert geo.rules.jet_rules
+    for rule in geo.rules.jet_rules.values():
+        for c in rule.coeffs.values():
+            assert c.max_grade() == 0, c
+
+
+@pytest.mark.parametrize("s_ratio, odd_sums", [(Fraction(2, 3), 48), (Fraction(1, 2), 48),
+                                               (None, 0), ("z", 0)])
+def test_levi_civita_halves_as_the_fraction_formula(monkeypatch, s_ratio, odd_sums):
+    # _half shifts an even int and makes a Fraction only for an odd int or a
+    # Fraction (S/S~ = 2/3 gives Fraction sums, 1/2 odd ints): it must give
+    # what scale(1/2) gives, value types included
+    if s_ratio == "z":
+        geo = z_geometry(2)
+        coframe, rules = geo.coframe, geo.rules
+    else:
+        _, rules, coframe, _ = canonical_setup(MetricParams(2, s_ratio=s_ratio))
+    sums = []
+    real = connections._half
+    monkeypatch.setattr(connections, "_half", lambda c: sums.append(c) or real(c))
+    got = levi_civita(coframe, rules)
+    monkeypatch.setattr(connections, "_half", lambda c: c.scale(Fraction(1, 2)))
+    want = levi_civita(coframe, rules)
+    assert got == want
+    for grow, wrow in zip(got.entries, want.entries):
+        for g, w in zip(grow, wrow):
+            for idx, c in g.coeffs.items():
+                assert {k: type(v) for k, v in c.terms.items()} \
+                    == {k: type(v) for k, v in w.coeffs[idx].terms.items()}
+    odd = [c for c in sums if any(type(v) is not int or v & 1 for v in c.terms.values())]
+    assert len(odd) == odd_sums
+
+
+def test_z_ricci_work_budget(monkeypatch):
+    # a count of ring operations, not a timing: building z_geometry(3) and
+    # its Ricci took 32245 products and 8622 grade cuts before the jet rules
+    # were built at grade 0 only, and 23467 and 5444 after
+    counts = {"mul": 0, "grade_part": 0}
+    mul, grade_part = Coeff.__mul__, Coeff.grade_part
+
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
+    def counted_grade_part(a, grade):
+        counts["grade_part"] += 1
+        return grade_part(a, grade)
+
+    _sp_structure.cache_clear()
+    _z_point_geometry.cache_clear()
+    monkeypatch.setattr(Coeff, "__mul__", counted_mul)
+    monkeypatch.setattr(Coeff, "grade_part", counted_grade_part)
+    z_geometry(3).ricci()
+    monkeypatch.undo()
+    assert counts["mul"] <= 23950, counts
+    assert counts["grade_part"] <= 5550, counts

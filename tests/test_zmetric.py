@@ -145,6 +145,7 @@ def test_truncation_soundness():
         rd3 = ricci_z(MetricParams(2))
     assert rd3.fiber.grade_part(0) == rd2.fiber
     assert rd3.base.grade_part(0) == rd2.base
+    assert rd3 == rd2
 
 
 def test_einstein_z():
