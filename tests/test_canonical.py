@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 
 from twistorflow.canonical import (MetricParams, OutOfDomain, canonical_setup,
-                                   connection_canonical, connection_canonical_transcribed,
-                                   contact_check, curvature_canonical,
+                                   connection_canonical, contact_check, curvature_canonical,
                                    einstein_solve_canonical, kahler_criterion,
                                    ricci_canonical, ricci_map_canonical)
 from twistorflow.coeff import Coeff, ONE
 from twistorflow.forms import Basis, FormMatrix, OneForm, TwoForm, wedge
 from twistorflow.gaussc import commutes_with_j
+
+from transcribed import connection_canonical_transcribed
 
 
 def entries_equal(A, B):

@@ -89,22 +89,46 @@ def test_all_names_the_public_surface():
     assert found == []
 
 
-def test_only_flow_forks_exits_and_reaps():
-    # the process handling of the parallel exports and of verify's check
-    # groups lives in flow alone (flow._ordered_map)
+def _parallel_uses(name: str, source: str) -> list[str]:
+    """The places in the module `name` whose source uses os.fork, os._exit or
+    os.waitpid, or imports threading, _thread, multiprocessing, concurrent or
+    marshal, as "name:line what"."""
     calls = {"fork", "_exit", "waitpid"}
+    banned = {"threading", "_thread", "multiprocessing", "concurrent", "marshal"}
+    found = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in calls):
+            found.append(f"{name}:{node.lineno} os.{node.attr}")
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and calls & {alias.name for alias in node.names}):
+            found.append(f"{name}:{node.lineno} from os import")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""])
+            found += [f"{name}:{node.lineno} import {m}" for m in modules
+                      if m.split(".")[0] in banned]
+    return found
+
+
+def test_only_flow_forks_exits_and_reaps():
+    # the process handling of the parallel exports lives in flow alone
+    # (flow._ordered_map); every other module runs in the calling process,
+    # with no thread, no process pool and no marshalling
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem == "flow":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id == "os" and node.attr in calls):
-                found.append(f"{path.name}:{node.lineno} os.{node.attr}")
-            elif (isinstance(node, ast.ImportFrom) and node.module == "os"
-                  and calls & {alias.name for alias in node.names}):
-                found.append(f"{path.name}:{node.lineno} from os import")
+        if path.stem != "flow":
+            found += _parallel_uses(path.name, path.read_text())
     assert found == []
+
+
+def test_the_parallelism_rule_names_the_module_and_line():
+    source = ("import json, threading\nfrom os import fork\nimport os\n"
+              "from concurrent.futures import ProcessPoolExecutor\n"
+              "def f():\n    import marshal\n    os.waitpid(os.fork(), 0)\n    os._exit(0)\n")
+    assert sorted(_parallel_uses("m.py", source)) == sorted([
+        "m.py:1 import threading", "m.py:2 from os import", "m.py:4 import concurrent.futures",
+        "m.py:6 import marshal", "m.py:7 os.waitpid", "m.py:7 os.fork", "m.py:8 os._exit"])
 
 
 def test_no_module_imports_dataclasses():

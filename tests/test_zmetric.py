@@ -214,3 +214,7 @@ def test_verify_builds_each_z_geometry_once(monkeypatch):
     rep = run_checks(2)
     assert all(r["status"] != "fail" for r in rep)
     assert calls == [("none", False), ("grade1", False)]
+    # the canonical connection is solved once per key: the symbolic S/S~ of
+    # every canonical check, and the S/S~ = 2 of the Kahler check
+    info = canonical._solve_canonical.cache_info()
+    assert info.misses == info.currsize == 2
