@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeff import ONE, Coeff, active_cutoff, jet_symbol
-from .connections import levi_civita, ricci_matrix
+from .connections import coframe_expansion, levi_civita, ricci_matrix
 from .forms import Basis, FormMatrix, OneForm, curvature, exterior_derivative, specialize, wedge
 from .liealg import _sp_structure, _tx_wedge_x, make_rules
 
@@ -142,11 +142,12 @@ def canonical_setup(p: MetricParams):
 
 @lru_cache(maxsize=None)
 def _solve_canonical(n: int, s_ratio: Fraction | None, cutoff: int):
-    """(basis, rules, frames, Levi-Civita connection) of g^can, symbolic in
-    lambda.  cutoff is the active jet cutoff, part of the key only.  The
-    result is shared by every caller and must not be mutated."""
-    basis, rules, coframe, frames = canonical_setup(MetricParams(n, s_ratio=s_ratio))
-    return basis, rules, frames, levi_civita(coframe, rules)
+    """(basis, rules, coframe expansion, Levi-Civita connection) of g^can,
+    symbolic in lambda.  cutoff is the active jet cutoff, part of the key
+    only.  The result is shared by every caller and must not be mutated."""
+    basis, rules, coframe, _ = canonical_setup(MetricParams(n, s_ratio=s_ratio))
+    expansion, _ = coframe_expansion(coframe, basis.dim())
+    return basis, rules, expansion, levi_civita(coframe, rules)
 
 
 def _solved(p: MetricParams):
@@ -154,26 +155,26 @@ def _solved(p: MetricParams):
 
 
 def connection_canonical(p: MetricParams) -> FormMatrix:
-    basis, rules, frames, gamma = _solved(p)
+    basis, rules, expansion, gamma = _solved(p)
     return _at(gamma, p)
 
 
 def curvature_canonical(p: MetricParams) -> FormMatrix:
-    basis, rules, frames, gamma = _solved(p)
+    basis, rules, expansion, gamma = _solved(p)
     return _at(curvature(gamma, rules), p)
 
 
 def ricci_canonical(p: MetricParams) -> RicciDiag:
     """Ricci of g^can by exact contraction, symbolic in lambda for every p:
     a numeric p.lambda2 is not applied here but by RicciDiag.fiber_at/base_at."""
-    basis, rules, frames, gamma = _solved(p)
+    basis, rules, expansion, gamma = _solved(p)
     om = curvature(gamma, rules)
     for row in om.entries:
         for e in row:
             for (i, j) in e.coeffs:
                 if basis.labels[i][0] == "G" or basis.labels[j][0] == "G":
                     raise ValueError("canonical curvature entry involves a Gamma~ form")
-    return _ricci_diag(ricci_matrix(om, frames))
+    return _ricci_diag(ricci_matrix(om, expansion))
 
 
 def einstein_solve_canonical(n: int) -> set[Fraction]:

@@ -262,10 +262,17 @@ class Coeff:
         return total
 
     def inverse(self) -> "Coeff":
-        """Inverse of u*(1 + nilpotent) where u is a single Laurent monomial unit."""
+        """Inverse of u*(1 + nilpotent) where u is a single Laurent monomial unit.
+
+        Every other term must carry a jet of grade >= 1: a term of grade 0 (a
+        formal unknown without a jet) is not nilpotent, and the truncated
+        Neumann series would not invert it.
+        """
         unit_terms = {k: v for k, v in self.terms.items() if not k[1]}
         if len(unit_terms) != 1:
             raise ValueError("inverse requires a single jet-free Laurent monomial unit part")
+        if any(mono and not _monomial_grade(mono) for _, mono in self.terms):
+            raise ValueError("inverse requires every term beyond the unit part to have grade >= 1")
         (k0, _), v0 = next(iter(unit_terms.items()))
         inv_unit = Coeff.lam_power(-k0, Fraction(1) / v0)
         rest = (self - Coeff({(k0, ()): v0})) * inv_unit

@@ -16,9 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeff import ONE, ZERO, Coeff
-from .forms import (DerivativeRules, FormMatrix, OneForm, TwoForm, _add_into, _add_pair,
-                    _curvature_entries, _wedge_into, exterior_derivative, frame_index,
-                    pairing_table)
+from .forms import (DerivativeRules, FormMatrix, OneForm, TwoForm, _add_into,
+                    _curvature_entries, _wedge_into, exterior_derivative, slot_image)
 
 __all__ = ["coframe_expansion", "levi_civita", "ricci_matrix", "ricci_from_gamma",
            "NonMetricStructure"]
@@ -29,10 +28,11 @@ class NonMetricStructure(ValueError):
 
 
 def coframe_expansion(coframe: list[OneForm], ambient_dim: int):
-    """Expansion of covered ambient basis forms over the coframe.
+    """Expansion of the ambient basis forms over the coframe.
 
-    Returns (expans, extras): expans maps ambient index -> {coframe slot:
-    Coeff}; extras is the set of ambient indices not covered.
+    Returns (expansion, extras): expansion[i] is ambient form i as a OneForm
+    over the coframe slots, empty where the coframe does not cover it;
+    extras is the set of ambient indices not covered.
     """
     covered: dict[int, tuple[int, Coeff, dict[int, Coeff]]] = {}
     for K, th in enumerate(coframe):
@@ -77,12 +77,11 @@ def coframe_expansion(coframe: list[OneForm], ambient_dim: int):
         if combo != {lead: ONE}:
             raise ValueError("coframe expansion failed to converge")
     extras = set(range(ambient_dim)) - set(covered)
-    return expans, extras
+    return [OneForm(expans.get(i, {})) for i in range(ambient_dim)], extras
 
 
-def _decompose(two: TwoForm, expans, extras):
+def _decompose(two: TwoForm, expansion: list[OneForm], extras):
     """Split a 2-form into coframe-quadratic, extra^coframe and extra^extra parts."""
-    C: dict[tuple[int, int], Coeff] = {}
     M: dict[tuple[int, int], Coeff] = {}
     E: dict[tuple[int, int], Coeff] = {}
     for (i, j), c in two.coeffs.items():
@@ -90,16 +89,12 @@ def _decompose(two: TwoForm, expans, extras):
         if i_extra and j_extra:
             _add_into(E, (i, j), c)
         elif i_extra:
-            for L, cl in expans[j].items():
+            for L, cl in expansion[j].coeffs.items():
                 _add_into(M, (i, L), c * cl)
         elif j_extra:
-            for K, ck in expans[i].items():
+            for K, ck in expansion[i].coeffs.items():
                 _add_into(M, (j, K), -(c * ck))
-        else:
-            for K, ck in expans[i].items():
-                for L, cl in expans[j].items():
-                    _add_pair(C, K, L, c * ck * cl)
-    return C, M, E
+    return slot_image(two, expansion).coeffs, M, E
 
 
 def _half(c: Coeff) -> Coeff:
@@ -119,10 +114,10 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules) -> FormMatrix:
     solve in int arithmetic.
     """
     m = len(coframe)
-    expans, extras = coframe_expansion(coframe, len(rules.d_basis))
+    expansion, extras = coframe_expansion(coframe, len(rules.d_basis))
 
     dths = [exterior_derivative(th, rules) for th in coframe]
-    decomposed = [_decompose(dt, expans, extras) for dt in dths]
+    decomposed = [_decompose(dt, expansion, extras) for dt in dths]
     for K, (_, _, E) in enumerate(decomposed):
         if E:
             raise ValueError(f"d theta^{K} has an extra^extra component: {E}")
@@ -182,22 +177,27 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules) -> FormMatrix:
     return gamma
 
 
-def ricci_matrix(curv: FormMatrix, frames: list) -> list[list[Coeff]]:
-    """Ric(e_i, e_j) = sum_k Omega^j_k(e_i, e_k) over an orthonormal frame."""
+def ricci_matrix(curv: FormMatrix, expansion: list[OneForm]) -> list[list[Coeff]]:
+    """Ric(e_i, e_j) = sum_k Omega^j_k(e_i, e_k) over the orthonormal frame
+    dual to a coframe, read through the coframe's expansion of each ambient
+    form (coframe_expansion) as the slot_image of each Omega entry."""
     m = curv.dim
-    index = frame_index(frames)
     acc: dict[tuple[int, int], Coeff] = {}
     for j in range(m):
         for k in range(m):
-            for (i, l), t in pairing_table(curv.entries[j][k], index).items():
-                if l == k:
-                    _add_into(acc, (i, j), t)
+            # the image holds Omega^j_k(e_a, e_b) at a < b; (b, a) is its negative
+            for (a, b), t in slot_image(curv.entries[j][k], expansion).coeffs.items():
+                if b == k:
+                    _add_into(acc, (a, j), t)
+                elif a == k:
+                    _add_into(acc, (b, j), -t)
     return [[acc.get((i, j), ZERO) for j in range(m)] for i in range(m)]
 
 
 def ricci_from_gamma(gamma: FormMatrix, rules: DerivativeRules) -> list[list[Coeff]]:
-    """ricci_matrix(curvature(gamma, rules), frames) for the unit frames
-    e_K = {K: 1} of the basis gamma is written over, without building Omega.
+    """ricci_matrix(curvature(gamma, rules), coframe) for the unit coframe
+    e^K = {K: 1} of the basis gamma is written over (its own expansion),
+    without building Omega.
 
     Over those frames Omega^j_k(e_i, e_k) is the (i, k) component of
     Omega^j_k, so Ric reads of each Omega^i_j (i < j) only the components

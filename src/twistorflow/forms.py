@@ -12,7 +12,7 @@ of many terms accumulates into one dict rather than adding forms pairwise.
 
 from __future__ import annotations
 
-from .coeff import ZERO, Coeff, JetSymbol, jet_grade, symbol_name
+from .coeff import Coeff, JetSymbol, jet_grade, symbol_name
 
 __all__ = [
     "Basis",
@@ -27,9 +27,7 @@ __all__ = [
     "mat_wedge",
     "curvature",
     "d2_residual",
-    "eval_pair",
-    "frame_index",
-    "pairing_table",
+    "slot_image",
     "specialize",
 ]
 
@@ -228,52 +226,19 @@ def wedge(a: OneForm, b: OneForm) -> TwoForm:
     return TwoForm(acc)
 
 
-def eval_pair(w: TwoForm, u: dict, v: dict) -> Coeff:
-    """w(u, v) for dual vectors given as basis-index -> Coeff pairings."""
-    total = None
-    for (i, j), c in w.coeffs.items():
-        ui, uj = u.get(i), u.get(j)
-        vi, vj = v.get(i), v.get(j)
-        if ui is not None and vj is not None:
-            t = c * ui * vj
-            total = t if total is None else total + t
-        if uj is not None and vi is not None:
-            t = c * uj * vi
-            total = -t if total is None else total - t
-    return ZERO if total is None else total
+def slot_image(w: TwoForm, expansion: list[OneForm]) -> TwoForm:
+    """w written over the slots of a coframe, with keys L < M.
 
-
-def frame_index(frames: list[dict]) -> dict[int, list[tuple[int, Coeff]]]:
-    """Invert a list of frames (basis-index -> Coeff pairings) to basis index
-    -> [(slot, value)], the index pairing_table reads."""
-    index: dict[int, list[tuple[int, Coeff]]] = {}
-    for slot, f in enumerate(frames):
-        for i, v in f.items():
-            index.setdefault(i, []).append((slot, v))
-    return index
-
-
-def pairing_table(w: TwoForm,
-                  index: dict[int, list[tuple[int, Coeff]]]) -> dict[tuple[int, int], Coeff]:
-    """Every nonzero w(e_L, e_M) over the frames of a frame_index, as
-    {(L, M): Coeff}, in one pass over w; equal to eval_pair pair by pair.
-
-    A term c e^i ^ e^j adds c u_i v_j to (L, M) and its negative to (M, L)
-    for each frame L pairing with e^i and M with e^j.
+    expansion[i] is ambient basis form i over the slots, and is empty for a
+    form the coframe does not span.  The (L, M) component is w(e_L, e_M) over
+    the frame dual to the coframe, which pairs an empty form to zero.
     """
-    out: dict[tuple[int, int], Coeff] = {}
+    acc: dict[tuple[int, int], Coeff] = {}
     for (i, j), c in w.coeffs.items():
-        fi, fj = index.get(i), index.get(j)
-        if fi is None or fj is None:
-            continue
-        for L, ui in fi:
-            cu = c * ui
-            for M, vj in fj:
-                if L != M:
-                    t = cu * vj
-                    _add_into(out, (L, M), t)
-                    _add_into(out, (M, L), -t)
-    return out
+        a, b = expansion[i], expansion[j]
+        if a.coeffs and b.coeffs:
+            _wedge_into(acc, a, b.scale(c))
+    return TwoForm(acc)
 
 
 class DerivativeRules:

@@ -9,10 +9,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeff import ONE, Coeff, ring_value
-from .connections import levi_civita
+from .connections import coframe_expansion, levi_civita
 from .forms import (Basis, DerivativeRules, DimensionMismatch, FormMatrix, OneForm,
-                    TwoForm, curvature, exterior_derivative, frame_index, mat_wedge,
-                    pairing_table, wedge)
+                    TwoForm, curvature, exterior_derivative, mat_wedge, slot_image, wedge)
 
 __all__ = [
     "LieAlgebraSpec",
@@ -581,16 +580,17 @@ def hpn_curvature(n: int) -> CurvatureTensor:
     m = 4 * n
     # frame index A = 1..4n is X^i_a with i = (A - 1) // n, a = (A - 1) % n + 1
     coframe = [OneForm.basis(basis.x(L // n, L % n + 1), ONE) for L in range(m)]
-    index = frame_index([th.coeffs for th in coframe])
+    expansion, _ = coframe_expansion(coframe, basis.dim())
 
     def blocks_to_components(om: FormMatrix) -> dict:
         out = {}
         for A in range(1, m + 1):
             for B in range(1, m + 1):
-                for (L, M), v in pairing_table(om.entries[A - 1][B - 1], index).items():
+                for (L, M), v in slot_image(om.entries[A - 1][B - 1], expansion).coeffs.items():
                     x = v.lam_poly().get(0, Fraction(0))
                     if x:
                         out[(A, B, L + 1, M + 1)] = x
+                        out[(A, B, M + 1, L + 1)] = -x
         return out
 
     comps = blocks_to_components(_hpn_blocks_closed_form(basis))

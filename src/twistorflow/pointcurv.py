@@ -16,8 +16,8 @@ from functools import cached_property
 
 from .coeff import ONE, ZERO, Coeff, jet_symbol
 from .connections import coframe_expansion, levi_civita, ricci_from_gamma
-from .forms import (DerivativeRules, FormMatrix, OneForm, TwoForm, _add_into, _wedge_into,
-                    curvature, exterior_derivative, frame_index, pairing_table)
+from .forms import (DerivativeRules, FormMatrix, OneForm, _add_into, curvature,
+                    exterior_derivative, slot_image)
 
 __all__ = ["PointGeometry", "point_geometry"]
 
@@ -32,7 +32,8 @@ class PointGeometry:
     Every form is written over the coframe slots 0..m-1: rules holds d of
     each slot at every grade, and the jet rules (of the expansion jets and
     the ambient jets) exact at grade 0 only, the one part the curvature at
-    the point reads; coframe[K] is e^K and frames[K] is the unit frame {K: 1}.
+    the point reads; coframe[K] is e^K, so coframe is also the identity
+    expansion of the slot basis that connections.ricci_matrix reads.
 
     omega is the curvature at the point (the grade-0 part of the second
     structure equation), not the full curvature germ.  It is lazy: computed
@@ -44,11 +45,10 @@ class PointGeometry:
     not be mutated, nor may the matrix ricci() returns.
     """
 
-    def __init__(self, rules: DerivativeRules, coframe: list[OneForm], frames: list[dict],
-                 gamma: FormMatrix, extras_expansion: dict[int, OneForm]):
+    def __init__(self, rules: DerivativeRules, coframe: list[OneForm], gamma: FormMatrix,
+                 extras_expansion: dict[int, OneForm]):
         self.rules = rules
         self.coframe = coframe
-        self.frames = frames
         self.gamma = gamma
         self.extras_expansion = extras_expansion
 
@@ -70,9 +70,13 @@ def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
 
     ambient_labels[i] labels ambient basis form i; the fresh jets of an
     uncovered form e are named after its label, F[label|K] and SYM[label|k,m].
-    value_frames[K] is the pairing table of the dual orthonormal frame
-    against every ambient basis form (values at the point; unknown values
-    enter as grade-0 symbols and must cancel from physical outputs).
+    Every form is read over the slots through the coframe's expansion of the
+    ambient forms (connections.coframe_expansion, forms.slot_image).  The
+    expansion of an uncovered form e is sum_K (val(e, K) + F[e|K]) e^K, where
+    val(e, K) = value_frames[K][e] is its pairing with the dual orthonormal
+    frame at the point (an unknown value enters as a grade-0 symbol and must
+    cancel from physical outputs).  On a covered form, value_frames[K] must
+    agree with the expansion, else ValueError.
 
     The rule of the jet F[e|K] is d F[e|K] = sum_M D[K][M] e^M.  Its
     antisymmetric part D[K][M] - D[M][K] = W[(M, K)] is fixed by the
@@ -93,47 +97,30 @@ def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
     all the curvature at the point reads.  d of each slot keeps every grade.
     """
     m = len(ambient_coframe)
-    expans, extras = coframe_expansion(ambient_coframe, len(ambient_labels))
+    expansion, extras = coframe_expansion(ambient_coframe, len(ambient_labels))
+    for K, frame in enumerate(value_frames):
+        for i, f in enumerate(expansion):
+            if i not in extras and frame.get(i, ZERO) != f.coeffs.get(K, ZERO):
+                raise ValueError(f"value frame {K} disagrees with the coframe expansion "
+                                 f"on {_label_str(ambient_labels[i])}")
     dth_amb = [exterior_derivative(th, ambient_rules) for th in ambient_coframe]
-
-    def val(e: int, K: int) -> Coeff:
-        return value_frames[K].get(e, ZERO)
 
     fjets = {e: [jet_symbol(f"F[{_label_str(ambient_labels[e])}|{K}]", 1)
                  for K in range(m)] for e in extras}
 
     extras_expansion: dict[int, OneForm] = {}
     for e in extras:
-        items = []
-        for K in range(m):
-            c = val(e, K) + Coeff.symbol(fjets[e][K])
-            items.append((K, c))
-        extras_expansion[e] = OneForm.build(items)
-    # the slot expansion of each ambient basis form, read by conv1 and conv2
-    expansion = [extras_expansion[i] if i in extras else OneForm(expans[i])
-                 for i in range(len(ambient_labels))]
-
-    def conv2(w: TwoForm) -> TwoForm:
-        acc: dict[tuple[int, int], Coeff] = {}
-        for (i, j), c in w.coeffs.items():
-            _wedge_into(acc, expansion[i], expansion[j].scale(c))
-        return TwoForm(acc)
+        extras_expansion[e] = OneForm.build(
+            (K, value_frames[K].get(e, ZERO) + Coeff.symbol(fjets[e][K])) for K in range(m))
+        expansion[e] = extras_expansion[e]
 
     # d_slot keeps every grade: Gamma reads its grade-1 part
-    d_slot = [conv2(dt) for dt in dth_amb]
+    d_slot = [slot_image(dt, expansion) for dt in dth_amb]
 
     # The jet rules are built at grade 0 only: the curvature reads no other
     # part of them, and levi_civita on the unit slot coframe reads none.
     # Grades add under products, so each factor is cut to grade 0 first.
     expansion0 = [f.grade_part(0) for f in expansion]
-    frames0 = []
-    for f in value_frames:
-        f0 = {}
-        for i, v in f.items():
-            v0 = v.grade_part(0)
-            if v0.terms:
-                f0[i] = v0
-        frames0.append(f0)
 
     # the grade-0 part of the slot image of a 1-form
     def conv1(a: OneForm) -> OneForm:
@@ -146,22 +133,20 @@ def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
         return OneForm(acc)
 
     # derivative rules of the expansion jets: antisymmetric part pinned by
-    # the known d of the ambient form, the rest a fresh unknown per slot pair
-    index = frame_index(frames0)
-    # W is read only at (M, K) with M < K, so only those pairs are summed
-    dtheta_pair = [{LM: t for LM, t in pairing_table(dt.grade_part(0), index).items()
-                    if LM[0] < LM[1]} for dt in dth_amb]
-
+    # the known d of the ambient form, the rest a fresh unknown per slot pair;
+    # the grade-0 dtheta^K is imaged only for a slot K some val(e, K) reads
+    dtheta0: dict[int, dict] = {}
     slot_jet_rules: dict[int, OneForm] = {}
     for e in extras:
         # W[(L, M)] = de(e_L, e_M) - sum_K val(e, K) dtheta^K(e_L, e_M)
-        W = pairing_table(ambient_rules.d_basis[e].grade_part(0), index)
-        for K in range(m):
-            v = frames0[K].get(e)
-            if v is not None:
-                nv = -v
-                for LM, t in dtheta_pair[K].items():
-                    _add_into(W, LM, nv * t)
+        W = slot_image(ambient_rules.d_basis[e].grade_part(0), expansion0).coeffs
+        for K, v in expansion0[e].coeffs.items():
+            dt = dtheta0.get(K)
+            if dt is None:
+                dt = dtheta0[K] = slot_image(dth_amb[K].grade_part(0), expansion0).coeffs
+            nv = -v
+            for LM, t in dt.items():
+                _add_into(W, LM, nv * t)
         lab = _label_str(ambient_labels[e])
         sym = {(a, b): Coeff.symbol(jet_symbol(f"SYM[{lab}|{a},{b}]", 0))
                for a in range(m) for b in range(a, m)}
@@ -185,5 +170,4 @@ def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
     slot_rules = DerivativeRules(d_slot, slot_jet_rules)
     slot_coframe = [OneForm.basis(K, ONE) for K in range(m)]
     gamma = levi_civita(slot_coframe, slot_rules)
-    frames = [{K: ONE} for K in range(m)]
-    return PointGeometry(slot_rules, slot_coframe, frames, gamma, extras_expansion)
+    return PointGeometry(slot_rules, slot_coframe, gamma, extras_expansion)

@@ -166,6 +166,13 @@ def test_inverse():
     assert (u * u.inverse()) == ONE
     with pytest.raises(ValueError):
         (rational(1) + Coeff.lam_power(1)).inverse()
+    # a grade-0 unknown is not nilpotent: the series would give 1 - P + P^2,
+    # whose product with 1 + P is 1 + P^3
+    for bad in (ONE + Coeff.symbol(P), ONE + Coeff.symbol(A) + Coeff.symbol(P, 3)):
+        with pytest.raises(ValueError, match="grade >= 1"):
+            bad.inverse()
+    v = ONE + Coeff.symbol(P) * Coeff.symbol(A)
+    assert v * v.inverse() == ONE
 
 
 @settings(max_examples=150, deadline=None)

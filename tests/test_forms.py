@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistorflow.coeff import Coeff, ONE, ZERO, jet_cutoff, jet_symbol
-from twistorflow.connections import _decompose
+from twistorflow.canonical import MetricParams, canonical_setup
+from twistorflow.connections import _decompose, coframe_expansion
 from twistorflow.forms import (Basis, DimensionMismatch, FormMatrix, MissingRule,
-                               OneForm, TwoForm, d2_residual, eval_pair,
-                               exterior_derivative, frame_index, mat_wedge, pairing_table,
-                               wedge)
+                               OneForm, TwoForm, d2_residual, exterior_derivative, mat_wedge,
+                               slot_image, wedge)
 from twistorflow.liealg import build_sp_basis, make_rules, structure_constants
 
 
@@ -21,6 +21,13 @@ def basis_rules(n):
 
 def one(basis, label, c=1):
     return OneForm.basis(basis.index[label], Coeff.rational(c))
+
+
+def canonical_expansion(n):
+    """The basis and the expansion of the canonical coframe {lambda alpha_1,
+    lambda alpha_3, X^0..X^3} (slots 0, 1, then the X columns)."""
+    basis, _, coframe, _ = canonical_setup(MetricParams(n))
+    return basis, coframe_expansion(coframe, basis.dim())[0]
 
 
 def test_basis_cardinality():
@@ -43,15 +50,15 @@ def test_wedge_antisymmetry_and_self_zero():
 
 
 def test_wedge_sign_convention_on_dual_pair():
-    b = Basis(2)
-    a1 = one(b, ("A", 1))
-    a3 = one(b, ("A", 3))
-    w = wedge(a3, a1)
-    xi1 = {b.a(1): ONE}
-    xi3 = {b.a(3): ONE}
-    assert eval_pair(w, xi3, xi1) == Coeff.rational(1)
-    assert eval_pair(w, xi1, xi3) == Coeff.rational(-1)
-    assert eval_pair(w, xi1, xi1).is_zero()
+    # alpha_1 = lambda^-1 e^0 and alpha_3 = lambda^-1 e^1, with the inverse
+    # computed by the expansion: (alpha_3 ^ alpha_1)(e_1, e_0) = lambda^-2
+    b, expansion = canonical_expansion(2)
+    assert expansion[b.a(1)] == OneForm({0: Coeff.lam_power(-1)})
+    w = wedge(one(b, ("A", 3)), one(b, ("A", 1)))
+    assert slot_image(w, expansion).coeffs == {(0, 1): Coeff.lam_power(-2, -1)}
+    # a form the coframe does not span pairs to zero
+    assert expansion[b.a(2)].is_zero()
+    assert slot_image(wedge(one(b, ("A", 2)), one(b, ("A", 1))), expansion).is_zero()
 
 
 def test_wedge_bilinearity_random():
@@ -228,28 +235,25 @@ def test_gamma0_block_of_square():
             assert (dg + sq.entries[4 + a][4 + c]).is_zero()
 
 
-def test_eval_pair_scaled_fiber():
-    b, _ = basis_rules(2)
-    lam_inv = Coeff.lam_power(-1)
+def test_slot_image_scaled_fiber():
+    b, expansion = canonical_expansion(2)
     w = wedge(one(b, ("A", 1)), one(b, ("A", 3))).scale(Coeff.rational(4))
-    xi_m2 = {b.a(1): lam_inv}
-    xi_m1 = {b.a(3): lam_inv}
-    assert eval_pair(w, xi_m2, xi_m1) == Coeff.lam_power(-2, 4)
+    assert slot_image(w, expansion).coeffs == {(0, 1): Coeff.lam_power(-2, 4)}
 
 
-def test_eval_pair_base_direction_sum():
+def test_slot_image_base_direction_sum():
     # sum over the 4n base directions of lambda^3 X^k ^ alpha_1 paired against
     # the scaled fiber dual gives 4 n lambda^2
     for n in (2, 3):
-        b = Basis(n)
-        lam_inv = Coeff.lam_power(-1)
+        b, expansion = canonical_expansion(n)
         lam3 = Coeff.lam_power(3)
-        xi_m2 = {b.a(1): lam_inv}
         total = Coeff.rational(0)
         for k in range(4):
             for a in range(1, n + 1):
+                (L,) = expansion[b.x(k, a)].coeffs
                 w = wedge(OneForm.basis(b.x(k, a), lam3), OneForm.basis(b.a(1), ONE))
-                total = total + eval_pair(w, {b.x(k, a): ONE}, xi_m2)
+                # w(e_L, e_0) is minus the stored (0, L) component
+                total = total - slot_image(w, expansion).coeffs[(0, L)]
         assert total == Coeff.lam_power(2, 4 * n)
 
 
@@ -327,8 +331,8 @@ def test_sparse_sums_never_store_a_zero(cutoff, raw, n_mirrored, rnd):
 
         # the ambient forms 0..2 expand over three coframe slots; 3, 4 are extras
         cs = [c for _, _, c in items if not c.is_zero()] + [ONE]
-        expans = {i: {K: cs[(i + K) % len(cs)] for K in range(3)} for i in range(3)}
-        C, Mx, E = _decompose(built, expans, {3, 4})
+        expansion = [OneForm({K: cs[(i + K) % len(cs)] for K in range(3)}) for i in range(3)]
+        C, Mx, E = _decompose(built, expansion + [OneForm(), OneForm()], {3, 4})
         assert _no_zero(C) and _no_zero(Mx) and _no_zero(E)
         assert all(K < L for K, L in C)
 
@@ -336,17 +340,26 @@ def test_sparse_sums_never_store_a_zero(cutoff, raw, n_mirrored, rnd):
 @settings(max_examples=80, deadline=None)
 @given(cutoff=st.sampled_from([2, 3]),
        raw=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), _coeff_spec), max_size=8),
-       frames=st.lists(st.dictionaries(st.integers(0, 5), _coeff_spec, max_size=3),
-                       min_size=1, max_size=4))
-def test_pairing_table_equals_eval_pair(cutoff, raw, frames):
+       rows=st.lists(st.dictionaries(st.integers(0, 3), _coeff_spec, max_size=3),
+                     min_size=6, max_size=6))
+def test_slot_image_equals_pairing_oracle(cutoff, raw, rows):
+    # ambient forms 0..5 over four slots, some of them empty (not spanned)
     with jet_cutoff(cutoff):
         w = TwoForm.build((i, j, _make_coeff(spec)) for i, j, spec in raw)
-        fs = [{i: _make_coeff(spec) for i, spec in f.items()} for f in frames]
-        table = pairing_table(w, frame_index(fs))
-        assert _no_zero(table)
-        for L in range(len(fs)):
-            for M in range(len(fs)):
-                assert table.get((L, M), ZERO) == eval_pair(w, fs[L], fs[M])
+        expansion = [OneForm.build((K, _make_coeff(spec)) for K, spec in row.items())
+                     for row in rows]
+        image = slot_image(w, expansion).coeffs
+        assert _no_zero(image)
+        assert all(0 <= L < M < 4 for L, M in image)
+        for L in range(4):
+            for M in range(L + 1, 4):
+                # w(e_L, e_M) = sum c (a_i^L a_j^M - a_i^M a_j^L)
+                want = ZERO
+                for (i, j), c in w.coeffs.items():
+                    a, b = expansion[i].coeffs, expansion[j].coeffs
+                    want = want + c * (a.get(L, ZERO) * b.get(M, ZERO)
+                                       - a.get(M, ZERO) * b.get(L, ZERO))
+                assert image.get((L, M), ZERO) == want
 
 
 @settings(max_examples=60, deadline=None)

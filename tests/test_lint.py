@@ -191,6 +191,26 @@ def test_every_private_module_name_is_read():
     assert [f"{module}: {name}" for module, name in defined if name not in read] == []
 
 
+def test_every_public_module_name_is_read():
+    # a module-level public function or class that nothing in the package or
+    # its tests reads, as a name or an attribute, is a leftover; an import
+    # alone does not count as a read
+    defined, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [(path.name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")]
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined
+    assert [f"{module}: {name}" for module, name in defined if name not in read] == []
+
+
 def test_every_module_parses_at_the_declared_python_floor():
     # pyproject.toml declares the oldest Python the package runs on; newer
     # syntax (except*, PEP 695 type parameters, ...) would break it there

@@ -30,8 +30,8 @@ SIGNATURES = [
                       ("labels", REQUIRED)]),
     (StructureConstants, [("dim", REQUIRED), ("c", None)]),
     (CurvatureTensor, [("n", REQUIRED), ("components", REQUIRED)]),
-    (PointGeometry, [("rules", REQUIRED), ("coframe", REQUIRED), ("frames", REQUIRED),
-                     ("gamma", REQUIRED), ("extras_expansion", REQUIRED)]),
+    (PointGeometry, [("rules", REQUIRED), ("coframe", REQUIRED), ("gamma", REQUIRED),
+                     ("extras_expansion", REQUIRED)]),
     (FlowState, [("t", REQUIRED), ("rho", REQUIRED), ("mu", REQUIRED), ("family", REQUIRED),
                  ("n", REQUIRED)]),
     (Trajectory, [("t", REQUIRED), ("rho", REQUIRED), ("mu", REQUIRED),
