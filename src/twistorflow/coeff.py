@@ -11,6 +11,9 @@ coefficients are small integers, and int arithmetic is far cheaper than
 Fraction arithmetic.  An int and the equal Fraction compare and hash equal,
 so the form never changes an equality.  Values leaving the ring through
 lam_poly and eval_lambda2 are Fractions.
+
+Sums of many terms accumulate in place: mul_into and add_into write into a
+raw term map, and close turns it into one Coeff.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from fractions import Fraction
 __all__ = [
     "Coeff",
     "ring_value",
+    "mul_into",
+    "add_into",
+    "close",
     "JetSymbol",
     "jet_symbol",
     "symbol_name",
-    "jet_grade",
     "jet_cutoff",
     "active_cutoff",
     "ZERO",
@@ -71,10 +76,6 @@ def jet_symbol(name: str, grade: int) -> JetSymbol:
     return JetSymbol(name, sid, grade)
 
 
-def jet_grade(sid: int) -> int:
-    return _SYM_GRADES[sid]
-
-
 def symbol_name(sid: int) -> str:
     return _SYM_NAMES[sid]
 
@@ -113,12 +114,52 @@ def ring_value(x) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-def _canonical(terms: dict) -> dict:
-    """Turn integral Fraction values into ints, in place."""
-    for key, v in terms.items():
-        if v.__class__ is not int and v.denominator == 1:
-            terms[key] = v.numerator
-    return terms
+def mul_into(out: dict, a: dict, b: dict, s=1) -> None:
+    """out += s * a * b over term maps, truncated at the active cutoff.
+
+    The one product loop of the ring: Coeff.__mul__ and every sparse sum of
+    products run through it.  a and b may be raw, and out is raw: a term map
+    that may hold zeros and integral Fractions until close reads it, so a sum
+    of many products allocates one Coeff, not one per term.
+    """
+    cutoff = _CUTOFF
+    grades = _SYM_GRADES
+    get = out.get
+    for (k1, m1), v1 in a.items():
+        if s != 1:
+            v1 = s * v1
+        for (k2, m2), v2 in b.items():
+            if m1 and m2:
+                mono = tuple(sorted(m1 + m2))
+                g = 0
+                for sid in mono:
+                    g += grades[sid]
+                if g >= cutoff:
+                    continue
+            elif m1:
+                mono = m1
+            else:
+                mono = m2
+            key = (k1 + k2, mono)
+            out[key] = get(key, 0) + v1 * v2
+
+
+def add_into(out: dict, a: dict, s=1) -> None:
+    """out += s * a over term maps; out is raw, as in mul_into."""
+    get = out.get
+    for key, v in a.items():
+        out[key] = get(key, 0) + (v if s == 1 else s * v)
+
+
+def close(raw: dict) -> "Coeff":
+    """The Coeff of a raw term map: zeros dropped, integral values as ints."""
+    terms = {}
+    for key, v in raw.items():
+        if v:
+            if v.__class__ is not int and v.denominator == 1:
+                v = v.numerator
+            terms[key] = v
+    return Coeff(terms)
 
 
 _UNIT_TERMS = {(0, ()): 1}
@@ -159,19 +200,8 @@ class Coeff:
     # -- ring operations ----------------------------------------------
     def __add__(self, other: "Coeff") -> "Coeff":
         out = dict(self.terms)
-        for key, v in other.terms.items():
-            old = out.get(key)
-            if old is not None:
-                v += old
-                if v.__class__ is not int and v.denominator == 1:
-                    v = v.numerator
-                if not v:
-                    del out[key]
-                    continue
-            elif not v:
-                continue
-            out[key] = v
-        return Coeff(out)
+        add_into(out, other.terms)
+        return close(out)
 
     def __neg__(self) -> "Coeff":
         return Coeff({k: -v for k, v in self.terms.items()})
@@ -180,42 +210,21 @@ class Coeff:
         return self + (-other)
 
     def __mul__(self, other: "Coeff") -> "Coeff":
-        # a unit factor returns the other factor: the loop below would copy
-        # it term for term (a jet-free factor never truncates)
+        # a unit factor returns the other factor: the kernel would copy it
+        # term for term (a jet-free factor never truncates)
         if other.terms == _UNIT_TERMS:
             return self
         if self.terms == _UNIT_TERMS:
             return other
-        cutoff = _CUTOFF
         out: dict = {}
-        for (k1, m1), v1 in self.terms.items():
-            for (k2, m2), v2 in other.terms.items():
-                if m1 and m2:
-                    mono = tuple(sorted(m1 + m2))
-                    if _monomial_grade(mono) >= cutoff:
-                        continue
-                elif m1:
-                    mono = m1
-                else:
-                    mono = m2
-                key = (k1 + k2, mono)
-                v = v1 * v2
-                old = out.get(key)
-                if old is not None:
-                    v += old
-                    if not v:
-                        del out[key]
-                        continue
-                elif not v:
-                    continue
-                out[key] = v
-        return Coeff(_canonical(out))
+        mul_into(out, self.terms, other.terms)
+        return close(out)
 
     def scale(self, x) -> "Coeff":
         x = ring_value(x)
         if not x:
             return Coeff()
-        return Coeff(_canonical({k: v * x for k, v in self.terms.items()}))
+        return close({k: v * x for k, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coeff):
@@ -299,7 +308,7 @@ class Coeff:
             q, r = divmod(k, 2)
             key = (r, mono)
             out[key] = out.get(key, 0) + v * mu ** q
-        return Coeff(_canonical({key: v for key, v in out.items() if v}))
+        return close(out)
 
     def __repr__(self) -> str:
         if not self.terms:

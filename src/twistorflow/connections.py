@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeff import ONE, ZERO, Coeff
-from .forms import (DerivativeRules, FormMatrix, OneForm, TwoForm, _add_into,
-                    _curvature_entries, _wedge_into, exterior_derivative, slot_image)
+from .forms import (DerivativeRules, FormMatrix, OneForm, TwoForm, _add_into, _closed,
+                    _curvature_entries, _mul_into, _wedge_into, exterior_derivative, slot_image)
 
 __all__ = ["coframe_expansion", "levi_civita", "ricci_matrix", "ricci_from_gamma",
            "NonMetricStructure"]
@@ -56,13 +56,15 @@ def coframe_expansion(coframe: list[OneForm], ambient_dim: int):
         changed = False
         for lead, (K, u, rest) in covered.items():
             uinv = u.inverse()
-            acc: dict[int, Coeff] = {K: uinv}
+            acc: dict = {K: uinv}
             for idx, c in rest.items():
                 sub = expans.get(idx)
                 if sub is None:
                     raise ValueError("coframe rest touches an uncovered extra form")
+                uc = uinv * c
                 for slot, sc in sub.items():
-                    _add_into(acc, slot, -(uinv * c * sc))
+                    _mul_into(acc, slot, uc, sc, -1)
+            acc = _closed(acc)
             if acc != expans[lead]:
                 expans[lead] = acc
                 changed = True
@@ -70,11 +72,11 @@ def coframe_expansion(coframe: list[OneForm], ambient_dim: int):
             break
     # exactness: recomposing the expansion must give back the basis form
     for lead, (K, u, rest) in covered.items():
-        combo: dict[int, Coeff] = {}
+        combo: dict = {}
         for slot, sc in expans[lead].items():
             for idx, c in coframe[slot].coeffs.items():
-                _add_into(combo, idx, sc * c)
-        if combo != {lead: ONE}:
+                _mul_into(combo, idx, sc, c)
+        if _closed(combo) != {lead: ONE}:
             raise ValueError("coframe expansion failed to converge")
     extras = set(range(ambient_dim)) - set(covered)
     return [OneForm(expans.get(i, {})) for i in range(ambient_dim)], extras
@@ -82,19 +84,19 @@ def coframe_expansion(coframe: list[OneForm], ambient_dim: int):
 
 def _decompose(two: TwoForm, expansion: list[OneForm], extras):
     """Split a 2-form into coframe-quadratic, extra^coframe and extra^extra parts."""
-    M: dict[tuple[int, int], Coeff] = {}
+    M: dict = {}
     E: dict[tuple[int, int], Coeff] = {}
     for (i, j), c in two.coeffs.items():
         i_extra, j_extra = i in extras, j in extras
         if i_extra and j_extra:
-            _add_into(E, (i, j), c)
+            E[(i, j)] = c
         elif i_extra:
             for L, cl in expansion[j].coeffs.items():
-                _add_into(M, (i, L), c * cl)
+                _mul_into(M, (i, L), c, cl)
         elif j_extra:
             for K, ck in expansion[i].coeffs.items():
-                _add_into(M, (j, K), -(c * ck))
-    return slot_image(two, expansion).coeffs, M, E
+                _mul_into(M, (j, K), c, ck, -1)
+    return slot_image(two, expansion).coeffs, _closed(M), E
 
 
 def _half(c: Coeff) -> Coeff:
@@ -122,11 +124,11 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules) -> FormMatrix:
         if E:
             raise ValueError(f"d theta^{K} has an extra^extra component: {E}")
 
-    # forced extra part: Gamma^K_L |_extra = -M^K[(e, L)]
+    # forced extra part: Gamma^K_L |_extra = -M^K[(e, L)], one term per entry
     forced: list[list[dict[int, Coeff]]] = [[{} for _ in range(m)] for _ in range(m)]
     for K, (_, MK, _) in enumerate(decomposed):
         for (e, L), c in MK.items():
-            _add_into(forced[K][L], e, -c)
+            forced[K][L][e] = -c
     for K in range(m):
         for L in range(m):
             for e, c in forced[K][L].items():
@@ -140,29 +142,28 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules) -> FormMatrix:
     # coefficient x of theta^A ^ theta^B (A < B, so c^P_{AB} = -x) feeds six
     # entries of 2 Gamma; those with K = L cancel and are skipped.  The sums
     # are halved once, after the last term.
-    twice: list[list[dict[int, Coeff]]] = [[{} for _ in range(m)] for _ in range(m)]
+    twice: list[list[dict]] = [[{} for _ in range(m)] for _ in range(m)]
     for P, (CP, _, _) in enumerate(decomposed):
         for (A, B), x in CP.items():
-            nx = -x
             if P != A:
                 _add_into(twice[P][A], B, x)
-                _add_into(twice[A][P], B, nx)
+                _add_into(twice[A][P], B, x, -1)
             if P != B:
-                _add_into(twice[P][B], A, nx)
+                _add_into(twice[P][B], A, x, -1)
                 _add_into(twice[B][P], A, x)
-            _add_into(twice[A][B], P, nx)
+            _add_into(twice[A][B], P, x, -1)
             _add_into(twice[B][A], P, x)
 
     entries: list[list[OneForm]] = []
     for K in range(m):
         row = []
         for L in range(m):
-            acc: dict[int, Coeff] = dict(forced[K][L])
-            for Mi, g2 in twice[K][L].items():
+            acc = dict(forced[K][L])
+            for Mi, g2 in _closed(twice[K][L]).items():
                 g = _half(g2)
                 for idx, c in coframe[Mi].coeffs.items():
-                    _add_into(acc, idx, g * c)
-            row.append(OneForm(acc))
+                    _mul_into(acc, idx, g, c)
+            row.append(OneForm(_closed(acc)))
         entries.append(row)
     gamma = FormMatrix(m, entries)
 
@@ -172,6 +173,7 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules) -> FormMatrix:
         resid = dict(dths[K].coeffs)
         for L in range(m):
             _wedge_into(resid, gamma.entries[K][L], coframe[L])
+        resid = _closed(resid)
         if resid:
             raise ValueError(f"first structure equation fails at row {K}: {resid}")
     return gamma
@@ -182,7 +184,7 @@ def ricci_matrix(curv: FormMatrix, expansion: list[OneForm]) -> list[list[Coeff]
     dual to a coframe, read through the coframe's expansion of each ambient
     form (coframe_expansion) as the slot_image of each Omega entry."""
     m = curv.dim
-    acc: dict[tuple[int, int], Coeff] = {}
+    acc: dict = {}
     for j in range(m):
         for k in range(m):
             # the image holds Omega^j_k(e_a, e_b) at a < b; (b, a) is its negative
@@ -190,7 +192,8 @@ def ricci_matrix(curv: FormMatrix, expansion: list[OneForm]) -> list[list[Coeff]
                 if b == k:
                     _add_into(acc, (a, j), t)
                 elif a == k:
-                    _add_into(acc, (b, j), -t)
+                    _add_into(acc, (b, j), t, -1)
+    acc = _closed(acc)
     return [[acc.get((i, j), ZERO) for j in range(m)] for i in range(m)]
 
 
@@ -204,16 +207,17 @@ def ricci_from_gamma(gamma: FormMatrix, rules: DerivativeRules) -> list[list[Coe
     with an index in {i, j}, and no other component is computed.
     """
     m = gamma.dim
-    acc: dict[tuple[int, int], Coeff] = {}
+    acc: dict = {}
     for i, j, w in _curvature_entries(gamma, rules, touching=True):
         # Ric(e_a, e_i) += Omega^i_j(e_a, e_j), Ric(e_a, e_j) += Omega^j_i(e_a, e_i)
         for (p, q), c in w.items():
             if q == j:
                 _add_into(acc, (p, i), c)
             elif p == j:
-                _add_into(acc, (q, i), -c)
+                _add_into(acc, (q, i), c, -1)
             if q == i:
-                _add_into(acc, (p, j), -c)
+                _add_into(acc, (p, j), c, -1)
             elif p == i:
                 _add_into(acc, (q, j), c)
+    acc = _closed(acc)
     return [[acc.get((a, b), ZERO) for b in range(m)] for a in range(m)]

@@ -5,14 +5,17 @@ alpha_1, alpha_2, alpha_3, the column vectors X^0..X^3 and the sp(n)-part
 matrix forms Gamma~_0..Gamma~_3.  Exterior derivatives of basis forms come
 from structure constants; jet symbols carry their own first-order rules.
 
-A sparse map of Coeffs never stores a zero.  Every sum into one goes
-through _add_into (or _add_pair and _wedge_into, which call it), and a sum
-of many terms accumulates into one dict rather than adding forms pairwise.
+A sparse map of Coeffs never stores a zero.  Every sum accumulates in
+place, in a map under construction: each key holds a Coeff by reference
+until a second term arrives, then a raw term map that the ring's kernel
+(coeff.mul_into, coeff.add_into) sums into.  _closed turns it into Coeffs
+once, when the form is built, dropping each key whose sum is zero.
 """
 
 from __future__ import annotations
 
-from .coeff import Coeff, JetSymbol, jet_grade, symbol_name
+from .coeff import (_SYM_GRADES, _UNIT_TERMS, ONE, Coeff, JetSymbol, add_into, close, mul_into,
+                    symbol_name)
 
 __all__ = [
     "Basis",
@@ -40,49 +43,72 @@ class DimensionMismatch(ValueError):
     pass
 
 
-def _add_into(acc: dict, key, c: Coeff) -> None:
-    """acc[key] += c, dropping the key when the sum is zero."""
-    if not c.terms:
-        return
-    prev = acc.get(key)
-    if prev is None:
-        acc[key] = c
-        return
-    c = prev + c
-    if c.terms:
-        acc[key] = c
+def _add_into(acc: dict, key, c: Coeff, s=1) -> None:
+    """acc[key] += s c.  A value added first with s = 1 is held by reference;
+    a second one turns it into a raw term map that the map owns."""
+    t = acc.get(key)
+    if t is None:
+        if s == 1:
+            acc[key] = c
+            return
+        t = acc[key] = {}
+    elif t.__class__ is Coeff:
+        t = acc[key] = dict(t.terms)
+    add_into(t, c.terms, s)
+
+
+def _mul_into(acc: dict, key, x: Coeff, y: Coeff, s=1) -> None:
+    """acc[key] += s x y; a unit factor adds the other one, as _add_into does."""
+    if y.terms == _UNIT_TERMS:
+        _add_into(acc, key, x, s)
+    elif x.terms == _UNIT_TERMS:
+        _add_into(acc, key, y, s)
     else:
-        del acc[key]
+        t = acc.get(key)
+        if t is None:
+            t = acc[key] = {}
+        elif t.__class__ is Coeff:
+            t = acc[key] = dict(t.terms)
+        mul_into(t, x.terms, y.terms, s)
 
 
-def _add_pair(acc: dict, i: int, j: int, c: Coeff) -> None:
-    """Add c e^i ^ e^j to a 2-form map with keys i < j."""
+def _closed(acc: dict) -> dict:
+    """The Coeffs of a map under construction, without the keys that sum to zero."""
+    out = {}
+    for key, v in acc.items():
+        c = v if v.__class__ is Coeff else close(v)
+        if c.terms:
+            out[key] = c
+    return out
+
+
+def _mul_pair(acc: dict, i: int, j: int, x: Coeff, y: Coeff) -> None:
+    """Add x y e^i ^ e^j to a 2-form map under construction, keys i < j."""
     if i < j:
-        _add_into(acc, (i, j), c)
+        _mul_into(acc, (i, j), x, y)
     elif i > j:
-        _add_into(acc, (j, i), -c)
+        _mul_into(acc, (j, i), x, y, -1)
 
 
 def _wedge_into(acc: dict, a: "OneForm", b: "OneForm", keep: tuple | None = None) -> None:
-    """Add a ^ b to a 2-form map; with keep, only its components with an index in keep."""
+    """Add a ^ b to a 2-form map under construction; with keep, only its
+    components with an index in keep."""
     if keep is None:
         for i, ci in a.coeffs.items():
             for j, cj in b.coeffs.items():
-                if i != j:
-                    _add_pair(acc, i, j, ci * cj)
+                _mul_pair(acc, i, j, ci, cj)
         return
     for i in keep:
         ci = a.coeffs.get(i)
         if ci is not None:
             for j, cj in b.coeffs.items():
-                if i != j:
-                    _add_pair(acc, i, j, ci * cj)
+                _mul_pair(acc, i, j, ci, cj)
     for j in keep:
         cj = b.coeffs.get(j)
         if cj is not None:
             for i, ci in a.coeffs.items():
-                if i != j and i not in keep:
-                    _add_pair(acc, i, j, ci * cj)
+                if i not in keep:
+                    _mul_pair(acc, i, j, ci, cj)
 
 
 class Basis:
@@ -147,10 +173,10 @@ class _SparseForm:
         self.coeffs = {} if coeffs is None else coeffs
 
     def __add__(self, other):
-        out = dict(self.coeffs)
+        acc = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            _add_into(out, key, c)
-        return type(self)(out)
+            _add_into(acc, key, c)
+        return type(self)(_closed(acc))
 
     def __neg__(self):
         return type(self)({k: -c for k, c in self.coeffs.items()})
@@ -192,11 +218,11 @@ class OneForm(_SparseForm):
 
     @staticmethod
     def build(items) -> "OneForm":
-        out: dict[int, Coeff] = {}
+        acc: dict = {}
         for idx, c in items:
             if idx >= 0:
-                _add_into(out, idx, c)
-        return OneForm(out)
+                _add_into(acc, idx, c)
+        return OneForm(_closed(acc))
 
     @staticmethod
     def basis(idx: int, coeff: Coeff) -> "OneForm":
@@ -213,17 +239,19 @@ class TwoForm(_SparseForm):
     @staticmethod
     def build(items) -> "TwoForm":
         """Accumulate (i, j, Coeff) terms, normalizing to i < j keys."""
-        out: dict[tuple[int, int], Coeff] = {}
+        acc: dict = {}
         for i, j, c in items:
-            if i >= 0 and j >= 0:
-                _add_pair(out, i, j, c)
-        return TwoForm(out)
+            if 0 <= i < j:
+                _add_into(acc, (i, j), c)
+            elif 0 <= j < i:
+                _add_into(acc, (j, i), c, -1)
+        return TwoForm(_closed(acc))
 
 
 def wedge(a: OneForm, b: OneForm) -> TwoForm:
-    acc: dict[tuple[int, int], Coeff] = {}
+    acc: dict = {}
     _wedge_into(acc, a, b)
-    return TwoForm(acc)
+    return TwoForm(_closed(acc))
 
 
 def slot_image(w: TwoForm, expansion: list[OneForm]) -> TwoForm:
@@ -233,12 +261,18 @@ def slot_image(w: TwoForm, expansion: list[OneForm]) -> TwoForm:
     form the coframe does not span.  The (L, M) component is w(e_L, e_M) over
     the frame dual to the coframe, which pairs an empty form to zero.
     """
-    acc: dict[tuple[int, int], Coeff] = {}
+    acc: dict = {}
     for (i, j), c in w.coeffs.items():
-        a, b = expansion[i], expansion[j]
-        if a.coeffs and b.coeffs:
-            _wedge_into(acc, a, b.scale(c))
-    return TwoForm(acc)
+        a, b = expansion[i].coeffs, expansion[j].coeffs
+        if a and b:
+            # c a ^ b = -c b ^ a: c multiplies the shorter expansion
+            if len(a) > len(b):
+                a, b, c = b, a, -c
+            for L, aL in a.items():
+                ca = aL * c
+                for M, bM in b.items():
+                    _mul_pair(acc, L, M, ca, bM)
+    return TwoForm(_closed(acc))
 
 
 class DerivativeRules:
@@ -261,49 +295,51 @@ class DerivativeRules:
 
     def d_coeff(self, c: Coeff) -> OneForm:
         """d of a scalar: Leibniz over grade-1 jet factors (grade-0 are constants)."""
-        return OneForm(self._d_coeff_map(c, None))
+        acc: dict = {}
+        for coeffs, factor in self._jet_factors(c):
+            for idx, rc in coeffs.items():
+                _mul_into(acc, idx, rc, factor)
+        return OneForm(_closed(acc))
 
-    def _d_coeff_map(self, c: Coeff, only: tuple | None) -> dict[int, Coeff]:
-        """The map of d_coeff(c), or only its components at the indices in only."""
-        acc: dict[int, Coeff] = {}
+    def _jet_factors(self, c: Coeff):
+        """Yield (rule map of j, the term with j taken out) for each grade-1
+        jet factor j of each term of c: d c is the sum of their products."""
         for (k, mono), v in c.terms.items():
             for pos, sid in enumerate(mono):
-                if jet_grade(sid) == 0:
+                if not _SYM_GRADES[sid]:
                     continue
                 rule = self.jet_rules.get(sid)
                 if rule is None:
                     raise MissingRule(symbol_name(sid))
-                factor = Coeff({(k, mono[:pos] + mono[pos + 1:]): v})
-                coeffs = rule.coeffs
-                for idx in (coeffs if only is None else only):
-                    rc = coeffs.get(idx)
-                    if rc is not None:
-                        _add_into(acc, idx, rc * factor)
-        return acc
+                yield rule.coeffs, Coeff({(k, mono[:pos] + mono[pos + 1:]): v})
 
 
-def _d_term_into(acc: dict, rules: DerivativeRules, idx: int, c1: Coeff, c0: Coeff | None,
-                 keep: tuple | None = None) -> None:
-    """Add d(c1) ^ e^idx + c0 de^idx to a 2-form map; c1 = c0 = c gives d(c e^idx).
+def _d_term_into(acc: dict, rules: DerivativeRules, idx: int, c1: Coeff | None,
+                 c0: Coeff | None, keep: tuple | None = None) -> None:
+    """Add d(c1) ^ e^idx + c0 de^idx to a 2-form map under construction;
+    c1 = c0 = c gives d(c e^idx).
 
     With keep, only the components with an index in keep are added: then
     d(c1) is read only at the indices in keep unless idx is one of them.
     """
-    if c1.terms:
+    if c1 is not None and c1.terms:
         only = None if keep is None or idx in keep else keep
-        for m, cm in rules._d_coeff_map(c1, only).items():
-            _add_pair(acc, m, idx, cm)
+        for coeffs, factor in rules._jet_factors(c1):
+            for m in (coeffs if only is None else only):
+                rc = coeffs.get(m)
+                if rc is not None:
+                    _mul_pair(acc, m, idx, rc, factor)
     if c0 is not None and c0.terms:
         for key, v in rules.d_basis[idx].coeffs.items():
             if keep is None or key[0] in keep or key[1] in keep:
-                _add_into(acc, key, v * c0)
+                _mul_into(acc, key, v, c0)
 
 
 def exterior_derivative(a: OneForm, rules: DerivativeRules) -> TwoForm:
-    acc: dict[tuple[int, int], Coeff] = {}
+    acc: dict = {}
     for idx, c in a.coeffs.items():
         _d_term_into(acc, rules, idx, c, c)
-    return TwoForm(acc)
+    return TwoForm(_closed(acc))
 
 
 def d2_residual(idx: int, rules: DerivativeRules) -> dict[tuple[int, int, int], Coeff]:
@@ -312,29 +348,27 @@ def d2_residual(idx: int, rules: DerivativeRules) -> dict[tuple[int, int, int], 
     No public 3-form type: this exists only to check d^2 = 0, which holds
     exactly when the structure constants satisfy the Jacobi identity.
     """
-    acc: dict[tuple[int, int, int], Coeff] = {}
+    acc: dict[tuple[int, int, int], Coeff | dict] = {}
 
-    def add(i: int, j: int, k: int, c: Coeff) -> None:
-        if c.is_zero() or len({i, j, k}) < 3:
+    def add(i: int, j: int, k: int, x: Coeff, y: Coeff, s: int) -> None:
+        if len({i, j, k}) < 3:
             return
         perm = sorted(((i, 0), (j, 1), (k, 2)))
-        sign = 1
         order = [p[1] for p in perm]
         # parity of the permutation of three items
         if order in ([1, 0, 2], [0, 2, 1], [2, 1, 0]):
-            sign = -1
-        _add_into(acc, (perm[0][0], perm[1][0], perm[2][0]), c if sign == 1 else -c)
+            s = -s
+        _mul_into(acc, (perm[0][0], perm[1][0], perm[2][0]), x, y, s)
 
     dw = rules.d_basis[idx]
     for (i, j), c in dw.coeffs.items():
-        dc = rules.d_coeff(c)
-        for m, cm in dc.coeffs.items():
-            add(m, i, j, cm)
+        for m, cm in rules.d_coeff(c).coeffs.items():
+            add(m, i, j, cm, ONE, 1)
         for (p, q), cp in rules.d_basis[i].coeffs.items():
-            add(p, q, j, cp * c)
+            add(p, q, j, cp, c, 1)
         for (p, q), cp in rules.d_basis[j].coeffs.items():
-            add(i, p, q, -(cp * c))
-    return acc
+            add(i, p, q, cp, c, -1)
+    return _closed(acc)
 
 
 class FormMatrix:
@@ -396,10 +430,10 @@ def mat_wedge(A: FormMatrix, B: FormMatrix) -> FormMatrix:
     for i in range(A.dim):
         row = []
         for j in range(A.dim):
-            acc: dict[tuple[int, int], Coeff] = {}
+            acc: dict = {}
             for k in range(A.dim):
                 _wedge_into(acc, A.entries[i][k], B.entries[k][j])
-            row.append(TwoForm(acc))
+            row.append(TwoForm(_closed(acc)))
         out.append(row)
     return FormMatrix(A.dim, out)
 
@@ -409,31 +443,58 @@ def _grade0(f):
     for c in f.coeffs.values():
         for _, mono in c.terms:
             for sid in mono:
-                if jet_grade(sid):
+                if _SYM_GRADES[sid]:
                     return f.grade_part(0)
     return f
+
+
+def _split01(c: Coeff) -> tuple[Coeff, Coeff]:
+    """The grade-0 and grade-1 parts of c, in one pass; c itself is the part
+    that holds all of it."""
+    t0: dict = {}
+    t1: dict = {}
+    for key, v in c.terms.items():
+        g = 0
+        for sid in key[1]:
+            g += _SYM_GRADES[sid]
+        if not g:
+            t0[key] = v
+        elif g == 1:
+            t1[key] = v
+    n = len(c.terms)
+    return (c if len(t0) == n else Coeff(t0)), (c if len(t1) == n else Coeff(t1))
 
 
 def _curvature_entries(gamma: FormMatrix, rules: DerivativeRules, touching: bool):
     """Yield (i, j, 2-form map of Omega^i_j) for i < j, as curvature defines it.
 
+    Each Gamma coefficient is split once into its grade-0 and grade-1 parts.
     With touching, each map holds only the components with an index in
     {i, j}: over unit frames, those are all a Ricci contraction reads.
     """
     m = gamma.dim
     rules0 = DerivativeRules([_grade0(w) for w in rules.d_basis],
                              {sid: _grade0(r) for sid, r in rules.jet_rules.items()})
-    g0 = [[e.grade_part(0) for e in row] for row in gamma.entries]
+    g0 = [[OneForm({}) for _ in range(m)] for _ in range(m)]
+    g1: list[list[dict[int, Coeff]]] = [[{} for _ in range(m)] for _ in range(m)]
+    for i, row in enumerate(gamma.entries):
+        for j, e in enumerate(row):
+            for idx, c in e.coeffs.items():
+                c0, c1 = _split01(c)
+                if c0.terms:
+                    g0[i][j].coeffs[idx] = c0
+                if c1.terms:
+                    g1[i][j][idx] = c1
     for i in range(m):
         for j in range(i + 1, m):
             keep = (i, j) if touching else None
-            acc: dict[tuple[int, int], Coeff] = {}
-            g0ij = g0[i][j].coeffs
-            for idx, c in gamma.entries[i][j].coeffs.items():
-                _d_term_into(acc, rules0, idx, c.grade_part(1), g0ij.get(idx), keep)
+            acc: dict = {}
+            g0ij, g1ij = g0[i][j].coeffs, g1[i][j]
+            for idx in gamma.entries[i][j].coeffs:
+                _d_term_into(acc, rules0, idx, g1ij.get(idx), g0ij.get(idx), keep)
             for k in range(m):
                 _wedge_into(acc, g0[i][k], g0[k][j], keep)
-            yield i, j, acc
+            yield i, j, _closed(acc)
 
 
 def curvature(gamma: FormMatrix, rules: DerivativeRules) -> FormMatrix:

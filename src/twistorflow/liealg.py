@@ -103,13 +103,23 @@ class StructureConstants:
 
 class IntMatrix:
     """A square matrix of Python ints, exact at any size, stored sparsely as
-    {(row, col): nonzero int}; it has only what the builders and checks use."""
+    {(row, col): nonzero int}; it has only what the builders and checks use.
+    entries is never changed after construction."""
 
-    __slots__ = ("size", "entries")
+    __slots__ = ("size", "entries", "_rows")
 
     def __init__(self, size: int, entries: dict[tuple[int, int], int]):
         self.size = size
         self.entries = {k: v for k, v in entries.items() if v}
+        self._rows: dict[int, list[tuple[int, int]]] | None = None
+
+    def rows(self) -> dict[int, list[tuple[int, int]]]:
+        """{row: [(col, value)]}, built on first use and kept."""
+        if self._rows is None:
+            self._rows = {}
+            for (r, c), v in self.entries.items():
+                self._rows.setdefault(r, []).append((c, v))
+        return self._rows
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -134,13 +144,8 @@ class IntMatrix:
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         _same_shape(self, other)
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for (k, c), w in other.entries.items():
-            rows.setdefault(k, []).append((c, w))
         out: dict[tuple[int, int], int] = {}
-        for (r, k), v in self.entries.items():
-            for c, w in rows.get(k, ()):
-                out[(r, c)] = out.get((r, c), 0) + v * w
+        _product_into(out, self, other, 1)
         return IntMatrix(self.size, out)
 
     def any(self) -> bool:
@@ -240,8 +245,23 @@ def _same_shape(A: IntMatrix, B: IntMatrix) -> None:
         raise DimensionMismatch(f"{A.shape} != {B.shape}")
 
 
+def _product_into(out: dict, A: IntMatrix, B: IntMatrix, s: int) -> None:
+    """out += s A B over entry maps, through the row index of B."""
+    rows = B.rows()
+    get = out.get
+    for (r, k), v in A.entries.items():
+        v *= s
+        for c, w in rows.get(k, ()):
+            out[(r, c)] = get((r, c), 0) + v * w
+
+
 def bracket(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    return A @ B - B @ A
+    """AB - BA, summed into one entry map."""
+    _same_shape(A, B)
+    out: dict[tuple[int, int], int] = {}
+    _product_into(out, A, B, 1)
+    _product_into(out, B, A, -1)
+    return IntMatrix(A.size, out)
 
 
 def exact_rank(mats: list[IntMatrix]) -> int:
@@ -285,24 +305,27 @@ class _Expander:
                     gram[k][l] += v * w
         self.den, self.inv_cols = _scaled_inverse(gram)
 
-    def expand(self, target: IntMatrix) -> list[int | Fraction]:
+    def expand(self, target: IntMatrix) -> dict[int, int | Fraction]:
+        """The nonzero components {k: c_k} of target = sum_k c_k mats[k], by
+        ascending k; raises NotClosed when target is not in the span."""
         bt: dict[int, int] = {}
         for pos, v in target.entries.items():
             for l, w in self.at.get(pos, ()):
                 bt[l] = bt.get(l, 0) + w * v
-        num = [0] * len(self.mats)
+        num: dict[int, int] = {}
         for l, x in bt.items():
             for k, g in self.inv_cols[l]:
-                num[k] += g * x
+                num[k] = num.get(k, 0) + g * x
         back: dict[tuple[int, int], int] = {}
-        for k, x in enumerate(num):
+        for k, x in num.items():
             if x:
                 for pos, v in self.mats[k].entries.items():
                     back[pos] = back.get(pos, 0) + x * v
         den = self.den
         if IntMatrix(target.size, back).entries != {p: den * v for p, v in target.entries.items()}:
             raise NotClosed("bracket leaves the span of the basis")
-        return [x // den if x % den == 0 else Fraction(x, den) for x in num]
+        return {k: x // den if x % den == 0 else Fraction(x, den)
+                for k in sorted(num) if (x := num[k])}
 
 
 def _scaled_inverse(gram: list[list[int]]) -> tuple[int, list[list[tuple[int, int]]]]:
@@ -347,8 +370,7 @@ def structure_constants(L: LieAlgebraSpec) -> StructureConstants:
     table: dict[tuple[int, int], dict[int, int | Fraction]] = {}
     for i in range(d):
         for j in range(i + 1, d):
-            comps = exp.expand(bracket(L.basis[i], L.basis[j]))
-            row = {k: v for k, v in enumerate(comps) if v}
+            row = exp.expand(bracket(L.basis[i], L.basis[j]))
             if row:
                 table[(i, j)] = row
     sc = StructureConstants(d, table)
@@ -366,30 +388,76 @@ def _sp_structure(n: int) -> StructureConstants:
 
 
 def jacobi_residual(sc: StructureConstants):
-    """First violated triple of the Jacobi identity, or None when exact."""
-    d = sc.dim
-    # sc.get(a, b) as an item list for every ordered pair with a bracket,
-    # built once: get copies and negates a row on each call with a > b
-    rows: dict[tuple[int, int], list] = {}
-    for (a, b), row in sc.c.items():
-        rows[(a, b)] = list(row.items())
-        rows[(b, a)] = [(k, -v) for k, v in row.items()]
+    """First violated triple of the Jacobi identity, or None when exact.
+
+    The first triple (i, j, k), i < j < k, in lexicographic order, with the
+    residual map {l: coefficient of e_l} of J(i, j, k) = [[e_i, e_j], e_k] +
+    [[e_j, e_k], e_i] + [[e_k, e_i], e_j].  J is summed over the chains
+    [[e_a, e_b], e_c] (a < b) whose brackets are nonzero only, each into its
+    sorted triple, one smallest index i at a time: the maps of one i are all
+    that is held.
+    """
+    d, c = sc.dim, sc.c
+    # links[a]: every b with a nonzero [e_a, e_b]; makers[m]: the key (a, b)
+    # of every table row with an e_m part.  Both point into the table.
+    links: list[list[int]] = [[] for _ in range(d)]
+    makers: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for key, row in c.items():
+        links[key[0]].append(key[1])
+        links[key[1]].append(key[0])
+        for m in row:
+            makers[m].append(key)
     for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                acc: dict[int, int | Fraction] = {}
-                for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, v in rows.get((a, b), ()):
-                        for l, w in rows.get((m, cc), ()):
-                            nv = acc.get(l)
-                            nv = v * w if nv is None else nv + v * w
-                            if nv:
-                                acc[l] = nv
-                            else:
-                                acc.pop(l, None)
-                if acc:
-                    return (i, j, k, acc)
+        acc: dict[tuple[int, int], dict] = {}
+        # [[e_i, e_b], e_x], x > i: in J(i, b, x) when b < x, in -J(i, x, b) when x < b
+        for b in links[i]:
+            if b < i:
+                continue
+            for m, v in c[(i, b)].items():
+                for x in links[m]:
+                    if x <= i or x == b:
+                        continue
+                    inner, sv = (c[(m, x)], v) if m < x else (c[(x, m)], -v)
+                    if b < x:
+                        key = (b, x)
+                    else:
+                        key, sv = (x, b), -sv
+                    t = acc.get(key)
+                    if t is None:
+                        t = acc[key] = {}
+                    for l, w in inner.items():
+                        t[l] = t.get(l, 0) + sv * w
+        # [[e_a, e_b], e_i], i < a < b: in J(i, a, b)
+        for m in links[i]:
+            # [e_m, e_i] = s times the table row of {m, i}
+            inner, s = (c[(m, i)], 1) if m < i else (c[(i, m)], -1)
+            for key in makers[m]:
+                if key[0] > i:
+                    sv = s * c[key][m]
+                    t = acc.get(key)
+                    if t is None:
+                        t = acc[key] = {}
+                    for l, w in inner.items():
+                        t[l] = t.get(l, 0) + sv * w
+        for j, k in sorted(acc):
+            if any(acc[(j, k)].values()):
+                return (i, j, k, _jacobi_map(sc, i, j, k))
     return None
+
+
+def _jacobi_map(sc: StructureConstants, i: int, j: int, k: int) -> dict[int, int | Fraction]:
+    """The nonzero residual map of J(i, j, k), term by term in cyclic order."""
+    acc: dict[int, int | Fraction] = {}
+    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, v in sc.get(a, b).items():
+            for l, w in sc.get(m, c).items():
+                nv = acc.get(l)
+                nv = v * w if nv is None else nv + v * w
+                if nv:
+                    acc[l] = nv
+                else:
+                    acc.pop(l, None)
+    return acc
 
 
 def make_rules(sc: StructureConstants, basis: Basis,

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .coeff import ONE, ZERO, Coeff, jet_symbol
 from .connections import coframe_expansion, levi_civita, ricci_from_gamma
-from .forms import (DerivativeRules, FormMatrix, OneForm, _add_into, curvature,
+from .forms import (DerivativeRules, FormMatrix, OneForm, _closed, _mul_into, curvature,
                     exterior_derivative, slot_image)
 
 __all__ = ["PointGeometry", "point_geometry"]
@@ -124,13 +124,13 @@ def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
 
     # the grade-0 part of the slot image of a 1-form
     def conv1(a: OneForm) -> OneForm:
-        acc: dict[int, Coeff] = {}
+        acc: dict = {}
         for i, c in a.coeffs.items():
             c = c.grade_part(0)
             if c.terms:
                 for L, cl in expansion0[i].coeffs.items():
-                    _add_into(acc, L, cl * c)
-        return OneForm(acc)
+                    _mul_into(acc, L, cl, c)
+        return OneForm(_closed(acc))
 
     # derivative rules of the expansion jets: antisymmetric part pinned by
     # the known d of the ambient form, the rest a fresh unknown per slot pair;
@@ -139,14 +139,14 @@ def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
     slot_jet_rules: dict[int, OneForm] = {}
     for e in extras:
         # W[(L, M)] = de(e_L, e_M) - sum_K val(e, K) dtheta^K(e_L, e_M)
-        W = slot_image(ambient_rules.d_basis[e].grade_part(0), expansion0).coeffs
+        W = dict(slot_image(ambient_rules.d_basis[e].grade_part(0), expansion0).coeffs)
         for K, v in expansion0[e].coeffs.items():
             dt = dtheta0.get(K)
             if dt is None:
                 dt = dtheta0[K] = slot_image(dth_amb[K].grade_part(0), expansion0).coeffs
-            nv = -v
             for LM, t in dt.items():
-                _add_into(W, LM, nv * t)
+                _mul_into(W, LM, v, t, -1)
+        W = _closed(W)
         lab = _label_str(ambient_labels[e])
         sym = {(a, b): Coeff.symbol(jet_symbol(f"SYM[{lab}|{a},{b}]", 0))
                for a in range(m) for b in range(a, m)}

@@ -11,7 +11,7 @@ from .canonical import (MetricParams, contact_check, einstein_solve_canonical,
                         kahler_criterion, ricci_canonical, ricci_map_canonical)
 from .flow import (FlowState, Z, CANONICAL, _ordered_map, classify, closed_form_z,
                    entropy_records, integrate, rhs, scalar_curvature)
-from .liealg import (_sp_structure, build_sp_basis, build_sp_sp1_basis, exact_rank,
+from .liealg import (_sp_structure, bracket, build_sp_basis, build_sp_sp1_basis, exact_rank,
                      hpn_curvature, right_action_matrices, sectional,
                      verify_block_equations)
 from .zmetric import (einstein_solve_z, hat_alpha_derivatives, integrability_witness,
@@ -90,7 +90,7 @@ def _check_lie(n: int) -> tuple[bool, str]:
         return False, f"dim sp({n})+sp(1) != {want1}"
     Ri, Rj = right_action_matrices(n)
     for M in L.basis:
-        if (M + M.T).any() or (M @ Ri - Ri @ M).any() or (M @ Rj - Rj @ M).any():
+        if (M + M.T).any() or bracket(M, Ri).any() or bracket(M, Rj).any():
             return False, "basis matrix fails so-membership or H-linearity"
     _sp_structure(n)  # raises on closure/Jacobi failure
     return True, f"dim {want} and {want1}; Jacobi exact"

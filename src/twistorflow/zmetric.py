@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .canonical import MetricParams, RicciDiag, _ricci_diag, _sp_structure
 from .coeff import ONE, Coeff, active_cutoff, jet_symbol
-from .forms import Basis, OneForm, TwoForm, _wedge_into, exterior_derivative, wedge
+from .forms import Basis, OneForm, TwoForm, _closed, _wedge_into, exterior_derivative, wedge
 from .liealg import make_rules
 
 __all__ = [
@@ -311,11 +311,11 @@ def integrability_witness(n: int) -> bool:
     geo = z_geometry(n)
     # slots 0,1 are the fiber directions; 2.. are the X slots
     for row in range(2, 4 * n + 2):
-        acc: dict[tuple[int, int], Coeff] = {}
+        acc: dict = {}
         for L in range(4 * n + 2):
             _wedge_into(acc, geo.gamma.entries[row][L], geo.coframe[L])
         # d X^i = -(row of Gamma ^ coframe); every term must touch an X slot
-        for (i, j) in acc:
+        for (i, j) in _closed(acc):
             if i < 2 and j < 2:
                 return False
     return True

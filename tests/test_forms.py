@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistorflow.coeff import Coeff, ONE, ZERO, jet_cutoff, jet_symbol
+from twistorflow.coeff import (Coeff, ONE, ZERO, add_into, close, jet_cutoff, jet_symbol,
+                               mul_into)
 from twistorflow.canonical import MetricParams, canonical_setup
 from twistorflow.connections import _decompose, coframe_expansion
 from twistorflow.forms import (Basis, DimensionMismatch, FormMatrix, MissingRule,
@@ -287,8 +288,14 @@ def _make_coeff(spec) -> Coeff:
     return c
 
 
+def _ring_form(c: Coeff) -> bool:
+    """Every value of c is a nonzero int or a non-integral Fraction."""
+    return all(v and (type(v) is int or (type(v) is Fraction and v.denominator != 1))
+               for v in c.terms.values())
+
+
 def _no_zero(mapping) -> bool:
-    return all(not c.is_zero() for c in mapping.values())
+    return all(not c.is_zero() and _ring_form(c) for c in mapping.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -335,6 +342,29 @@ def test_sparse_sums_never_store_a_zero(cutoff, raw, n_mirrored, rnd):
         C, Mx, E = _decompose(built, expansion + [OneForm(), OneForm()], {3, 4})
         assert _no_zero(C) and _no_zero(Mx) and _no_zero(E)
         assert all(K < L for K, L in C)
+
+        # the ring's kernel: products and sums accumulated into one raw term
+        # map and closed once equal the fold of Coeff.__mul__ and __add__; the
+        # ops followed by their negatives cancel exactly
+        ops = [(rnd.choice(cs), rnd.choice(cs + [None]), rnd.choice((1, -1))) for _ in cs]
+        ops += [(x, y, -s) for x, y, s in ops[:n_mirrored]]
+        raw: dict = {}
+        want = ZERO
+        for x, y, s in ops:
+            term = x if y is None else x * y
+            want = want + (term if s == 1 else -term)
+            if y is None:
+                add_into(raw, x.terms, s)
+            else:
+                mul_into(raw, x.terms, y.terms, s)
+        got = close(raw)
+        assert got == want and _ring_form(got)
+        for x, y, s in ops:
+            if y is None:
+                add_into(raw, x.terms, -s)
+            else:
+                mul_into(raw, x.terms, y.terms, -s)
+        assert close(raw).terms == {}
 
 
 @settings(max_examples=80, deadline=None)

@@ -14,7 +14,7 @@ import pytest
 from twistorflow.canonical import (MetricParams, canonical_setup, curvature_canonical,
                                    ricci_canonical)
 import twistorflow
-from twistorflow import connections, forms
+from twistorflow import coeff, connections, forms
 from twistorflow.coeff import Coeff, jet_cutoff, jet_symbol, symbol_name
 from twistorflow.connections import levi_civita, ricci_from_gamma, ricci_matrix
 from twistorflow.forms import DerivativeRules, FormMatrix, curvature, mat_wedge
@@ -230,26 +230,37 @@ def test_levi_civita_halves_as_the_fraction_formula(monkeypatch, s_ratio, odd_su
 
 
 def test_z_ricci_work_budget(monkeypatch):
-    # a count of ring operations, not a timing: building z_geometry(3) and
-    # its Ricci took 32245 products and 8622 grade cuts before the jet rules
-    # were built at grade 0 only, 23467 and 5444 after, and 23383 and 5134
-    # once the slot images replaced the frame pairing tables
-    counts = {"mul": 0, "grade_part": 0}
-    mul, grade_part = Coeff.__mul__, Coeff.grade_part
+    # a count of ring work, not a timing: the term pairs the one product
+    # kernel multiplies and the grade cuts (grade_part, and the one-pass
+    # split of each Gamma coefficient) in building z_geometry(3) and its Ricci
+    # from cold caches.  Before the kernel, Coeff.__mul__ multiplied 35994
+    # term pairs in 23383 products, with 5134 grade cuts; the kernel
+    # multiplies 11983 pairs (a unit factor is added, not multiplied), and
+    # the split makes 4136 cuts.
+    counts = {"pairs": 0, "grade_cuts": 0}
+    kernel, grade_part, split = coeff.mul_into, Coeff.grade_part, forms._split01
 
-    def counted_mul(a, b):
-        counts["mul"] += 1
-        return mul(a, b)
+    def counted_kernel(out, a, b, s=1):
+        counts["pairs"] += len(a) * len(b)
+        return kernel(out, a, b, s)
 
-    def counted_grade_part(a, grade):
-        counts["grade_part"] += 1
-        return grade_part(a, grade)
+    def counted_grade_part(c, grade):
+        counts["grade_cuts"] += 1
+        return grade_part(c, grade)
+
+    def counted_split(c):
+        counts["grade_cuts"] += 1
+        return split(c)
 
     _sp_structure.cache_clear()
     _z_point_geometry.cache_clear()
-    monkeypatch.setattr(Coeff, "__mul__", counted_mul)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twistorflow") and getattr(module, "mul_into", None) is kernel:
+            monkeypatch.setattr(module, "mul_into", counted_kernel)
     monkeypatch.setattr(Coeff, "grade_part", counted_grade_part)
+    monkeypatch.setattr(forms, "_split01", counted_split)
     z_geometry(3).ricci()
     monkeypatch.undo()
-    assert counts["mul"] <= 23850, counts
-    assert counts["grade_part"] <= 5240, counts
+    # a counter that reads 0 measures nothing: the kernel was bypassed
+    assert 0 < counts["pairs"] <= 12220, counts
+    assert 0 < counts["grade_cuts"] <= 4220, counts
