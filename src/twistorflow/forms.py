@@ -342,23 +342,33 @@ def exterior_derivative(a: OneForm, rules: DerivativeRules) -> TwoForm:
     return TwoForm(_closed(acc))
 
 
+def _sorted_triple(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
+    """(i, j, k) in ascending order, with the sign of the sorting
+    permutation: e^i ^ e^j ^ e^k = sign e^a ^ e^b ^ e^c.  The sign is 0
+    when two indices are equal."""
+    s = 1
+    if i > j:
+        i, j, s = j, i, -s
+    if j > k:
+        j, k, s = k, j, -s
+        if i > j:
+            i, j, s = j, i, -s
+    return (i, j, k), (s if i != j != k else 0)
+
+
 def d2_residual(idx: int, rules: DerivativeRules) -> dict[tuple[int, int, int], Coeff]:
     """Degree-3 residual of d(d e^idx), as a map over sorted index triples.
 
-    No public 3-form type: this exists only to check d^2 = 0, which holds
+    No public 3-form type: this exists only to check d^2 = 0.  It is the
+    ring form of liealg.jacobi_residual: on Maurer-Cartan rules it vanishes
     exactly when the structure constants satisfy the Jacobi identity.
     """
     acc: dict[tuple[int, int, int], Coeff | dict] = {}
 
     def add(i: int, j: int, k: int, x: Coeff, y: Coeff, s: int) -> None:
-        if len({i, j, k}) < 3:
-            return
-        perm = sorted(((i, 0), (j, 1), (k, 2)))
-        order = [p[1] for p in perm]
-        # parity of the permutation of three items
-        if order in ([1, 0, 2], [0, 2, 1], [2, 1, 0]):
-            s = -s
-        _mul_into(acc, (perm[0][0], perm[1][0], perm[2][0]), x, y, s)
+        key, sign = _sorted_triple(i, j, k)
+        if sign:
+            _mul_into(acc, key, x, y, s * sign)
 
     dw = rules.d_basis[idx]
     for (i, j), c in dw.coeffs.items():

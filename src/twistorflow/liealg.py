@@ -11,7 +11,8 @@ from functools import lru_cache
 from .coeff import ONE, Coeff, ring_value
 from .connections import coframe_expansion, levi_civita
 from .forms import (Basis, DerivativeRules, DimensionMismatch, FormMatrix, OneForm,
-                    TwoForm, curvature, exterior_derivative, mat_wedge, slot_image, wedge)
+                    TwoForm, _sorted_triple, curvature, exterior_derivative, mat_wedge,
+                    slot_image, wedge)
 
 __all__ = [
     "LieAlgebraSpec",
@@ -26,7 +27,6 @@ __all__ = [
     "right_action_matrices",
     "bracket",
     "structure_constants",
-    "exact_rank",
     "jacobi_residual",
     "make_rules",
     "verify_block_equations",
@@ -264,24 +264,6 @@ def bracket(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return IntMatrix(A.size, out)
 
 
-def exact_rank(mats: list[IntMatrix]) -> int:
-    """Rank of the matrices as vectors, by fraction-free sparse elimination."""
-    pivots: list[tuple[tuple[int, int], dict]] = []
-    for m in mats:
-        row = m.entries
-        # each pivot row is zero on the pivots found before it, so reducing
-        # in order clears every pivot position of `row`
-        for pos, prow in pivots:
-            x = row.get(pos)
-            if x:
-                p = prow[pos]
-                row = {q: v for q in row.keys() | prow.keys()
-                       if (v := p * row.get(q, 0) - x * prow.get(q, 0))}
-        if row:
-            pivots.append((min(row), row))
-    return len(pivots)
-
-
 class _Expander:
     """Exact expansion of matrices in a fixed integer basis via the Gram matrix.
 
@@ -364,7 +346,9 @@ def _fraction_inverse(M: list[list[int]]) -> list[list[Fraction]]:
 
 
 def structure_constants(L: LieAlgebraSpec) -> StructureConstants:
-    """The bracket table of L; raises NotClosed or JacobiFailure."""
+    """The bracket table of L.  A dependent basis (a singular Gram matrix)
+    raises ValueError, a bracket outside its span NotClosed, and d^2 != 0 on
+    its Maurer-Cartan forms JacobiFailure (through jacobi_residual)."""
     d = L.dim()
     exp = _Expander(L.basis)
     table: dict[tuple[int, int], dict[int, int | Fraction]] = {}
@@ -376,7 +360,7 @@ def structure_constants(L: LieAlgebraSpec) -> StructureConstants:
     sc = StructureConstants(d, table)
     res = jacobi_residual(sc)
     if res is not None:
-        raise JacobiFailure(f"Jacobi identity fails at {res}")
+        raise JacobiFailure(f"Jacobi identity fails: d(d e^{res[0]}) = {res[1]}")
     return sc
 
 
@@ -388,76 +372,35 @@ def _sp_structure(n: int) -> StructureConstants:
 
 
 def jacobi_residual(sc: StructureConstants):
-    """First violated triple of the Jacobi identity, or None when exact.
+    """The first target l with d(d e^l) != 0, as (l, {(a, b, c): value})
+    over sorted triples, or None when the Jacobi identity holds exactly.
 
-    The first triple (i, j, k), i < j < k, in lexicographic order, with the
-    residual map {l: coefficient of e_l} of J(i, j, k) = [[e_i, e_j], e_k] +
-    [[e_j, e_k], e_i] + [[e_k, e_i], e_j].  J is summed over the chains
-    [[e_a, e_b], e_c] (a < b) whose brackets are nonzero only, each into its
-    sorted triple, one smallest index i at a time: the maps of one i are all
-    that is held.
+    The integer form of forms.d2_residual on make_rules(sc, ...): with
+    d e^l = -sum_{i<j} c^l_ij e^i ^ e^j, the e^a ^ e^b ^ e^c component of
+    d(d e^l) is the e_l component of [[e_a, e_b], e_c] + cyclic.  Only one
+    target's map is held at a time.
     """
-    d, c = sc.dim, sc.c
-    # links[a]: every b with a nonzero [e_a, e_b]; makers[m]: the key (a, b)
-    # of every table row with an e_m part.  Both point into the table.
-    links: list[list[int]] = [[] for _ in range(d)]
-    makers: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for key, row in c.items():
-        links[key[0]].append(key[1])
-        links[key[1]].append(key[0])
-        for m in row:
-            makers[m].append(key)
-    for i in range(d):
-        acc: dict[tuple[int, int], dict] = {}
-        # [[e_i, e_b], e_x], x > i: in J(i, b, x) when b < x, in -J(i, x, b) when x < b
-        for b in links[i]:
-            if b < i:
-                continue
-            for m, v in c[(i, b)].items():
-                for x in links[m]:
-                    if x <= i or x == b:
-                        continue
-                    inner, sv = (c[(m, x)], v) if m < x else (c[(x, m)], -v)
-                    if b < x:
-                        key = (b, x)
-                    else:
-                        key, sv = (x, b), -sv
-                    t = acc.get(key)
-                    if t is None:
-                        t = acc[key] = {}
-                    for l, w in inner.items():
-                        t[l] = t.get(l, 0) + sv * w
-        # [[e_a, e_b], e_i], i < a < b: in J(i, a, b)
-        for m in links[i]:
-            # [e_m, e_i] = s times the table row of {m, i}
-            inner, s = (c[(m, i)], 1) if m < i else (c[(i, m)], -1)
-            for key in makers[m]:
-                if key[0] > i:
-                    sv = s * c[key][m]
-                    t = acc.get(key)
-                    if t is None:
-                        t = acc[key] = {}
-                    for l, w in inner.items():
-                        t[l] = t.get(l, 0) + sv * w
-        for j, k in sorted(acc):
-            if any(acc[(j, k)].values()):
-                return (i, j, k, _jacobi_map(sc, i, j, k))
+    # makers[l]: ((i, j), c^l_ij) for every table row with an e_l part
+    makers: list[list] = [[] for _ in range(sc.dim)]
+    for key, row in sc.c.items():
+        for l, v in row.items():
+            makers[l].append((key, v))
+    for l, rows in enumerate(makers):
+        acc: dict[tuple[int, int, int], int | Fraction] = {}
+        # d(e^i ^ e^j) = de^i ^ e^j - e^i ^ de^j
+        for (i, j), v in rows:
+            for (p, q), w in makers[i]:
+                key, s = _sorted_triple(p, q, j)
+                if s:
+                    acc[key] = acc.get(key, 0) + s * v * w
+            for (p, q), w in makers[j]:
+                key, s = _sorted_triple(i, p, q)
+                if s:
+                    acc[key] = acc.get(key, 0) - s * v * w
+        res = {key: x for key, x in acc.items() if x}
+        if res:
+            return l, res
     return None
-
-
-def _jacobi_map(sc: StructureConstants, i: int, j: int, k: int) -> dict[int, int | Fraction]:
-    """The nonzero residual map of J(i, j, k), term by term in cyclic order."""
-    acc: dict[int, int | Fraction] = {}
-    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-        for m, v in sc.get(a, b).items():
-            for l, w in sc.get(m, c).items():
-                nv = acc.get(l)
-                nv = v * w if nv is None else nv + v * w
-                if nv:
-                    acc[l] = nv
-                else:
-                    acc.pop(l, None)
-    return acc
 
 
 def make_rules(sc: StructureConstants, basis: Basis,
@@ -514,8 +457,9 @@ def verify_block_equations(n: int, tamper: tuple[int, int, int] | None = None) -
     Returns a report with exact pass/fail per family; a tampered structure
     constant (i, j, k) serves as a negative control.  A tamper whose target
     k is an X form leaves the three families intact, so a tampered table is
-    also Jacobi-checked (report key "jacobi"); the untampered table was
-    checked when it was built.
+    also Jacobi-checked (report key "jacobi") by jacobi_residual, the integer
+    form of the d^2 = 0 that forms.d2_residual states over the ring; the
+    untampered table was checked when it was built.
     """
     if not (2 <= n <= MAX_QUERY_N):
         raise ValueError(f"block verification supported for n in 2..{MAX_QUERY_N}")

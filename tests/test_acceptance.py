@@ -13,7 +13,7 @@ from twistorflow.canonical import (MetricParams, einstein_solve_canonical,
 from twistorflow.coeff import Coeff
 from twistorflow.flow import (CANONICAL, Z, FlowState, classify, closed_form_z,
                               entropy_records, integrate, scalar_curvature)
-from twistorflow.liealg import (build_sp_basis, exact_rank, hpn_curvature,
+from twistorflow.liealg import (build_sp_basis, build_sp_sp1_basis, hpn_curvature,
                                 jacobi_residual, sectional, structure_constants,
                                 verify_block_equations)
 from twistorflow.zmetric import (einstein_solve_z, hat_alpha_derivatives, ricci_z,
@@ -30,10 +30,12 @@ def test_criterion_1_lie_algebra():
     t0 = time.time()
     ok = True
     for n in (2, 3):
-        L = build_sp_basis(n)
-        ok = ok and L.dim() == (n + 1) * (2 * n + 3) == exact_rank(L.basis)
-        sc = structure_constants(L)          # raises unless closure holds
+        L, L1 = build_sp_basis(n), build_sp_sp1_basis(n)
+        ok = ok and L.dim() == (n + 1) * (2 * n + 3) and L1.dim() == n * (2 * n + 1) + 3
+        # each build raises unless the basis is independent and closes
+        sc = structure_constants(L)
         ok = ok and jacobi_residual(sc) is None
+        ok = ok and jacobi_residual(structure_constants(L1)) is None
         ok = ok and verify_block_equations(n)["all_pass"]
     elapsed = time.time() - t0
     report("1. Lie algebra dims, Jacobi, Maurer-Cartan blocks (n=2,3)",

@@ -8,24 +8,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistorflow.liealg import (EqualIndices, NotClosed,
-                                bracket, build_sp_basis, build_sp_sp1_basis, exact_rank,
-                                hpn_curvature, jacobi_residual, right_action_matrices,
+from twistorflow.liealg import (EqualIndices, NotClosed, StructureConstants,
+                                bracket, build_sp_basis, build_sp_sp1_basis, hpn_curvature,
+                                jacobi_residual, make_rules, right_action_matrices,
                                 sectional, structure_constants, verify_block_equations)
 from twistorflow import liealg
-from twistorflow.coeff import ONE
+from twistorflow.coeff import ONE, Coeff
 from twistorflow.liealg import IntMatrix, LieAlgebraSpec, _Expander, _sp_structure
-from twistorflow.forms import Basis, DimensionMismatch, TwoForm
+from twistorflow.forms import Basis, DerivativeRules, DimensionMismatch, TwoForm, d2_residual
 
 
 def test_dimensions_and_rank():
+    # structure_constants needs a nonsingular Gram matrix, so it builds only
+    # from a linearly independent basis
     for n in (2, 3):
         L = build_sp_basis(n)
         assert L.dim() == (n + 1) * (2 * n + 3)
-        assert exact_rank(L.basis) == L.dim()
+        assert structure_constants(L).dim == L.dim()
         L1 = build_sp_sp1_basis(n)
         assert L1.dim() == n * (2 * n + 1) + 3
-        assert exact_rank(L1.basis) == L1.dim()
+        assert structure_constants(L1).dim == L1.dim()
     assert build_sp_basis(2).dim() == 21
     assert build_sp_basis(3).dim() == 36
 
@@ -118,13 +120,15 @@ def test_jacobi_failure_detection():
 
 
 def _jacobi_residual_oracle(sc):
-    """Every triple i < j < k in order, each J(i, j, k) summed term by term:
-    the first violated triple with its residual map, or None."""
+    """J(i, j, k) = [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+    at every triple i < j < k, summed term by term and collected by target:
+    {l: {(i, j, k): e_l component of J(i, j, k)}}, nonzero values only."""
     d = sc.dim
     rows: dict[tuple[int, int], list] = {}
     for (a, b), row in sc.c.items():
         rows[(a, b)] = list(row.items())
         rows[(b, a)] = [(k, -v) for k, v in row.items()]
+    by_target: dict[int, dict] = {}
     for i in range(d):
         for j in range(i + 1, d):
             for k in range(j + 1, d):
@@ -132,45 +136,78 @@ def _jacobi_residual_oracle(sc):
                 for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
                     for m, v in rows.get((a, b), ()):
                         for l, w in rows.get((m, cc), ()):
-                            nv = acc.get(l)
-                            nv = v * w if nv is None else nv + v * w
-                            if nv:
-                                acc[l] = nv
-                            else:
-                                acc.pop(l, None)
-                if acc:
-                    return (i, j, k, acc)
-    return None
+                            acc[l] = acc.get(l, 0) + v * w
+                for l, x in acc.items():
+                    if x:
+                        by_target.setdefault(l, {})[(i, j, k)] = x
+    return by_target
+
+
+def _check_jacobi_residual(sc, rules):
+    """jacobi_residual(sc), checked: None exactly when every J vanishes, else
+    the smallest target on which some J is nonzero with every J of that
+    target, which is also the first nonzero d(d e^l) of the rules."""
+    got, want = jacobi_residual(sc), _jacobi_residual_oracle(sc)
+    if not want:
+        assert got is None
+        assert not any(d2_residual(l, rules) for l in range(sc.dim))
+        return got
+    l = min(want)
+    assert got == (l, want[l]), (got, l, want[l])
+    assert not any(d2_residual(m, rules) for m in range(l))
+    assert d2_residual(l, rules) == {key: Coeff.rational(x) for key, x in want[l].items()}
+    return got
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_jacobi_residual_equals_the_triple_loop(n):
-    # seeded single- and two-entry tampers: the same first triple and the same
-    # residual map, in the same order, so the JacobiFailure text is unchanged;
-    # each seed draws a residual whose terms the chain sums reach in another
-    # order than the triple loop
+def test_jacobi_residual_is_the_first_nonzero_d_squared(n):
+    # seeded single- and two-entry tampers of sp(n+1)
     sc = _sp_structure(n)
-    assert jacobi_residual(sc) is None and _jacobi_residual_oracle(sc) is None
+    assert jacobi_residual(sc) is None and _jacobi_residual_oracle(sc) == {}
     rng = random.Random({2: 50, 3: 22}[n])
-    for draw in range(60):
+    for draw in range({2: 60, 3: 20}[n]):
         bad = sc
         for _ in range(1 + draw % 2):
             i, j = rng.sample(range(sc.dim), 2)
             bad = bad.tampered(i, j, rng.randrange(sc.dim))
-        got, want = jacobi_residual(bad), _jacobi_residual_oracle(bad)
-        assert got == want and repr(got) == repr(want), (got, want)
+        assert _check_jacobi_residual(bad, make_rules(bad, Basis(n))) is not None
+
+
+@st.composite
+def _int_tables(draw):
+    d = draw(st.integers(3, 6))
+    entries = draw(st.dictionaries(
+        st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(0, d - 1))
+        .filter(lambda t: t[0] < t[1]),
+        st.integers(-2, 2).filter(bool), max_size=8))
+    c: dict = {}
+    for (i, j, k), v in entries.items():
+        c.setdefault((i, j), {})[k] = v
+    return StructureConstants(d, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_tables())
+def test_jacobi_residual_on_drawn_integer_tables(sc):
+    # any antisymmetric integer table, Jacobi or not; the rules are built
+    # directly: d e^k = -c^k_ij e^i ^ e^j over i < j
+    d_basis = [{} for _ in range(sc.dim)]
+    for key, row in sc.c.items():
+        for k, v in row.items():
+            d_basis[k][key] = Coeff.rational(-v)
+    _check_jacobi_residual(sc, DerivativeRules([TwoForm(m) for m in d_basis]))
 
 
 def test_structure_constants_memory_is_bounded():
-    # the Jacobi check holds the maps of one smallest index at a time: the
-    # build of sp(7) peaked at 1.7 MB, and at 17 MB with one map for all triples
+    # the Jacobi check holds the d^2 map of one target at a time: the build
+    # of sp(7) peaks at 1.3 MB, and at 6.2 MB with every target's map kept
     tracemalloc.start()
     try:
         structure_constants(build_sp_basis(6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5e6, peak
+    assert peak < 1.6e6, peak
 
 
 def test_block_equations():
@@ -414,8 +451,7 @@ def test_hpn_connection_lies_in_the_isotropy_forms(monkeypatch):
 
 
 def test_verify_builds_the_structure_constants_once(monkeypatch):
-    from twistorflow import liealg
-    from twistorflow.verify import run_checks
+    from twistorflow import liealg, verify
     # one CPU: a check group forked to a second process would count its
     # calls there, not here
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -427,10 +463,26 @@ def test_verify_builds_the_structure_constants_once(monkeypatch):
         calls.append(L.name)
         return real(L, *args, **kwargs)
 
+    # the lie_algebra check builds sp(2)+sp(1) itself, once
     monkeypatch.setattr(liealg, "structure_constants", counted)
-    rep = run_checks(2)
+    monkeypatch.setattr(verify, "structure_constants", counted)
+    rep = verify.run_checks(2)
     assert all(r["status"] != "fail" for r in rep)
-    assert calls == ["sp(3)"]
+    assert sorted(calls) == ["sp(2)+sp(1)", "sp(3)"]
+
+
+def test_verify_rejects_a_holonomy_basis_that_does_not_close(monkeypatch):
+    from twistorflow import verify
+    # the right number of independent matrices, but the bracket of the two
+    # shift matrices leaves their span
+    d = build_sp_sp1_basis(2).dim()
+    mats = [IntMatrix(d, {(0, 1): 1}), IntMatrix(d, {(1, 0): 1})] + [
+        IntMatrix(d, {(k, k): 1}) for k in range(2, d)]
+    fake = LieAlgebraSpec("sp(2)+sp(1)", 2, mats, [("m", k) for k in range(d)])
+    monkeypatch.setattr(verify, "build_sp_sp1_basis", lambda n: fake)
+    rec = verify.run_checks(2, checks=["lie_algebra"])[0]
+    assert rec["check"] == "lie_algebra" and rec["status"] == "fail", rec
+    assert rec["detail"].startswith("NotClosed"), rec
 
 
 def test_orthogonal_bases_never_reach_the_dense_inverse(monkeypatch):

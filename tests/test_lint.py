@@ -211,6 +211,55 @@ def test_every_public_module_name_is_read():
     assert [f"{module}: {name}" for module, name in defined if name not in read] == []
 
 
+# the module-level literal tables of the package that are declared inputs:
+# the quaternion unit patterns of liealg, the Z jet table of zmetric, and
+# the ring unit of coeff
+DECLARED_TABLES = {("liealg", "_SP_UNITS"), ("liealg", "_LEFT"), ("liealg", "_RIGHT"),
+                   ("zmetric", "_T1"), ("zmetric", "_T3"), ("zmetric", "_IJ"),
+                   ("coeff", "_UNIT_TERMS")}
+
+
+def _literal_tables(module: str, source: str) -> list[tuple[str, str]]:
+    """(module, name) for each module-level assignment whose value is a dict,
+    list, tuple or set display holding a number, or a call to _pattern."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        if isinstance(value, (ast.Dict, ast.List, ast.Tuple, ast.Set)):
+            table = any(isinstance(c, ast.Constant) and type(c.value) in (int, float, complex)
+                        for c in ast.walk(value))
+        else:
+            table = (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                     and value.func.id == "_pattern")
+        if table:
+            found += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_every_literal_table_is_a_declared_input():
+    # recomputed, never transcribed: a table of numbers written into the
+    # package is either a declared input or a value the engine should compute
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _literal_tables(path.stem, path.read_text())
+    assert [f"{module}: {name}" for module, name in found
+            if (module, name) not in DECLARED_TABLES] == []
+    assert sorted(set(found)) == sorted(DECLARED_TABLES)
+
+
+def test_the_literal_table_rule_names_the_module_and_table():
+    source = ("_A = {0: 1}\n_B: tuple = ('x', ('y', 2.5))\n_C = _pattern('+0 -1')\n"
+              "_D = {'a': 'b'}\n_E = [True]\n_F = 3\n_G = f(1)\n"
+              "def g():\n    _H = {0: 1}\n")
+    assert _literal_tables("m", source) == [("m", "_A"), ("m", "_B"), ("m", "_C")]
+
+
 def test_every_module_parses_at_the_declared_python_floor():
     # pyproject.toml declares the oldest Python the package runs on; newer
     # syntax (except*, PEP 695 type parameters, ...) would break it there
