@@ -125,19 +125,15 @@ def _ricci_diag(ric: list[list[Coeff]]) -> RicciDiag:
 
 
 def canonical_setup(p: MetricParams):
-    """Basis, derivative rules, coframe and orthonormal frame for g^can,
-    symbolic in lambda."""
+    """Basis, derivative rules and coframe of g^can, symbolic in lambda."""
     n = p.n
     basis = Basis(n)
     rules = make_rules(_sp_structure(n), basis, s_ratio=_s_ratio_coeff(p.s_ratio))
     lam = Coeff.lam_power(1)
-    lam_inv = Coeff.lam_power(-1)
     coframe = [OneForm.basis(basis.a(1), lam), OneForm.basis(basis.a(3), lam)]
     coframe += [OneForm.basis(basis.x(i, a), ONE)
                 for i in range(4) for a in range(1, n + 1)]
-    frames = [{basis.a(1): lam_inv}, {basis.a(3): lam_inv}]
-    frames += [{basis.x(i, a): ONE} for i in range(4) for a in range(1, n + 1)]
-    return basis, rules, coframe, frames
+    return basis, rules, coframe
 
 
 @lru_cache(maxsize=None)
@@ -145,8 +141,8 @@ def _solve_canonical(n: int, s_ratio: Fraction | None, cutoff: int):
     """(basis, rules, coframe expansion, Levi-Civita connection) of g^can,
     symbolic in lambda.  cutoff is the active jet cutoff, part of the key
     only.  The result is shared by every caller and must not be mutated."""
-    basis, rules, coframe, _ = canonical_setup(MetricParams(n, s_ratio=s_ratio))
-    expansion, _ = coframe_expansion(coframe, basis.dim())
+    basis, rules, coframe = canonical_setup(MetricParams(n, s_ratio=s_ratio))
+    expansion = coframe_expansion(coframe, basis.dim())
     return basis, rules, expansion, levi_civita(coframe, rules)
 
 

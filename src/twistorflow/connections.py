@@ -6,9 +6,10 @@ carry jets) whose exterior derivatives are known, solve
     d theta^K + Gamma^K_L ^ theta^L = 0,   Gamma skew-symmetric,
 
 uniquely.  Ambient basis forms not spanned by the coframe ("extras": alpha_2
-and the Gamma~ blocks) are allowed inside connection entries; their
-coefficients are forced by the structure equation, and the coframe-quadratic
-part is the usual cyclic combination of the dtheta coefficients.
+and the Gamma~ blocks, the forms its expansion leaves empty) are allowed
+inside connection entries; their coefficients are forced by the structure
+equation, and the coframe-quadratic part is the usual cyclic combination of
+the dtheta coefficients.
 """
 
 from __future__ import annotations
@@ -28,12 +29,9 @@ class NonMetricStructure(ValueError):
 
 
 def coframe_expansion(coframe: list[OneForm], ambient_dim: int):
-    """Expansion of the ambient basis forms over the coframe.
-
-    Returns (expansion, extras): expansion[i] is ambient form i as a OneForm
-    over the coframe slots, empty where the coframe does not cover it;
-    extras is the set of ambient indices not covered.
-    """
+    """Expansion of the ambient basis forms over the coframe: entry i is
+    ambient form i as a OneForm over the coframe slots, empty exactly where
+    the coframe does not cover it."""
     covered: dict[int, tuple[int, Coeff, dict[int, Coeff]]] = {}
     for K, th in enumerate(coframe):
         best = None
@@ -78,48 +76,58 @@ def coframe_expansion(coframe: list[OneForm], ambient_dim: int):
                 _mul_into(combo, idx, sc, c)
         if _closed(combo) != {lead: ONE}:
             raise ValueError("coframe expansion failed to converge")
-    extras = set(range(ambient_dim)) - set(covered)
-    return [OneForm(expans.get(i, {})) for i in range(ambient_dim)], extras
+    return [OneForm(expans.get(i, {})) for i in range(ambient_dim)]
 
 
-def _decompose(two: TwoForm, expansion: list[OneForm], extras):
-    """Split a 2-form into coframe-quadratic, extra^coframe and extra^extra parts."""
+def _decompose(two: TwoForm, expansion: list[OneForm]):
+    """Split a 2-form into coframe-quadratic, extra^coframe and extra^extra
+    parts; an extra is a form with an empty expansion."""
     M: dict = {}
     E: dict[tuple[int, int], Coeff] = {}
     for (i, j), c in two.coeffs.items():
-        i_extra, j_extra = i in extras, j in extras
-        if i_extra and j_extra:
+        ei, ej = expansion[i].coeffs, expansion[j].coeffs
+        if not ei and not ej:
             E[(i, j)] = c
-        elif i_extra:
-            for L, cl in expansion[j].coeffs.items():
+        elif not ei:
+            for L, cl in ej.items():
                 _mul_into(M, (i, L), c, cl)
-        elif j_extra:
-            for K, ck in expansion[i].coeffs.items():
+        elif not ej:
+            for K, ck in ei.items():
                 _mul_into(M, (j, K), c, ck, -1)
     return slot_image(two, expansion).coeffs, _closed(M), E
 
 
-def _half(c: Coeff) -> Coeff:
-    """c / 2: an even int is shifted, and only an odd int or a Fraction
-    becomes a Fraction (which is then not integral, as the ring stores it)."""
-    return Coeff({k: v >> 1 if v.__class__ is int and not v & 1 else Fraction(v, 2)
-                  for k, v in c.terms.items()})
+def _halved(v) -> Coeff:
+    """v / 2 for a sum under construction (a Coeff or a raw term map), built
+    as one Coeff: zeros are dropped, an even int is shifted, and only an odd
+    int or a Fraction becomes a Fraction (which is then not integral, as the
+    ring stores it)."""
+    terms = {}
+    for key, x in (v.terms if v.__class__ is Coeff else v).items():
+        if x:
+            if x.__class__ is not int:
+                if x.denominator != 1:
+                    terms[key] = x / 2
+                    continue
+                x = x.numerator
+            terms[key] = Fraction(x, 2) if x & 1 else x >> 1
+    return Coeff(terms)
 
 
 def levi_civita(coframe: list[OneForm], rules: DerivativeRules) -> FormMatrix:
-    """Solve the first structure equation; the solution is checked to be skew
-    and to satisfy the equation exactly.
+    """Solve the first structure equation; the forced part is checked to be
+    skew and the solution to satisfy the equation exactly.
 
     The coframe-quadratic part is the Koszul combination of the dtheta
-    coefficients, summed as 2 Gamma and halved once per coefficient by a
-    shift of each even int, so integral structure functions keep the whole
-    solve in int arithmetic.
+    coefficients, summed as 2 Gamma^K_L for K < L only and halved once per
+    coefficient by a shift of each even int, so integral structure functions
+    keep the whole solve in int arithmetic; Gamma^L_K = -Gamma^K_L.
     """
     m = len(coframe)
-    expansion, extras = coframe_expansion(coframe, len(rules.d_basis))
+    expansion = coframe_expansion(coframe, len(rules.d_basis))
 
     dths = [exterior_derivative(th, rules) for th in coframe]
-    decomposed = [_decompose(dt, expansion, extras) for dt in dths]
+    decomposed = [_decompose(dt, expansion) for dt in dths]
     for K, (_, _, E) in enumerate(decomposed):
         if E:
             raise ValueError(f"d theta^{K} has an extra^extra component: {E}")
@@ -139,36 +147,35 @@ def levi_civita(coframe: list[OneForm], rules: DerivativeRules) -> FormMatrix:
 
     # coframe-quadratic part: d theta^P = -(1/2) c^P_{AB} theta^A ^ theta^B, and
     # 2 Gamma^K_L(e_M) = -(c^K_{LM} + c^L_{MK} - c^M_{KL}).  Each stored
-    # coefficient x of theta^A ^ theta^B (A < B, so c^P_{AB} = -x) feeds six
-    # entries of 2 Gamma; those with K = L cancel and are skipped.  The sums
-    # are halved once, after the last term.
+    # coefficient x of theta^A ^ theta^B (A < B, so c^P_{AB} = -x) feeds one
+    # entry of 2 Gamma with K < L for each of the pairs {P, A}, {P, B} and
+    # {A, B}; a pair with K = L cancels and is skipped.
     twice: list[list[dict]] = [[{} for _ in range(m)] for _ in range(m)]
     for P, (CP, _, _) in enumerate(decomposed):
         for (A, B), x in CP.items():
-            if P != A:
+            if P < A:
                 _add_into(twice[P][A], B, x)
+            elif P > A:
                 _add_into(twice[A][P], B, x, -1)
-            if P != B:
+            if P < B:
                 _add_into(twice[P][B], A, x, -1)
+            elif P > B:
                 _add_into(twice[B][P], A, x)
             _add_into(twice[A][B], P, x, -1)
-            _add_into(twice[B][A], P, x)
 
-    entries: list[list[OneForm]] = []
+    entries = [[OneForm({}) for _ in range(m)] for _ in range(m)]
     for K in range(m):
-        row = []
-        for L in range(m):
+        for L in range(K + 1, m):
             acc = dict(forced[K][L])
-            for Mi, g2 in _closed(twice[K][L]).items():
-                g = _half(g2)
-                for idx, c in coframe[Mi].coeffs.items():
-                    _mul_into(acc, idx, g, c)
-            row.append(OneForm(_closed(acc)))
-        entries.append(row)
+            for Mi, v in twice[K][L].items():
+                g = _halved(v)
+                if g.terms:
+                    for idx, c in coframe[Mi].coeffs.items():
+                        _mul_into(acc, idx, g, c)
+            entries[K][L] = OneForm(_closed(acc))
+            entries[L][K] = -entries[K][L]
     gamma = FormMatrix(m, entries)
 
-    if not gamma.is_skew():
-        raise NonMetricStructure("derived connection is not skew")
     for K in range(m):
         resid = dict(dths[K].coeffs)
         for L in range(m):

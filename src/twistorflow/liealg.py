@@ -79,13 +79,6 @@ class StructureConstants:
         self.dim = dim
         self.c = {} if c is None else c
 
-    def get(self, i: int, j: int) -> dict[int, int | Fraction]:
-        if i == j:
-            return {}
-        if i < j:
-            return self.c.get((i, j), {})
-        return {k: -v for k, v in self.c.get((j, i), {}).items()}
-
     def tampered(self, i: int, j: int, k: int) -> "StructureConstants":
         """A copy with c^k_ij raised by one (so c^k_ji lowered by one)."""
         if i == j:
@@ -141,12 +134,6 @@ class IntMatrix:
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        _same_shape(self, other)
-        out: dict[tuple[int, int], int] = {}
-        _product_into(out, self, other, 1)
-        return IntMatrix(self.size, out)
 
     def any(self) -> bool:
         return bool(self.entries)
@@ -592,7 +579,7 @@ def hpn_curvature(n: int) -> CurvatureTensor:
     m = 4 * n
     # frame index A = 1..4n is X^i_a with i = (A - 1) // n, a = (A - 1) % n + 1
     coframe = [OneForm.basis(basis.x(L // n, L % n + 1), ONE) for L in range(m)]
-    expansion, _ = coframe_expansion(coframe, basis.dim())
+    expansion = coframe_expansion(coframe, basis.dim())
 
     def blocks_to_components(om: FormMatrix) -> dict:
         out = {}

@@ -65,18 +65,20 @@ class PointGeometry:
 
 
 def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
-                   ambient_rules: DerivativeRules, value_frames: list[dict]) -> PointGeometry:
+                   ambient_rules: DerivativeRules,
+                   values: dict[int, dict[int, Coeff]]) -> PointGeometry:
     """Build connection and curvature of the coframe metric at the point.
 
     ambient_labels[i] labels ambient basis form i; the fresh jets of an
     uncovered form e are named after its label, F[label|K] and SYM[label|k,m].
     Every form is read over the slots through the coframe's expansion of the
-    ambient forms (connections.coframe_expansion, forms.slot_image).  The
-    expansion of an uncovered form e is sum_K (val(e, K) + F[e|K]) e^K, where
-    val(e, K) = value_frames[K][e] is its pairing with the dual orthonormal
-    frame at the point (an unknown value enters as a grade-0 symbol and must
-    cancel from physical outputs).  On a covered form, value_frames[K] must
-    agree with the expansion, else ValueError.
+    ambient forms (connections.coframe_expansion, forms.slot_image); a form
+    is uncovered where that expansion is empty.  The expansion of an
+    uncovered form e is sum_K (val(e, K) + F[e|K]) e^K, where
+    val(e, K) = values[e][K], zero where absent, is its pairing with the dual
+    orthonormal frame at the point (an unknown value enters as a grade-0
+    symbol and must cancel from physical outputs).  A value given for a
+    covered form raises ValueError.
 
     The rule of the jet F[e|K] is d F[e|K] = sum_M D[K][M] e^M.  Its
     antisymmetric part D[K][M] - D[M][K] = W[(M, K)] is fixed by the
@@ -97,12 +99,12 @@ def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
     all the curvature at the point reads.  d of each slot keeps every grade.
     """
     m = len(ambient_coframe)
-    expansion, extras = coframe_expansion(ambient_coframe, len(ambient_labels))
-    for K, frame in enumerate(value_frames):
-        for i, f in enumerate(expansion):
-            if i not in extras and frame.get(i, ZERO) != f.coeffs.get(K, ZERO):
-                raise ValueError(f"value frame {K} disagrees with the coframe expansion "
-                                 f"on {_label_str(ambient_labels[i])}")
+    expansion = coframe_expansion(ambient_coframe, len(ambient_labels))
+    for e in values:
+        if expansion[e].coeffs:
+            raise ValueError(f"a value is given for {_label_str(ambient_labels[e])}, "
+                             f"which the coframe covers")
+    extras = [e for e, f in enumerate(expansion) if not f.coeffs]
     dth_amb = [exterior_derivative(th, ambient_rules) for th in ambient_coframe]
 
     fjets = {e: [jet_symbol(f"F[{_label_str(ambient_labels[e])}|{K}]", 1)
@@ -110,8 +112,9 @@ def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
 
     extras_expansion: dict[int, OneForm] = {}
     for e in extras:
+        val = values.get(e, {})
         extras_expansion[e] = OneForm.build(
-            (K, value_frames[K].get(e, ZERO) + Coeff.symbol(fjets[e][K])) for K in range(m))
+            (K, val.get(K, ZERO) + Coeff.symbol(fjets[e][K])) for K in range(m))
         expansion[e] = extras_expansion[e]
 
     # d_slot keeps every grade: Gamma reads its grade-1 part

@@ -11,7 +11,7 @@ from .canonical import (MetricParams, contact_check, einstein_solve_canonical,
                         kahler_criterion, ricci_canonical, ricci_map_canonical)
 from .flow import (FlowState, Z, CANONICAL, _ordered_map, classify, closed_form_z,
                    entropy_records, integrate, rhs, scalar_curvature)
-from .liealg import (_sp_structure, bracket, build_sp_basis, build_sp_sp1_basis,
+from .liealg import (MAX_QUERY_N, _sp_structure, bracket, build_sp_basis, build_sp_sp1_basis,
                      hpn_curvature, right_action_matrices, sectional, structure_constants,
                      verify_block_equations)
 from .zmetric import (einstein_solve_z, hat_alpha_derivatives, integrability_witness,
@@ -263,11 +263,12 @@ def run_checks(n: int, tamper=None, checks=None) -> list[dict]:
     or when one group is empty (as for a single check).
 
     checks=None runs every check; a list runs the checks it names, each
-    once, so an empty list gives only the divergence notes.  An unknown or
-    repeated name raises ValueError before any check runs.
+    once, so an empty list gives only the divergence notes.  An n outside
+    2..MAX_QUERY_N, or an unknown or repeated name, raises ValueError before
+    any check runs.
     """
-    if n < 2:
-        raise ValueError("paper setting requires n > 1")
+    if not (2 <= n <= MAX_QUERY_N):
+        raise ValueError(f"verify supports n in 2..{MAX_QUERY_N} (the paper assumes n > 1)")
     names = sorted(CHECK_NAMES if checks is None else checks)
     unknown = sorted(set(names) - _CHECKS.keys())
     if unknown:

@@ -131,49 +131,40 @@ def _z_rules(n: int, ambiguity: str):
 
 
 def z_setup(n: int, ambiguity: str = "none", free_gamma_fiber: bool = False):
-    """Basis, rules (Maurer-Cartan + jets), Z-coframe and frame value table,
-    symbolic in lambda.
+    """Basis, rules (Maurer-Cartan + jets), Z-coframe and the point values of
+    the Gamma~ forms the coframe does not cover ({form: {slot: value}}, see
+    pointcurv.point_geometry), symbolic in lambda.
 
-    The fiber lift of the section is sp(n)-parallel (only the sp(1) part
-    rotates along the twistor line), so the Gamma~ blocks pair to zero with
-    the fiber directions; free_gamma_fiber leaves those values as unknowns
-    instead, for independence diagnostics.
+    The X^1 and X^3 slots carry the p,q,r,s unknowns.  The fiber lift of the
+    section is sp(n)-parallel (only the sp(1) part rotates along the twistor
+    line), so the Gamma~ blocks pair to zero with the fiber directions;
+    free_gamma_fiber leaves those values as unknowns instead, for
+    independence diagnostics.
     """
     basis, rules = _z_rules(n, ambiguity)
     lam = Coeff.lam_power(1)
-    lam_inv = Coeff.lam_power(-1)
     coframe = [hat_alpha(1, n, basis).scale(lam), hat_alpha(3, n, basis).scale(lam)]
     coframe += [OneForm.basis(basis.x(i, a), ONE)
                 for i in range(4) for a in range(1, n + 1)]
+    values: dict[int, dict[int, Coeff]] = {}
 
-    def gamma_values(vec: dict, scale: Coeff, g0name, g2name, tag) -> None:
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                vec[basis.index[("G", 0, a, b)]] = _val(g0name, a, b, tag) * scale
-        for a in range(1, n + 1):
-            for b in range(a, n + 1):
-                vec[basis.index[("G", 2, a, b)]] = _val(g2name, a, b, tag) * scale
+    def gamma_values(K: int, scale: Coeff, g0name, g2name, tag) -> None:
+        # Gamma~_0 (a < b), then Gamma~_2 (a <= b)
+        for m, name, first in ((0, g0name, 1), (2, g2name, 0)):
+            for a in range(1, n + 1):
+                for b in range(a + first, n + 1):
+                    value = _val(name, a, b, tag) * scale
+                    values.setdefault(basis.index[("G", m, a, b)], {})[K] = value
 
-    frames = []
-    f = {basis.a(1): lam_inv}
     if free_gamma_fiber:
-        gamma_values(f, lam_inv, "GF0", "GF2", "f1")
-    frames.append(f)
-    f = {basis.a(3): lam_inv}
-    if free_gamma_fiber:
-        gamma_values(f, lam_inv, "GF0", "GF2", "f3")
-    frames.append(f)
-    for j in range(4):
+        lam_inv = Coeff.lam_power(-1)
+        gamma_values(0, lam_inv, "GF0", "GF2", "f1")
+        gamma_values(1, lam_inv, "GF0", "GF2", "f3")
+    # slot 2 + j n + a - 1 is X^j_a
+    for j, g0name, g2name in ((1, "P", "R"), (3, "Q", "S")):
         for a in range(1, n + 1):
-            f = {basis.x(j, a): ONE,
-                 basis.a(1): Coeff.symbol(_a_jet(1, j, a)),
-                 basis.a(3): Coeff.symbol(_a_jet(3, j, a))}
-            if j == 1:
-                gamma_values(f, ONE, "P", "R", a)
-            elif j == 3:
-                gamma_values(f, ONE, "Q", "S", a)
-            frames.append(f)
-    return basis, rules, coframe, frames
+            gamma_values(2 + j * n + a - 1, ONE, g0name, g2name, a)
+    return basis, rules, coframe, values
 
 
 def hat_alpha_derivatives(n: int) -> dict:
@@ -247,8 +238,8 @@ def _z_point_geometry(n: int, ambiguity: str, free_gamma_fiber: bool, cutoff: in
     """The symbolic Z point geometry; cutoff is the active jet cutoff, part of
     the key only."""
     from .pointcurv import point_geometry
-    basis, rules, coframe, frames = z_setup(n, ambiguity, free_gamma_fiber)
-    return point_geometry(basis.labels, coframe, rules, frames)
+    basis, rules, coframe, values = z_setup(n, ambiguity, free_gamma_fiber)
+    return point_geometry(basis.labels, coframe, rules, values)
 
 
 def z_geometry(n: int, ambiguity: str = "none", free_gamma_fiber: bool = False):

@@ -54,7 +54,7 @@ def test_connection_entry_examples():
 def test_first_structure_equation_residual():
     # levi_civita verifies the residual internally; recheck explicitly
     p = MetricParams(2)
-    basis, rules, coframe, frames = canonical_setup(p)
+    basis, rules, coframe = canonical_setup(p)
     G = connection_canonical(p)
     for K in range(G.dim):
         resid = None

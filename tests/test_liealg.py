@@ -45,8 +45,8 @@ def test_basis_antisymmetric_and_h_linear():
         Ri, Rj = right_action_matrices(n)
         for M in L.basis:
             assert not (M + M.T).any()
-            assert not (M @ Ri - Ri @ M).any()
-            assert not (M @ Rj - Rj @ M).any()
+            assert not bracket(M, Ri).any()
+            assert not bracket(M, Rj).any()
         for M in build_sp_sp1_basis(n).basis:
             assert not (M + M.T).any()
 
@@ -66,7 +66,7 @@ def test_bracket_alpha_relations():
     assert _Expander(L.basis).expand(B) == {2: Fraction(-2)}
     # consistent with d alpha_3 = 2 alpha_1 ^ alpha_2 + (base part)
     sc = structure_constants(L)
-    assert sc.get(0, 1)[2] == Fraction(-2)
+    assert sc.c[(0, 1)][2] == Fraction(-2)
 
 
 def test_bracket_closure_all_pairs():
@@ -84,11 +84,12 @@ def test_structure_constants_jacobi():
 
 
 def test_sp1_restriction_factor_two():
-    # the alpha-sector bracket table matches d alpha_mu = 2 alpha_eta ^ alpha_nu
+    # the alpha-sector bracket table matches d alpha_mu = 2 alpha_eta ^ alpha_nu:
+    # c^2_01 = c^0_12 = c^1_20 = -2, stored at i < j as c^1_02 = 2
     sc = structure_constants(build_sp_basis(2))
-    assert sc.get(0, 1) == {2: Fraction(-2)}
-    assert sc.get(1, 2) == {0: Fraction(-2)}
-    assert sc.get(2, 0) == {1: Fraction(-2)}
+    assert sc.c[(0, 1)] == {2: Fraction(-2)}
+    assert sc.c[(1, 2)] == {0: Fraction(-2)}
+    assert sc.c[(0, 2)] == {1: Fraction(2)}
 
 
 def test_abelian_diagonal_algebra():
@@ -199,15 +200,18 @@ def test_jacobi_residual_on_drawn_integer_tables(sc):
 
 
 def test_structure_constants_memory_is_bounded():
-    # the Jacobi check holds the d^2 map of one target at a time: the build
-    # of sp(7) peaks at 1.3 MB, and at 6.2 MB with every target's map kept
+    # the Jacobi check holds the d^2 map of one target at a time: after a
+    # first build, so that the figure does not depend on what ran before in
+    # the process, the build of sp(7) peaks at 1.2 MB; the chain walk it
+    # replaced peaked at 1.57 MB, and 6.2 MB with every target's map kept
+    structure_constants(build_sp_basis(6))
     tracemalloc.start()
     try:
         structure_constants(build_sp_basis(6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.6e6, peak
+    assert peak < 1.4e6, peak
 
 
 def test_block_equations():
@@ -241,8 +245,9 @@ def test_degenerate_tamper_is_rejected():
     for i, k in ((0, 5), (3, 0)):
         with pytest.raises(ValueError):
             sc.tampered(i, i, k)
-    for i, j in ((0, 1), (1, 0)):
-        assert sc.tampered(i, j, 2).get(i, j).get(2, 0) == sc.get(i, j).get(2, 0) + 1
+    # c^2_01 is raised by one, so c^2_10 is lowered, as the table stores it at (0, 1)
+    for i, j, delta in ((0, 1, 1), (1, 0, -1)):
+        assert sc.tampered(i, j, 2).c[(0, 1)].get(2, 0) == sc.c[(0, 1)].get(2, 0) + delta
 
 
 def _sha16(text: str) -> str:
@@ -332,7 +337,6 @@ def test_int_matrix_agrees_with_a_dense_oracle(pair):
     a, b = _dense(A), _dense(B)
     n = A.size
     assert A.shape == (n, n)
-    assert _dense(A @ B) == _dense_mul(a, b)
     assert _dense(A + B) == _dense_zip(a, b, lambda x, y: x + y)
     assert _dense(A - B) == _dense_zip(a, b, lambda x, y: x - y)
     assert _dense(-A) == [[-x for x in row] for row in a]
@@ -341,7 +345,7 @@ def test_int_matrix_agrees_with_a_dense_oracle(pair):
                                                lambda x, y: x - y)
     assert A.any() == any(any(row) for row in a)
     assert not bracket(A, A).any()
-    for M in (A, B, A @ B, A + B, A - B, A - A, -A, A.T, bracket(A, B)):
+    for M in (A, B, A + B, A - B, A - A, -A, A.T, bracket(A, B)):
         assert 0 not in M.entries.values()
 
 
@@ -350,7 +354,7 @@ def test_int_matrix_agrees_with_a_dense_oracle(pair):
 def test_int_matrix_sizes_must_agree(size, extra, data):
     A = data.draw(_int_matrix(size))
     B = data.draw(_int_matrix(size + extra))
-    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x @ y, bracket):
+    for op in (lambda x, y: x + y, lambda x, y: x - y, bracket):
         for X, Y in ((A, B), (B, A)):
             with pytest.raises(DimensionMismatch):
                 op(X, Y)

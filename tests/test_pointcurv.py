@@ -16,7 +16,8 @@ from twistorflow.canonical import (MetricParams, canonical_setup, curvature_cano
 import twistorflow
 from twistorflow import coeff, connections, forms
 from twistorflow.coeff import Coeff, jet_cutoff, jet_symbol, symbol_name
-from twistorflow.connections import levi_civita, ricci_from_gamma, ricci_matrix
+from twistorflow.connections import (coframe_expansion, levi_civita, ricci_from_gamma,
+                                     ricci_matrix)
 from twistorflow.forms import DerivativeRules, FormMatrix, curvature, mat_wedge
 from twistorflow.liealg import _sp_structure
 from twistorflow.pointcurv import point_geometry
@@ -25,19 +26,17 @@ from twistorflow.zmetric import _z_point_geometry, ricci_z, z_geometry, z_setup
 
 def test_point_geometry_reproduces_canonical_ricci():
     p = MetricParams(2)
-    basis, rules, coframe, frames = canonical_setup(p)
+    basis, rules, coframe = canonical_setup(p)
     lam_inv = Coeff.lam_power(-1)
     tags = ["f1", "f3"] + [f"{j}{a}" for j in range(4) for a in (1, 2)]
-    vf = []
-    for K, f in enumerate(frames):
-        f = dict(f)
+    values = {}
+    for K, tag in enumerate(tags):
         scale = lam_inv if K < 2 else Coeff.rational(1)
         for idx, lab in enumerate(basis.labels):
             if lab[0] == "G":
-                name = "GV[" + ",".join(map(str, lab[1:])) + "|" + tags[K] + "]"
-                f[idx] = Coeff.symbol(jet_symbol(name, 0)) * scale
-        vf.append(f)
-    geo = point_geometry(basis.labels, coframe, rules, vf)
+                name = "GV[" + ",".join(map(str, lab[1:])) + "|" + tag + "]"
+                values.setdefault(idx, {})[K] = Coeff.symbol(jet_symbol(name, 0)) * scale
+    geo = point_geometry(basis.labels, coframe, rules, values)
     ric = geo.ricci()
     dim = 10
     want = ricci_canonical(p)
@@ -56,22 +55,30 @@ def test_point_geometry_structure_equation_is_checked():
     # the slot-world first structure equation and skewness are enforced by
     # the shared solver; reaching here without exceptions is the assertion
     p = MetricParams(2, lambda2=Fraction(1, 3))
-    basis, rules, coframe, frames = canonical_setup(p)
-    geo = point_geometry(basis.labels, coframe, rules, frames)
+    basis, rules, coframe = canonical_setup(p)
+    geo = point_geometry(basis.labels, coframe, rules, {})
     assert geo.gamma.is_skew()
     assert geo.omega.dim == 10
 
 
-def test_point_geometry_checks_value_frames_against_the_expansion():
-    basis, rules, coframe, frames = canonical_setup(MetricParams(2))
-    point_geometry(basis.labels, coframe, rules, frames)
+def test_point_geometry_rejects_a_value_on_a_covered_form():
+    # values are given only for the forms whose coframe expansion is empty:
+    # the Gamma~ blocks of the Z setup, and alpha_2 and the Gamma~ blocks here
+    basis, rules, coframe = canonical_setup(MetricParams(2))
+    expansion = coframe_expansion(coframe, basis.dim())
     for free_gamma_fiber in (False, True):
-        zbasis, zrules, zcoframe, zframes = z_setup(2, free_gamma_fiber=free_gamma_fiber)
-        point_geometry(zbasis.labels, zcoframe, zrules, zframes)
-    a1 = basis.a(1)
-    frames[0] = {**frames[0], a1: frames[0][a1].scale(2)}
-    with pytest.raises(ValueError, match=r"^value frame 0 disagrees .* on A,1$"):
-        point_geometry(basis.labels, coframe, rules, frames)
+        zbasis, _, zcoframe, values = z_setup(2, free_gamma_fiber=free_gamma_fiber)
+        assert values and all(zbasis.labels[e][0] == "G" for e in values)
+        zexpansion = coframe_expansion(zcoframe, zbasis.dim())
+        assert not any(zexpansion[e].coeffs for e in values)
+    lam_inv = Coeff.lam_power(-1)
+    assert expansion[basis.a(1)].coeffs == {0: lam_inv}
+    assert not expansion[basis.a(2)].coeffs
+    for e in (basis.a(1), basis.a(3), basis.x(2, 1)):
+        label = ",".join(map(str, basis.labels[e]))
+        with pytest.raises(ValueError, match=rf"^a value is given for {label}, which the "
+                                             r"coframe covers$"):
+            point_geometry(basis.labels, coframe, rules, {e: {0: lam_inv}})
 
 
 def _full_curvature_grade0(gamma, rules):
@@ -92,7 +99,7 @@ def test_curvature_matches_full_structure_equation_z(ambiguity, free_gamma_fiber
 @pytest.mark.parametrize("s_ratio", [Fraction(1), None])
 def test_curvature_matches_full_structure_equation_canonical(s_ratio):
     p = MetricParams(2, s_ratio=s_ratio)
-    basis, rules, coframe, frames = canonical_setup(p)
+    basis, rules, coframe = canonical_setup(p)
     gamma = levi_civita(coframe, rules)
     want = _full_curvature_grade0(gamma, rules)
     assert curvature(gamma, rules).entries == want
@@ -202,22 +209,28 @@ def test_z_geometry_jet_rules_are_grade_0(n, ambiguity, free_gamma_fiber):
             assert c.max_grade() == 0, c
 
 
-@pytest.mark.parametrize("s_ratio, odd_sums", [(Fraction(2, 3), 48), (Fraction(1, 2), 48),
+@pytest.mark.parametrize("s_ratio, odd_sums", [(Fraction(2, 3), 24), (Fraction(1, 2), 24),
                                                (None, 0), ("z", 0)])
 def test_levi_civita_halves_as_the_fraction_formula(monkeypatch, s_ratio, odd_sums):
-    # _half shifts an even int and makes a Fraction only for an odd int or a
-    # Fraction (S/S~ = 2/3 gives Fraction sums, 1/2 odd ints): it must give
-    # what scale(1/2) gives, value types included
+    # _halved closes a 2 Gamma sum (a Coeff or a raw term map), shifts an
+    # even int and makes a Fraction only for an odd int or a Fraction
+    # (S/S~ = 2/3 gives Fraction sums, 1/2 odd ints): it must give what
+    # close and scale(1/2) give, value types included.  The sums are made
+    # for K < L only.
     if s_ratio == "z":
         geo = z_geometry(2)
         coframe, rules = geo.coframe, geo.rules
     else:
-        _, rules, coframe, _ = canonical_setup(MetricParams(2, s_ratio=s_ratio))
+        _, rules, coframe = canonical_setup(MetricParams(2, s_ratio=s_ratio))
+
+    def closed(v):
+        return v if v.__class__ is Coeff else coeff.close(v)
+
     sums = []
-    real = connections._half
-    monkeypatch.setattr(connections, "_half", lambda c: sums.append(c) or real(c))
+    real = connections._halved
+    monkeypatch.setattr(connections, "_halved", lambda v: sums.append(closed(v)) or real(v))
     got = levi_civita(coframe, rules)
-    monkeypatch.setattr(connections, "_half", lambda c: c.scale(Fraction(1, 2)))
+    monkeypatch.setattr(connections, "_halved", lambda v: closed(v).scale(Fraction(1, 2)))
     want = levi_civita(coframe, rules)
     assert got == want
     for grow, wrow in zip(got.entries, want.entries):

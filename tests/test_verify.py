@@ -77,6 +77,18 @@ def test_a_bad_selection_is_rejected_before_any_check_runs(checks, message, monk
     assert (ran, pids) == ([], [])
 
 
+@pytest.mark.parametrize("n", [1, 7, 12])
+def test_an_n_outside_the_query_range_is_rejected_before_any_check_runs(n, monkeypatch):
+    ran = []
+    for name in CHECK_NAMES:
+        monkeypatch.setitem(verify._CHECKS, name, lambda *args, name=name: ran.append(name))
+    pids = _on_cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match=r"^verify supports n in 2\.\.6 \(the paper assumes "
+                                         r"n > 1\)$"):
+        run_checks(n)
+    assert (ran, pids) == ([], [])
+
+
 def test_the_stripped_jet_table_fails_on_one_and_two_cpus(monkeypatch):
     # the Z group runs on the jet table without its invisible components
     real = zmetric.ricci_z
