@@ -13,8 +13,9 @@ from functools import lru_cache
 
 from .coeff import ONE, Coeff, active_cutoff, jet_symbol
 from .connections import coframe_expansion, levi_civita, ricci_matrix
-from .forms import Basis, FormMatrix, OneForm, curvature, exterior_derivative, specialize, wedge
-from .liealg import _sp_structure, _tx_wedge_x, make_rules
+from .forms import (Basis, FormMatrix, OneForm, check_n, curvature, exterior_derivative,
+                    specialize, wedge)
+from .liealg import _mc_xx_parts, _sp_structure, make_rules
 
 __all__ = [
     "MetricParams",
@@ -24,7 +25,6 @@ __all__ = [
     "curvature_canonical",
     "ricci_canonical",
     "einstein_solve_canonical",
-    "ricci_map_canonical",
     "kahler_criterion",
     "contact_check",
     "canonical_setup",
@@ -47,8 +47,7 @@ class MetricParams:
 
     def __init__(self, n: int, lambda2: Fraction | None = None, rho: Fraction = Fraction(1),
                  s_ratio: Fraction | None = Fraction(1)):
-        if n < 2:
-            raise ValueError("paper setting requires n > 1")
+        check_n(n)
         if lambda2 is not None and lambda2 <= 0:
             raise ValueError("lambda^2 must be positive")
         if rho <= 0:
@@ -95,6 +94,20 @@ class RicciDiag:
 
     def base_at(self, mu) -> Fraction:
         return self.base.eval_lambda2(mu)
+
+    def ricci_map(self, p: MetricParams) -> MetricParams:
+        """The image of p under g -> Ric(g), rescaled into the family, when
+        this is the Ricci of p's family: Ric = f fiber + b base is b g_mu' with
+        mu' = mu f(mu) / b(mu) at mu = p.lambda2, whatever p.rho.  Raises
+        ValueError for a symbolic lambda^2 and OutOfDomain where b(mu) <= 0."""
+        if p.lambda2 is None:
+            raise ValueError("ricci map needs a numeric lambda^2")
+        mu = p.lambda2
+        base = self.base_at(mu)
+        if base <= 0:
+            raise OutOfDomain(f"base Ricci coefficient {base} <= 0 at lambda^2 = {mu}")
+        return MetricParams(p.n, lambda2=mu * self.fiber_at(mu) / base, rho=base,
+                            s_ratio=p.s_ratio)
 
 
 def _s_ratio_coeff(s_ratio: Fraction | None) -> Coeff | None:
@@ -175,22 +188,8 @@ def ricci_canonical(p: MetricParams) -> RicciDiag:
 
 def einstein_solve_canonical(n: int) -> set[Fraction]:
     """Exact root set of (n+1) mu^2 - (n+2) mu + 1 = 0 in mu = lambda^2."""
-    if n < 2:
-        raise ValueError("paper setting requires n > 1")
+    check_n(n)
     return {Fraction(1), Fraction(1, n + 1)}
-
-
-def ricci_map_canonical(p: MetricParams) -> MetricParams:
-    """Image of rho g^can under g -> Ric(g), rescaled back into the family;
-    homothety invariance of Ric makes the image independent of rho."""
-    if p.lambda2 is None:
-        raise ValueError("ricci map needs a numeric lambda^2")
-    mu = p.lambda2
-    if mu >= p.n + 2:
-        raise OutOfDomain("requires lambda^2 < n + 2")
-    factor = 4 * (p.n + 2 - mu)
-    mu_new = (1 + p.n * mu * mu) / (p.n + 2 - mu)
-    return MetricParams(p.n, lambda2=mu_new, rho=factor, s_ratio=p.s_ratio)
 
 
 def kahler_criterion(p: MetricParams) -> bool:
@@ -231,9 +230,11 @@ def contact_check(n: int, s_ratio: Fraction | None = None) -> dict:
     # -2i a2 ^ (a1 + i a3) = 2 a2^a3 + i(-2 a2^a1)
     fiber_re = wedge(a2, a3).scale(ONE.scale(2))
     fiber_im = wedge(a2, a1).scale(ONE.scale(-2))
-    # tZ^2^Z^1 - tZ^1^Z^2 = 2(tX^1^X^0 - tX^3^X^2) + 2i(tX^3^X^0 + tX^1^X^2)
-    base_re = (_tx_wedge_x(basis, 1, 0) - _tx_wedge_x(basis, 3, 2)).scale(sigc.scale(2))
-    base_im = (_tx_wedge_x(basis, 3, 0) + _tx_wedge_x(basis, 1, 2)).scale(sigc.scale(2))
+    # tZ^2^Z^1 - tZ^1^Z^2 = 2(tX^1^X^0 - tX^3^X^2) + 2i(tX^3^X^0 + tX^1^X^2), the
+    # X ^ X part of d alpha_1 + i d alpha_3 in the Maurer-Cartan display
+    _, _, xx_alpha = _mc_xx_parts(basis)
+    base_re = xx_alpha[1].scale(sigc)
+    base_im = xx_alpha[3].scale(sigc)
     report = {
         "real_part": d_re == fiber_re + base_re,
         "imag_part": d_im == fiber_im + base_im,

@@ -18,6 +18,8 @@ from .coeff import (_SYM_GRADES, _UNIT_TERMS, ONE, Coeff, JetSymbol, add_into, c
                     symbol_name)
 
 __all__ = [
+    "MIN_N",
+    "check_n",
     "Basis",
     "OneForm",
     "TwoForm",
@@ -111,6 +113,17 @@ def _wedge_into(acc: dict, a: "OneForm", b: "OneForm", keep: tuple | None = None
                     _mul_pair(acc, i, j, ci, cj)
 
 
+# the least quaternionic dimension n of the paper's setting, checked by
+# check_n alone (flow keeps its own check, since it imports no engine module)
+MIN_N = 2
+
+
+def check_n(n: int) -> None:
+    """Raise ValueError unless n lies in the paper's setting, n >= MIN_N."""
+    if n < MIN_N:
+        raise ValueError("paper setting requires n > 1")
+
+
 class Basis:
     """Index bookkeeping for the sp(n+1) invariant coframe.
 
@@ -122,8 +135,7 @@ class Basis:
     """
 
     def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("quaternionic dimension must be >= 2")
+        check_n(n)
         self.n = n
         labels: list[tuple] = [("A", 1), ("A", 2), ("A", 3)]
         labels += [("X", i, a) for i in range(4) for a in range(1, n + 1)]

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .coeff import ONE, Coeff, ring_value
 from .connections import coframe_expansion, levi_civita
 from .forms import (Basis, DerivativeRules, DimensionMismatch, FormMatrix, OneForm,
-                    TwoForm, _sorted_triple, curvature, exterior_derivative, mat_wedge,
-                    slot_image, wedge)
+                    TwoForm, _sorted_triple, check_n, curvature, exterior_derivative,
+                    mat_wedge, slot_image, wedge)
 
 __all__ = [
     "LieAlgebraSpec",
@@ -194,8 +194,6 @@ def _sp_matrix(n: int, lab: tuple) -> IntMatrix:
 
 def build_sp_basis(n: int) -> LieAlgebraSpec:
     """Basis of sp(n+1) realized in so(4(n+1)), aligned with Basis(n) labels."""
-    if n < 2:
-        raise ValueError("paper setting requires n > 1")
     labels = list(Basis(n).labels)
     return LieAlgebraSpec(f"sp({n + 1})", n, [_sp_matrix(n, lab) for lab in labels], labels)
 
@@ -203,8 +201,7 @@ def build_sp_basis(n: int) -> LieAlgebraSpec:
 def build_sp_sp1_basis(n: int) -> LieAlgebraSpec:
     """Basis of sp(n) + sp(1) in so(4n), block pattern of the holonomy algebra:
     sp(1) acts by right multiplication, sp(n) by left."""
-    if n < 2:
-        raise ValueError("paper setting requires n > 1")
+    check_n(n)
 
     def coord(c: int, a: int) -> int:
         return c * n + a
@@ -431,6 +428,23 @@ def _x_outer(basis: Basis, i: int, j: int) -> FormMatrix:
                            for b in range(1, n + 1)] for a in range(1, n + 1)])
 
 
+def _mc_xx_parts(basis: Basis) -> tuple[FormMatrix, dict, dict]:
+    """The X ^ X parts (D, G, A) of the Maurer-Cartan display of sp(n+1) over
+    the sp(n) + sp(1) forms, which are also the HP^n curvature blocks: D of
+    d Gamma~_0, and G[mu], A[mu] of d Gamma~_mu, d alpha_mu, with (mu, eta, nu)
+    a cyclic order of (1, 2, 3):
+        D = sum_i X^i ^ tX^i
+        G[mu] = X^mu ^ tX^0 - X^0 ^ tX^mu + X^nu ^ tX^eta - X^eta ^ tX^nu
+        A[mu] = 2 (tX^mu ^ X^0 + tX^eta ^ X^nu)"""
+    xo, tx = partial(_x_outer, basis), partial(_tx_wedge_x, basis)
+    D = xo(0, 0) + xo(1, 1) + xo(2, 2) + xo(3, 3)
+    G, A = {}, {}
+    for mu, eta, nu in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        G[mu] = xo(mu, 0) - xo(0, mu) + xo(nu, eta) - xo(eta, nu)
+        A[mu] = (tx(mu, 0) + tx(eta, nu)).scale(ONE.scale(2))
+    return D, G, A
+
+
 def _gamma_form(basis: Basis, m: int, a: int, b: int) -> OneForm:
     idx, sign = basis.g(m, a, b)
     if idx < 0:
@@ -457,36 +471,30 @@ def verify_block_equations(n: int, tamper: tuple[int, int, int] | None = None) -
         jacobi_ok = jacobi_residual(sc) is None
     basis = Basis(n)
     rules = make_rules(sc, basis)
+    D, G, A = _mc_xx_parts(basis)
 
     def alpha(i: int) -> OneForm:
         return OneForm.basis(basis.a(i), ONE)
-
-    def xo(i: int, j: int) -> FormMatrix:
-        return _x_outer(basis, i, j)
 
     report = {}
 
     g = {m: FormMatrix(n, [[_gamma_form(basis, m, a, b) for b in range(1, n + 1)]
                            for a in range(1, n + 1)]) for m in range(4)}
     fam1 = (g[0].d(rules) + mat_wedge(g[0], g[0]) - mat_wedge(g[1], g[1])
-            - mat_wedge(g[2], g[2]) - mat_wedge(g[3], g[3])
-            - xo(0, 0) - xo(1, 1) - xo(2, 2) - xo(3, 3))
+            - mat_wedge(g[2], g[2]) - mat_wedge(g[3], g[3]) - D)
     report["dGamma0"] = fam1.is_zero()
 
     ok2 = True
     for mu, eta, nu in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        e = exterior_derivative(alpha(mu), rules) \
-            - wedge(alpha(eta), alpha(nu)).scale(ONE.scale(2)) \
-            - _tx_wedge_x(basis, mu, 0) + _tx_wedge_x(basis, 0, mu) \
-            + _tx_wedge_x(basis, nu, eta) - _tx_wedge_x(basis, eta, nu)
+        e = (exterior_derivative(alpha(mu), rules)
+             - wedge(alpha(eta), alpha(nu)).scale(ONE.scale(2)) - A[mu])
         ok2 = ok2 and e.is_zero()
     report["dalpha"] = ok2
 
     ok3 = True
     for mu, eta, nu in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         fam = (g[mu].d(rules) + mat_wedge(g[mu], g[0]) + mat_wedge(g[0], g[mu])
-               - mat_wedge(g[nu], g[eta]) + mat_wedge(g[eta], g[nu])
-               - xo(mu, 0) + xo(0, mu) - xo(nu, eta) + xo(eta, nu))
+               - mat_wedge(g[nu], g[eta]) + mat_wedge(g[eta], g[nu]) - G[mu])
         ok3 = ok3 and fam.is_zero()
     report["dGamma_mu"] = ok3
 
@@ -537,44 +545,34 @@ def sectional(T: CurvatureTensor, A: int, B: int) -> Fraction:
 
 
 def _hpn_blocks_closed_form(basis: Basis) -> FormMatrix:
-    """The displayed HP^n curvature blocks, assembled into one 4n x 4n matrix."""
+    """The displayed HP^n curvature blocks (_mc_xx_parts) as one 4n x 4n matrix."""
     n = basis.n
-
-    def xo(i, j):
-        return _x_outer(basis, i, j)
-
+    D, G, A = _mc_xx_parts(basis)
     om = FormMatrix.zero(4 * n, two=True)
-    diag = xo(0, 0) + xo(1, 1) + xo(2, 2) + xo(3, 3)
     for bi in range(4):
         for a in range(n):
             for b in range(n):
-                om.entries[bi * n + a][bi * n + b] = diag.entries[a][b]
+                om.entries[bi * n + a][bi * n + b] = D.entries[a][b]
     for mu, eta, nu in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        scal = (_tx_wedge_x(basis, mu, 0) + _tx_wedge_x(basis, eta, nu)).scale(ONE.scale(2))
-        mixed = xo(mu, 0) - xo(0, mu) + xo(nu, eta) - xo(eta, nu)
-        # block (mu, 0) is mixed + scal Id, block (eta, nu) is -mixed + scal Id, and
-        # the transposed blocks are their negated transposes
+        # block (mu, 0) is G[mu] + A[mu] Id, block (eta, nu) is -G[mu] + A[mu] Id,
+        # and the transposed blocks are their negated transposes
         for bi, bj, sgn in ((mu, 0, 1), (eta, nu, -1)):
             for a in range(n):
                 for b in range(n):
-                    e = mixed.entries[a][b] if sgn > 0 else -mixed.entries[a][b]
+                    e = G[mu].entries[a][b] if sgn > 0 else -G[mu].entries[a][b]
                     if a == b:
-                        e = e + scal
+                        e = e + A[mu]
                     om.entries[bi * n + a][bj * n + b] = e
                     om.entries[bj * n + b][bi * n + a] = -e
     return om
 
 
 def hpn_curvature(n: int) -> CurvatureTensor:
-    """Riemann tensor of HP^n in the quaternion orthonormal frame.
-
-    The displayed blocks are transcribed (closed form) and recomputed as the
+    """Riemann tensor of HP^n in the quaternion orthonormal frame: the
     curvature of the Levi-Civita connection of the X coframe, solved from the
-    sp(n+1) structure constants; the recomputed blocks must lie in the
-    X-quadratic span and the two must agree exactly, else ValueError.
+    sp(n+1) structure constants.  Its blocks must lie in the X-quadratic span
+    and equal the displayed ones (_hpn_blocks_closed_form), else ValueError.
     """
-    if n < 2:
-        raise ValueError("paper setting requires n > 1")
     basis = Basis(n)
     m = 4 * n
     # frame index A = 1..4n is X^i_a with i = (A - 1) // n, a = (A - 1) % n + 1
@@ -592,7 +590,6 @@ def hpn_curvature(n: int) -> CurvatureTensor:
                         out[(A, B, M + 1, L + 1)] = -x
         return out
 
-    comps = blocks_to_components(_hpn_blocks_closed_form(basis))
     rules = make_rules(_sp_structure(n), basis)
     om = curvature(levi_civita(coframe, rules), rules)
     for row in om.entries:
@@ -600,6 +597,7 @@ def hpn_curvature(n: int) -> CurvatureTensor:
             for (i, j) in e.coeffs:
                 if basis.labels[i][0] != "X" or basis.labels[j][0] != "X":
                     raise ValueError("curvature entry leaves the X-quadratic span")
-    if comps != blocks_to_components(om):
+    comps = blocks_to_components(om)
+    if comps != blocks_to_components(_hpn_blocks_closed_form(basis)):
         raise ValueError("closed-form and Levi-Civita curvature disagree")
     return CurvatureTensor(n, comps)

@@ -8,14 +8,13 @@ from fractions import Fraction
 
 from .coeff import Coeff
 from .canonical import (MetricParams, contact_check, einstein_solve_canonical,
-                        kahler_criterion, ricci_canonical, ricci_map_canonical)
+                        kahler_criterion, ricci_canonical)
 from .flow import (FlowState, Z, CANONICAL, _ordered_map, classify, closed_form_z,
                    entropy_records, integrate, rhs, scalar_curvature)
 from .liealg import (MAX_QUERY_N, _sp_structure, bracket, build_sp_basis, build_sp_sp1_basis,
                      hpn_curvature, right_action_matrices, sectional, structure_constants,
                      verify_block_equations)
-from .zmetric import (einstein_solve_z, hat_alpha_derivatives, integrability_witness,
-                      ricci_map_z, ricci_z)
+from .zmetric import einstein_solve_z, hat_alpha_derivatives, integrability_witness, ricci_z
 
 __all__ = ["KNOWN_DIVERGENCES", "run_checks", "CHECK_NAMES"]
 
@@ -129,7 +128,7 @@ def _check_prop24(n: int) -> tuple[bool, str]:
     ok = ok and roots == {Fraction(1), Fraction(1, n + 1)}
     for mu in roots:
         ok = ok and rd.fiber_at(mu) == rd.base_at(mu)
-        mapped = ricci_map_canonical(MetricParams(n, lambda2=mu))
+        mapped = rd.ricci_map(MetricParams(n, lambda2=mu))
         ok = ok and mapped.lambda2 == mu
     return ok, "Ric^can = (4/L^2+4nL^2, 4n+8-4L^2); roots {1, 1/(n+1)} fixed"
 
@@ -169,7 +168,7 @@ def _check_prop31(n: int) -> tuple[bool, str]:
     root = einstein_solve_z(n)
     ok = ok and root == Fraction(1, n + 2)
     ok = ok and rd.fiber_at(root) == rd.base_at(root)
-    mapped = ricci_map_z(MetricParams(n, lambda2=Fraction(7, 5)))
+    mapped = rd.ricci_map(MetricParams(n, lambda2=Fraction(7, 5)))
     ok = ok and mapped.lambda2 == root and mapped.rho == 4 * n + 8
     ok = ok and integrability_witness(n)
     return ok, ("Ric^Z = (4/L^2, 4n+8), unknown-free, off-diagonals zero; "

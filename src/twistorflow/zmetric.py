@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .canonical import MetricParams, RicciDiag, _ricci_diag, _sp_structure
 from .coeff import ONE, Coeff, active_cutoff, jet_symbol
-from .forms import Basis, OneForm, TwoForm, _closed, _wedge_into, exterior_derivative, wedge
+from .forms import Basis, OneForm, TwoForm, check_n, exterior_derivative, wedge
 from .liealg import make_rules
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "hat_alpha_derivatives",
     "ricci_z",
     "einstein_solve_z",
-    "ricci_map_z",
     "integrability_witness",
     "FORMAL_UNKNOWN_PREFIXES",
 ]
@@ -282,31 +281,14 @@ def ricci_z(p: MetricParams, ambiguity: str = "none") -> RicciDiag:
 
 
 def einstein_solve_z(n: int) -> Fraction:
-    if n < 2:
-        raise ValueError("paper setting requires n > 1")
+    check_n(n)
     return Fraction(1, n + 2)
 
 
-def ricci_map_z(p: MetricParams) -> MetricParams:
-    """Ric sends every Z-metric to the (scaled) Einstein point of the family;
-    homothety invariance of Ric makes the image independent of rho.  Like
-    ricci_z, it raises ValueError unless S/S~ = 1."""
-    if p.s_ratio != 1:
-        raise ValueError("the Z family is built at S/S~ = 1 only")
-    return MetricParams(p.n, lambda2=Fraction(1, p.n + 2), rho=Fraction(4 * p.n + 8))
-
-
 def integrability_witness(n: int) -> bool:
-    """Every monomial of d X^i (via the first structure equation of the
-    Z-coframe) contains an X factor, so {X^i = 0} is integrable."""
-    geo = z_geometry(n)
-    # slots 0,1 are the fiber directions; 2.. are the X slots
-    for row in range(2, 4 * n + 2):
-        acc: dict = {}
-        for L in range(4 * n + 2):
-            _wedge_into(acc, geo.gamma.entries[row][L], geo.coframe[L])
-        # d X^i = -(row of Gamma ^ coframe); every term must touch an X slot
-        for (i, j) in _closed(acc):
-            if i < 2 and j < 2:
-                return False
-    return True
+    """Every term of d X^i over the slots of the Z-coframe touches an X slot,
+    so {X^i = 0} is integrable.  d X^i is read from the slot rules, which
+    levi_civita checked to equal -Gamma^i_L ^ theta^L exactly."""
+    d_slot = z_geometry(n).rules.d_basis
+    # slots 0, 1 are the fiber directions; 2.. are the X slots
+    return all((0, 1) not in d_slot[row].coeffs for row in range(2, 4 * n + 2))

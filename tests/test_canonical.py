@@ -5,7 +5,7 @@ import pytest
 from twistorflow.canonical import (MetricParams, OutOfDomain, canonical_setup,
                                    connection_canonical, contact_check, curvature_canonical,
                                    einstein_solve_canonical, kahler_criterion,
-                                   ricci_canonical, ricci_map_canonical)
+                                   ricci_canonical)
 from twistorflow.coeff import Coeff, ONE
 from twistorflow.forms import Basis, FormMatrix, OneForm, TwoForm, wedge
 from twistorflow.gaussc import commutes_with_j
@@ -124,26 +124,59 @@ def test_einstein_roots():
     assert rd.fiber_at(Fraction(1, 2)) != rd.base_at(Fraction(1, 2))
 
 
+def _ricci_map_closed_form(p):
+    """The canonical Ricci map written out from Ric^can = (4/mu + 4n mu,
+    4(n+2-mu)): an oracle for the map the engine derives from its Ricci."""
+    n, mu = p.n, p.lambda2
+    if mu >= n + 2:
+        raise OutOfDomain("requires lambda^2 < n + 2")
+    return MetricParams(n, lambda2=(1 + n * mu * mu) / (n + 2 - mu), rho=4 * (n + 2 - mu),
+                        s_ratio=p.s_ratio)
+
+
+def _ricci_map(p):
+    return ricci_canonical(p).ricci_map(p)
+
+
 def test_ricci_map():
-    p = ricci_map_canonical(MetricParams(2, lambda2=Fraction(1)))
+    p = _ricci_map(MetricParams(2, lambda2=Fraction(1)))
     assert p.lambda2 == 1
-    p = ricci_map_canonical(MetricParams(2, lambda2=Fraction(1, 3)))
+    p = _ricci_map(MetricParams(2, lambda2=Fraction(1, 3)))
     assert p.lambda2 == Fraction(1, 3)
     # Ric(rho g) = Ric(g): the image does not depend on rho
     for rho in (Fraction(1), Fraction(5)):
-        p = ricci_map_canonical(MetricParams(2, lambda2=Fraction(2), rho=rho))
+        p = _ricci_map(MetricParams(2, lambda2=Fraction(2), rho=rho))
         assert p.lambda2 == Fraction(9, 2)
         assert p.rho == 4 * (2 + 2 - 2)
     with pytest.raises(OutOfDomain):
-        ricci_map_canonical(MetricParams(2, lambda2=Fraction(4)))
+        _ricci_map(MetricParams(2, lambda2=Fraction(4)))
+    with pytest.raises(ValueError, match="numeric"):
+        _ricci_map(MetricParams(2))
     # fixed rays of the map are exactly the Einstein roots
     for num in range(1, 12):
         for den in range(1, 8):
             mu = Fraction(num, den)
             if mu >= 4:
                 continue
-            fixed = ricci_map_canonical(MetricParams(2, lambda2=mu)).lambda2 == mu
+            fixed = _ricci_map(MetricParams(2, lambda2=mu)).lambda2 == mu
             assert fixed == (mu in einstein_solve_canonical(2))
+
+
+def test_derived_ricci_map_equals_the_closed_form():
+    # on both sides of the boundary mu = n + 2, where the base coefficient
+    # 4(n+2-mu) stops being positive
+    for n in (2, 3, 4, 5):
+        rd = ricci_canonical(MetricParams(n))
+        for mu in {Fraction(k, 7) for k in range(1, 7 * (n + 4), 3)} | {Fraction(n + 2)}:
+            for rho in (Fraction(1), Fraction(5, 3)):
+                p = MetricParams(n, lambda2=mu, rho=rho)
+                if mu >= n + 2:
+                    with pytest.raises(OutOfDomain):
+                        _ricci_map_closed_form(p)
+                    with pytest.raises(OutOfDomain):
+                        rd.ricci_map(p)
+                else:
+                    assert rd.ricci_map(p) == _ricci_map_closed_form(p)
 
 
 def test_kahler_criterion_grid():
@@ -240,7 +273,7 @@ def test_ricci_map_identity_prop_4_1():
             mu = Fraction(num, 4)
             if mu >= n + 2:
                 continue
-            mapped = ricci_map_canonical(MetricParams(n, lambda2=mu))
+            mapped = rd.ricci_map(MetricParams(n, lambda2=mu))
             factor = 4 * (n + 2 - mu)
             assert rd.base_at(mu) == factor
             assert mu * rd.fiber_at(mu) == factor * mapped.lambda2
@@ -407,3 +440,44 @@ def test_complex_transform_is_u_m_u_inverse(n, build, mu, s_ratio):
     verdict = commutes_with_j(real, n)
     assert verdict == _mixing_blocks_zero(_complexify(real, n), n)
     assert verdict == (mu == 1 and s_ratio == 1)
+
+
+def test_cp3_over_s4_control_at_n_1(monkeypatch):
+    # n = 1 lies outside the paper's setting, and outside the CLI, but the
+    # twistor fibration CP^3 -> S^4 = HP^1 has outside oracles: the invariant
+    # Einstein metrics of the canonical family are Fubini-Study (mu = 1) and
+    # the nearly Kahler metric (mu = 1/2) (Ziller, Math. Ann. 259, 1982), and
+    # S^4 has constant sectional curvature 4 where HP^n is pinched in [1, 4]
+    from twistorflow import canonical, forms, liealg, zmetric
+    from twistorflow.liealg import hpn_curvature, sectional
+    from twistorflow.zmetric import ricci_z
+
+    monkeypatch.setattr(forms, "MIN_N", 1)
+    try:
+        rd = ricci_canonical(MetricParams(1))
+        assert rd.fiber == Coeff({(-2, ()): 4, (2, ()): 4})
+        assert rd.base == Coeff({(0, ()): 12, (2, ()): -4})
+        assert rd.off_diagonal_zero
+        # lambda^2 (f - b) = 8 mu^2 - 12 mu + 4 = 4 (2 mu - 1)(mu - 1)
+        assert (rd.fiber - rd.base) * Coeff.lam_power(2) == Coeff(
+            {(4, ()): 8, (2, ()): -12, (0, ()): 4})
+        assert einstein_solve_canonical(1) == {Fraction(1), Fraction(1, 2)}
+        assert kahler_criterion(MetricParams(1, lambda2=Fraction(1)))
+        assert not kahler_criterion(MetricParams(1, lambda2=Fraction(1, 2)))
+        for mu in (Fraction(1), Fraction(1, 2)):
+            assert rd.ricci_map(MetricParams(1, lambda2=mu)).lambda2 == mu
+        T = hpn_curvature(1)
+        assert T.check_symmetries() and T.scalar() == 48
+        assert {sectional(T, A, B) for A in range(1, 5) for B in range(1, 5) if A != B} == {4}
+        for ambiguity in ("none", "grade1"):
+            rz = ricci_z(MetricParams(1), ambiguity=ambiguity)
+            assert (rz.fiber, rz.base, rz.off_diagonal_zero) == (
+                Coeff({(-2, ()): 4}), Coeff({(0, ()): 12}), True)
+    finally:
+        monkeypatch.undo()
+        # drop the n = 1 geometries, which no caller in the setting may reach
+        for cached in (liealg._sp_structure, canonical._solve_canonical,
+                       zmetric._z_point_geometry):
+            cached.cache_clear()
+    with pytest.raises(ValueError, match="paper setting requires n > 1"):
+        MetricParams(1)

@@ -115,6 +115,40 @@ def test_canonical_invariant_is_first_integral():
     assert max(abs(v - vals[0]) for v in vals) < 1e-10
 
 
+def _rk4_step(v, rho, step, family, n):
+    """One classical RK4 step of (rho mu, rho) built from `rhs`, with the
+    stage factors 0.5 step and step / 6.0 of integrate."""
+    h2, h6 = 0.5 * step, step / 6.0
+
+    def k(sv, sr):
+        return rhs(FlowState(0.0, sr, sv / sr, family, n))
+
+    k1v, k1r = k(v, rho)
+    k2v, k2r = k(v + h2 * k1v, rho + h2 * k1r)
+    k3v, k3r = k(v + h2 * k2v, rho + h2 * k2r)
+    k4v, k4r = k(v + step * k3v, rho + step * k3r)
+    return (v + h6 * (k1v + 2 * k2v + 2 * k3v + k4v),
+            rho + h6 * (k1r + 2 * k2r + 2 * k3r + k4r))
+
+
+@pytest.mark.parametrize("family, mu0", [(Z, 0.5), (CANONICAL, 0.7)])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_integrate_steps_are_rk4_of_rhs_and_store_the_invariant(family, mu0, n, direction):
+    # integrate inlines the stages of rhs and the formula of invariant; every
+    # step must be, bit for bit, the RK4 step that rhs gives, and every stored
+    # invariant the invariant of its own sample
+    dt, steps = 1e-5, 500
+    traj = integrate(FlowState(0.0, 1.0, mu0, family, n), dt, direction * steps * dt)
+    assert len(traj.t) == steps + 1
+    v, rho = 1.0 * mu0, 1.0
+    for k in range(1, steps + 1):
+        v, rho = _rk4_step(v, rho, direction * dt, family, n)
+        assert (traj.t[k], traj.rho[k], traj.mu[k]) == (direction * k * dt, rho, v / rho)
+    for k, sample in enumerate(traj.samples):
+        assert traj.invariant_series[k] == invariant(sample)
+
+
 def test_rk4_oracle_random_cases():
     rng = random.Random(12345)
     worst = 0.0

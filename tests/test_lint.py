@@ -260,6 +260,45 @@ def test_the_literal_table_rule_names_the_module_and_table():
     assert _literal_tables("m", source) == [("m", "_A"), ("m", "_B"), ("m", "_C")]
 
 
+N_MESSAGE = "paper setting requires n > 1"
+
+
+def _holders(module: str, source: str, text: str) -> list[str]:
+    """module.qualname of the innermost function (or module) around each
+    string literal of source that contains text."""
+    found = []
+
+    def visit(node, scope: str, inner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}"
+                visit(child, name, inner if isinstance(child, ast.ClassDef) else name)
+            else:
+                if (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                        and text in child.value):
+                    found.append(inner)
+                visit(child, scope, inner)
+
+    visit(ast.parse(source), module, module)
+    return found
+
+
+def test_the_n_gate_is_stated_once():
+    # the paper's domain n > 1 is checked by forms.check_n, which every engine
+    # module calls; flow imports no engine module and keeps its own check
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _holders(path.stem, path.read_text(), N_MESSAGE)
+    assert sorted(found) == ["flow.FlowState.__init__", "forms.check_n"]
+
+
+def test_the_n_gate_rule_names_the_function():
+    source = (f"X = {N_MESSAGE!r}\nclass C:\n    def f(self):\n"
+              f"        def g():\n            raise ValueError({N_MESSAGE!r})\n"
+              f"        return 'other'\ndef h():\n    raise ValueError('n ' + {N_MESSAGE!r})\n")
+    assert _holders("m", source, N_MESSAGE) == ["m", "m.C.f.g", "m.h"]
+
+
 def test_every_module_parses_at_the_declared_python_floor():
     # pyproject.toml declares the oldest Python the package runs on; newer
     # syntax (except*, PEP 695 type parameters, ...) would break it there

@@ -1,13 +1,14 @@
 import os
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from twistorflow.canonical import MetricParams, connection_canonical
-from twistorflow.coeff import Coeff, jet_cutoff
-from twistorflow.forms import Basis, specialize
+from twistorflow.coeff import ONE, Coeff, jet_cutoff
+from twistorflow.forms import Basis, DerivativeRules, TwoForm, specialize
 from twistorflow.zmetric import (einstein_solve_z, hat_alpha, hat_alpha_derivatives,
-                                 integrability_witness, ricci_map_z, ricci_z, z_geometry)
+                                 integrability_witness, ricci_z, z_geometry)
 
 
 def test_hat_alpha_structure():
@@ -158,28 +159,61 @@ def test_einstein_z():
         einstein_solve_z(1)
 
 
+def _ricci_map_z_closed_form(p):
+    """The Z Ricci map written out from Ric^Z = (4/mu, 4n+8): every member goes
+    to the Einstein ray.  An oracle for the map the engine derives."""
+    return MetricParams(p.n, lambda2=Fraction(1, p.n + 2), rho=Fraction(4 * p.n + 8))
+
+
 def test_ricci_map_z():
+    rd = ricci_z(MetricParams(2))
     for mu in (Fraction(1, 2), Fraction(2), Fraction(1, 4)):
         for rho in (Fraction(1), Fraction(5)):
-            out = ricci_map_z(MetricParams(2, lambda2=mu, rho=rho))
+            out = rd.ricci_map(MetricParams(2, lambda2=mu, rho=rho))
             assert out.lambda2 == Fraction(1, 4)
             assert out.rho == 16
     # idempotent on the image ray up to scale
-    again = ricci_map_z(ricci_map_z(MetricParams(2, lambda2=Fraction(1, 2))))
+    again = rd.ricci_map(rd.ricci_map(MetricParams(2, lambda2=Fraction(1, 2))))
     assert again.lambda2 == Fraction(1, 4)
+    with pytest.raises(ValueError, match="numeric"):
+        rd.ricci_map(MetricParams(2))
+
+
+def test_derived_ricci_map_z_equals_the_closed_form():
+    for n in (2, 3, 4):
+        rd = ricci_z(MetricParams(n))
+        for mu in (Fraction(1, 9), Fraction(1, n + 2), Fraction(2, 3), Fraction(7, 5),
+                   Fraction(n + 2), Fraction(40)):
+            for rho in (Fraction(1), Fraction(5, 3)):
+                p = MetricParams(n, lambda2=mu, rho=rho)
+                assert rd.ricci_map(p) == _ricci_map_z_closed_form(p)
 
 
 @pytest.mark.parametrize("s_ratio", [Fraction(2), None])
 def test_z_family_rejects_a_ratio_other_than_one(s_ratio):
-    # the Z rules are built at S/S~ = 1: another ratio must not get that answer
+    # the Z rules are built at S/S~ = 1: another ratio must not get that
+    # answer, nor, through it, a Ricci map
     p = MetricParams(2, lambda2=Fraction(1, 2), s_ratio=s_ratio)
     with pytest.raises(ValueError):
         ricci_z(p)
-    with pytest.raises(ValueError):
-        ricci_map_z(p)
 
 
 def test_integrability_witness():
+    assert integrability_witness(2)
+
+
+def test_integrability_witness_rejects_a_fiber_pair_in_d_x(monkeypatch):
+    # a copy of the slot rules whose d X^0_1 (slot 2) gains an e^0 ^ e^1
+    # term; the shared geometry is left as it is
+    from twistorflow import zmetric
+    geo = z_geometry(2)
+    d_slot = list(geo.rules.d_basis)
+    d_slot[2] = d_slot[2] + TwoForm({(0, 1): ONE})
+    fake = SimpleNamespace(rules=DerivativeRules(d_slot, geo.rules.jet_rules))
+    monkeypatch.setattr(zmetric, "z_geometry", lambda n: fake)
+    assert not integrability_witness(2)
+    monkeypatch.undo()
+    assert (0, 1) not in z_geometry(2).rules.d_basis[2].coeffs
     assert integrability_witness(2)
 
 
