@@ -27,7 +27,6 @@ __all__ = [
     "mul_into",
     "add_into",
     "close",
-    "JetSymbol",
     "jet_symbol",
     "symbol_name",
     "jet_cutoff",
@@ -36,7 +35,7 @@ __all__ = [
     "ONE",
 ]
 
-# symbol registry: name -> (id, grade); grades indexed by id
+# symbol registry: name -> id; names and grades indexed by id
 _SYM_IDS: dict[str, int] = {}
 _SYM_NAMES: list[str] = []
 _SYM_GRADES: list[int] = []
@@ -44,36 +43,22 @@ _SYM_GRADES: list[int] = []
 _CUTOFF = 2
 
 
-class JetSymbol:
-    """Handle for a registered formal scalar (name plus nilpotency grade)."""
-
-    __slots__ = ("name", "sid", "grade")
-
-    def __init__(self, name: str, sid: int, grade: int):
-        self.name = name
-        self.sid = sid
-        self.grade = grade
-
-    def __repr__(self) -> str:
-        return f"JetSymbol({self.name!r}, grade={self.grade})"
-
-
-def jet_symbol(name: str, grade: int) -> JetSymbol:
-    """Register (or fetch) a formal scalar symbol.
+def jet_symbol(name: str, grade: int) -> int:
+    """Register (or fetch) a formal scalar symbol; its id is its one handle.
 
     Grade-1 symbols are nilpotent jets; grade-0 symbols are formal
     unknowns treated as constants by differentiation.
     """
-    if name in _SYM_IDS:
-        sid = _SYM_IDS[name]
+    sid = _SYM_IDS.get(name)
+    if sid is not None:
         if _SYM_GRADES[sid] != grade:
             raise ValueError(f"symbol {name} already registered with grade {_SYM_GRADES[sid]}")
-        return JetSymbol(name, sid, grade)
+        return sid
     sid = len(_SYM_NAMES)
     _SYM_IDS[name] = sid
     _SYM_NAMES.append(name)
     _SYM_GRADES.append(grade)
-    return JetSymbol(name, sid, grade)
+    return sid
 
 
 def symbol_name(sid: int) -> str:
@@ -190,9 +175,9 @@ class Coeff:
         return Coeff({(k, ()): coeff} if coeff else None)
 
     @staticmethod
-    def symbol(sym: JetSymbol, coeff=1) -> "Coeff":
+    def symbol(sid: int, coeff=1) -> "Coeff":
         coeff = ring_value(coeff)
-        return Coeff({(0, (sym.sid,)): coeff} if coeff else None)
+        return Coeff({(0, (sid,)): coeff} if coeff else None)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -249,6 +234,7 @@ class Coeff:
         return out
 
     def is_jet_free(self) -> bool:
+        """True when no term holds a symbol, a jet or a formal unknown."""
         return all(not m for (_, m) in self.terms)
 
     def lam_poly(self) -> dict[int, Fraction]:

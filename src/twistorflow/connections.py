@@ -32,6 +32,7 @@ def coframe_expansion(coframe: list[OneForm], ambient_dim: int):
     """Expansion of the ambient basis forms over the coframe: entry i is
     ambient form i as a OneForm over the coframe slots, empty exactly where
     the coframe does not cover it."""
+    # lead -> (slot K, u^-1 for the lead's coefficient u, the rest of theta^K)
     covered: dict[int, tuple[int, Coeff, dict[int, Coeff]]] = {}
     for K, th in enumerate(coframe):
         best = None
@@ -44,16 +45,13 @@ def coframe_expansion(coframe: list[OneForm], ambient_dim: int):
             raise ValueError(f"coframe element {K} has no free unit leading form")
         lead = best
         rest = {idx: c for idx, c in th.coeffs.items() if idx != lead}
-        covered[lead] = (K, th.coeffs[lead], rest)
+        covered[lead] = (K, th.coeffs[lead].inverse(), rest)
 
     # e^lead = u^-1 (theta^K - rest); iterate substitution to a fixpoint
-    expans: dict[int, dict[int, Coeff]] = {}
-    for lead, (K, u, rest) in covered.items():
-        expans[lead] = {K: u.inverse()}
+    expans = {lead: {K: uinv} for lead, (K, uinv, rest) in covered.items()}
     for _ in range(len(coframe)):
         changed = False
-        for lead, (K, u, rest) in covered.items():
-            uinv = u.inverse()
+        for lead, (K, uinv, rest) in covered.items():
             acc: dict = {K: uinv}
             for idx, c in rest.items():
                 sub = expans.get(idx)
@@ -69,7 +67,7 @@ def coframe_expansion(coframe: list[OneForm], ambient_dim: int):
         if not changed:
             break
     # exactness: recomposing the expansion must give back the basis form
-    for lead, (K, u, rest) in covered.items():
+    for lead in covered:
         combo: dict = {}
         for slot, sc in expans[lead].items():
             for idx, c in coframe[slot].coeffs.items():

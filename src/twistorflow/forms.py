@@ -14,7 +14,7 @@ once, when the form is built, dropping each key whose sum is zero.
 
 from __future__ import annotations
 
-from .coeff import (_SYM_GRADES, _UNIT_TERMS, ONE, Coeff, JetSymbol, add_into, close, mul_into,
+from .coeff import (_SYM_GRADES, _UNIT_TERMS, ONE, Coeff, add_into, close, mul_into,
                     symbol_name)
 
 __all__ = [
@@ -299,11 +299,10 @@ class DerivativeRules:
         self.d_basis = d_basis
         self.jet_rules = {} if jet_rules is None else jet_rules
 
-    def with_jets(self, rules: dict[JetSymbol, OneForm]) -> "DerivativeRules":
-        jr = dict(self.jet_rules)
-        for sym, rule in rules.items():
-            jr[sym.sid] = rule
-        return DerivativeRules(self.d_basis, jr)
+    def with_jets(self, rules: dict[int, OneForm]) -> "DerivativeRules":
+        """These rules plus the jet rules keyed by symbol id; an id already
+        present gets the new rule."""
+        return DerivativeRules(self.d_basis, {**self.jet_rules, **rules})
 
     def d_coeff(self, c: Coeff) -> OneForm:
         """d of a scalar: Leibniz over grade-1 jet factors (grade-0 are constants)."""

@@ -579,17 +579,6 @@ def hpn_curvature(n: int) -> CurvatureTensor:
     coframe = [OneForm.basis(basis.x(L // n, L % n + 1), ONE) for L in range(m)]
     expansion = coframe_expansion(coframe, basis.dim())
 
-    def blocks_to_components(om: FormMatrix) -> dict:
-        out = {}
-        for A in range(1, m + 1):
-            for B in range(1, m + 1):
-                for (L, M), v in slot_image(om.entries[A - 1][B - 1], expansion).coeffs.items():
-                    x = v.lam_poly().get(0, Fraction(0))
-                    if x:
-                        out[(A, B, L + 1, M + 1)] = x
-                        out[(A, B, M + 1, L + 1)] = -x
-        return out
-
     rules = make_rules(_sp_structure(n), basis)
     om = curvature(levi_civita(coframe, rules), rules)
     for row in om.entries:
@@ -597,7 +586,14 @@ def hpn_curvature(n: int) -> CurvatureTensor:
             for (i, j) in e.coeffs:
                 if basis.labels[i][0] != "X" or basis.labels[j][0] != "X":
                     raise ValueError("curvature entry leaves the X-quadratic span")
-    comps = blocks_to_components(om)
-    if comps != blocks_to_components(_hpn_blocks_closed_form(basis)):
+    if om != _hpn_blocks_closed_form(basis):
         raise ValueError("closed-form and Levi-Civita curvature disagree")
+    comps = {}
+    for A, row in enumerate(om.entries, 1):
+        for B, e in enumerate(row, 1):
+            for (L, M), v in slot_image(e, expansion).coeffs.items():
+                x = v.lam_poly().get(0, Fraction(0))
+                if x:
+                    comps[(A, B, L + 1, M + 1)] = x
+                    comps[(A, B, M + 1, L + 1)] = -x
     return CurvatureTensor(n, comps)

@@ -164,7 +164,7 @@ def point_geometry(ambient_labels: list[tuple], ambient_coframe: list[OneForm],
                     if w is not None:
                         d_km = d_km + w
                 items.append((M, d_km))
-            slot_jet_rules[fjets[e][K].sid] = OneForm.build(items)
+            slot_jet_rules[fjets[e][K]] = OneForm.build(items)
 
     # ambient jet rules (the alpha_i(xi_j) table) converted to slot coordinates
     for sid, rule in ambient_rules.jet_rules.items():

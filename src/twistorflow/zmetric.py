@@ -30,11 +30,7 @@ __all__ = [
     "ricci_z",
     "einstein_solve_z",
     "integrability_witness",
-    "FORMAL_UNKNOWN_PREFIXES",
 ]
-
-# prefixes of every formal unknown that must cancel from physical outputs
-FORMAL_UNKNOWN_PREFIXES = ("P", "Q", "R", "S", "U", "GF")
 
 # X-parts of d(alpha_i(xi_j)): the jet differentiation table
 _T1 = {0: (1, 1), 1: (0, -1), 2: (3, -1), 3: (2, 1)}
@@ -253,21 +249,15 @@ def z_geometry(n: int, ambiguity: str = "none", free_gamma_fiber: bool = False):
     return _z_point_geometry(n, ambiguity, free_gamma_fiber, active_cutoff())
 
 
-def _assert_unknown_free(c: Coeff, where: str) -> None:
-    syms = c.symbols()
-    bad = [s for s in syms if s.startswith(FORMAL_UNKNOWN_PREFIXES)]
-    if bad:
-        raise AssertionError(f"{where} depends on formal unknowns: {sorted(bad)[:6]}")
-
-
 def ricci_z(p: MetricParams, ambiguity: str = "none") -> RicciDiag:
     """Ricci of the Z-metric by second structure equation plus contraction.
 
     The value at the base point (the contraction of the grade-0 curvature
-    over the jet-free slot frames) must be exactly free of every formal
-    unknown: the p,q,r,s values, the expansion unknowns and, when enabled,
-    the ambiguity terms.  The values are symbolic in lambda for every p: a
-    numeric p.lambda2 is not applied here but by RicciDiag.fiber_at/base_at.
+    over the jet-free slot frames) must hold no symbol.  The contraction
+    reads no jet, so any symbol left is a formal unknown: a p,q,r,s value,
+    an expansion unknown or, when enabled, an ambiguity term.  The values
+    are symbolic in lambda for every p: a numeric p.lambda2 is not applied
+    here but by RicciDiag.fiber_at/base_at.
     z_setup builds the rules at S/S~ = 1, so any other ratio, or a symbolic
     one, raises ValueError.
     """
@@ -276,7 +266,9 @@ def ricci_z(p: MetricParams, ambiguity: str = "none") -> RicciDiag:
     ric = z_geometry(p.n, ambiguity).ricci()
     for i, row in enumerate(ric):
         for j, c in enumerate(row):
-            _assert_unknown_free(c, f"Ric[{i}][{j}]")
+            if not c.is_jet_free():
+                raise AssertionError(f"Ric[{i}][{j}] depends on formal unknowns: "
+                                     f"{sorted(c.symbols())[:6]}")
     return _ricci_diag(ric)
 
 

@@ -366,6 +366,24 @@ def test_benchmark_trace_mode_runs():
     assert [m for m in names if m not in rec["layers"] and m != "trace.op_s"] == []
 
 
+def test_benchmark_trace_mode_runs_verify():
+    # the verify-n2 command, traced: only this trace times each check alone,
+    # which clears canonical._sp_structure and runs run_checks(n, checks=[name])
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        names = [m["name"] for m in json.load(fh)["per_layer"]
+                 if m["name"].startswith("verify.check.")]
+    assert names
+    t0 = time.clock_gettime_ns(time.CLOCK_MONOTONIC)
+    proc = subprocess.run([sys.executable, os.path.join(root, "perfbench", "child.py"), str(t0),
+                           "trace", "verify", "--n", "2", "--format", "json"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout.splitlines()[-1])
+    assert rec["rc"] == 0
+    assert [m for m in names if m not in rec["layers"]] == []
+
+
 def test_benchmark_trace_mode_counts_flow_samples(tmp_path):
     # the tracer counts a trajectory's samples through len(traj.samples)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

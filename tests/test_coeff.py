@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistorflow.coeff import Coeff, ONE, ZERO, jet_cutoff, jet_symbol
+from twistorflow.coeff import Coeff, ONE, ZERO, jet_cutoff, jet_symbol, symbol_name
 from twistorflow.forms import DerivativeRules, OneForm, specialize
 
 
@@ -70,6 +70,26 @@ def test_grade_parts_and_symbols():
     assert x.symbols() == {"tA", "tP"}
     assert not x.is_jet_free()
     assert rational(7).is_jet_free()
+
+
+def test_a_symbol_is_its_registry_id():
+    assert type(A) is int
+    assert jet_symbol("tA", 1) == A and jet_symbol("tP", 0) == P
+    assert symbol_name(A) == "tA"
+    assert Coeff.symbol(P, 2).terms == {(0, (P,)): 2}
+    # one name has one grade
+    with pytest.raises(ValueError, match=r"symbol tA already registered with grade 1"):
+        jet_symbol("tA", 0)
+    with pytest.raises(ValueError, match=r"symbol tP already registered with grade 0"):
+        jet_symbol("tP", 1)
+
+
+def test_with_jets_replaces_a_rule_and_keeps_the_receiver():
+    old, new = OneForm.basis(0, ONE), OneForm.basis(1, Coeff.symbol(P))
+    rules = DerivativeRules([]).with_jets({A: old, B: old})
+    merged = rules.with_jets({A: new})
+    assert merged.jet_rules == {A: new, B: old}
+    assert rules.jet_rules == {A: old, B: old}
 
 
 # a Coeff built through the ring operations, so it respects the jet cutoff

@@ -157,7 +157,7 @@ def test_z_geometry_is_integral(n, ambiguity):
             # SYM[label|a,b] enters entries (a, b) and (b, a) only, with coefficient 1
             syms = {s for s in c.symbols() if s.startswith("SYM[")}
             assert syms == {f"SYM[{lab}|{min(K, M)},{max(K, M)}]"}, (lab, K, M)
-            sid = jet_symbol(syms.pop(), 0).sid
+            sid = jet_symbol(syms.pop(), 0)
             assert [v for (_, mono), v in c.terms.items() if sid in mono] == [1]
             assert c.terms.get((0, (sid,))) == 1
             # the antisymmetric part is what the structure equation fixes

@@ -1,11 +1,12 @@
 import os
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from twistorflow.canonical import MetricParams, connection_canonical
-from twistorflow.coeff import ONE, Coeff, jet_cutoff
+from twistorflow.coeff import ONE, Coeff, jet_cutoff, jet_symbol
 from twistorflow.forms import Basis, DerivativeRules, TwoForm, specialize
 from twistorflow.zmetric import (einstein_solve_z, hat_alpha, hat_alpha_derivatives,
                                  integrability_witness, ricci_z, z_geometry)
@@ -138,6 +139,23 @@ def test_ricci_z_ambiguity_modes():
     rd_stripped = ricci_z(MetricParams(2), ambiguity="stripped")
     assert rd_stripped.fiber == fib + Coeff.rational(-8)
     assert rd_stripped.base == Coeff.rational(14)
+
+
+@pytest.mark.parametrize("name, grade", [("Y[probe]", 0), ("A[1,0,1]", 1)])
+def test_ricci_z_rejects_any_symbol_left_at_the_point(monkeypatch, name, grade):
+    # a copy of the n = 2 Ricci whose entry (0, 2) gains a symbol that no
+    # name list foresees: an unknown outside the P/Q/R/S/U/GF names, or a jet
+    # of the A table; the shared geometry is left as it is
+    from twistorflow import zmetric
+    ric = [list(row) for row in z_geometry(2).ricci()]
+    ric[0][2] = ric[0][2] + Coeff.symbol(jet_symbol(name, grade))
+    stub = SimpleNamespace(ricci=lambda: ric)
+    monkeypatch.setattr(zmetric, "z_geometry", lambda n, ambiguity: stub)
+    with pytest.raises(AssertionError, match=re.escape(f"Ric[0][2] depends on formal unknowns: "
+                                                       f"['{name}']")):
+        ricci_z(MetricParams(2))
+    monkeypatch.undo()
+    assert ricci_z(MetricParams(2)).off_diagonal_zero
 
 
 def test_truncation_soundness():
